@@ -16,6 +16,7 @@ the latter being vacuous once r exceeds s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .may_core import (
     Element,
@@ -31,18 +32,17 @@ from .may_core import (
     b,
     h,
 )
-from .may_diff import (
-    E2Report,
-    cell_homology,
-    d1,
-    e2_at,
-    reduce_vector,
-)
+from .may_diff import E2Report, cell_homology, d1, reduce_vector
 
 E1_EMPTY = "E1Empty"
 E2_ZERO = "E2Zero"
 DIM_CERTIFIED = "DimCertified"
 UPPER_BOUND = "UpperBound"
+
+# Where certificates read second-term reports from: reports(s, t).  A CLI
+# session passes its (possibly disk-cached) Session.report; library code
+# passes functools.partial(e2_at, ctx, cache=memo).
+ReportSource = Callable[[int, int], E2Report]
 
 
 class UnknownName(MayextError):
@@ -97,11 +97,9 @@ class Certificate:
         return out
 
 
-def certify_ext_vanishing(
-    ctx: PrimeContext, s: int, t: int, cache: dict | None = None
-) -> Certificate:
+def certify_ext_vanishing(reports: ReportSource, s: int, t: int) -> Certificate:
     """Certificate for the cohomology group at (s, t), zero side only."""
-    report = e2_at(ctx, s, t, cache=cache)
+    report = reports(s, t)
     if report.e1_total == 0:
         return Certificate(s, t, E1_EMPTY, 0, 0, 0, report)
     if report.e2_total == 0:
@@ -111,16 +109,14 @@ def certify_ext_vanishing(
     )
 
 
-def certify_ext_dim(
-    ctx: PrimeContext, s: int, t: int, cache: dict | None = None
-) -> Certificate:
+def certify_ext_dim(reports: ReportSource, s: int, t: int) -> Certificate:
     """Like certify_ext_vanishing, upgrading to an exact dimension when
     both neighbor bidegrees die at the second term."""
-    cert = certify_ext_vanishing(ctx, s, t, cache=cache)
+    cert = certify_ext_vanishing(reports, s, t)
     if cert.certified_zero or cert.e2_total == 0:
         return cert
-    above = e2_at(ctx, s + 1, t, cache=cache).e2_total
-    below = e2_at(ctx, s - 1, t, cache=cache).e2_total if s >= 1 else 0
+    above = reports(s + 1, t).e2_total
+    below = reports(s - 1, t).e2_total if s >= 1 else 0
     if above == 0 and below == 0:
         cert.verdict = DIM_CERTIFIED
     return cert
@@ -375,11 +371,7 @@ class WindowReport:
 
 
 def adams_dr_window(
-    ctx: PrimeContext,
-    bidegree: tuple[int, int],
-    r_min: int,
-    r_max: int,
-    cache: dict | None = None,
+    reports: ReportSource, bidegree: tuple[int, int], r_min: int, r_max: int
 ) -> WindowReport:
     """Vanishing certificates for every d_r target and source in a range."""
     s, t = bidegree
@@ -389,10 +381,10 @@ def adams_dr_window(
         raise InvalidRange(f"need 2 <= r_min <= r_max, got [{r_min},{r_max}]")
     report = WindowReport(s, t, r_min, r_max)
     for r in range(r_min, r_max + 1):
-        target = certify_ext_vanishing(ctx, s + r, t + r - 1, cache=cache)
+        target = certify_ext_vanishing(reports, s + r, t + r - 1)
         if r <= s and t - r + 1 >= 0:
             src_bidegree = (s - r, t - r + 1)
-            source = certify_ext_vanishing(ctx, *src_bidegree, cache=cache)
+            source = certify_ext_vanishing(reports, *src_bidegree)
         else:
             src_bidegree, source = None, None
         report.rows.append(WindowRow(r, (s + r, t + r - 1), target, src_bidegree, source))

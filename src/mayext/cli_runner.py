@@ -3,9 +3,10 @@
 A Session owns one prime and reuses work at two levels: an in-process
 memo shared by every homology computation, and an optional on-disk
 cache of serialized second-term reports keyed by (module, p, s, t,
-schema_version).  Disk records embed their own key, so a corrupt file
-or a digest collision degrades to a recomputation with a warning on
-stderr, never to wrong data.
+schema_version).  Disk records embed their own key, so a corrupt file,
+a malformed value or a digest collision degrades to a recomputation
+with a warning on stderr, never to wrong data or a crash.  Every
+certificate the CLI issues reads its reports through Session.report.
 
 Claims are JSON dicts with a "kind", a prime "p", kind-specific
 parameters, and an "expect" value.  Any numeric parameter may be an
@@ -22,8 +23,6 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -34,11 +33,9 @@ from .adams_certify import (
     DIM_CERTIFIED,
     E1_EMPTY,
     E2_ZERO,
-    UPPER_BOUND,
-    Certificate,
-    InvalidRange,
-    WindowReport,
-    WindowRow,
+    adams_dr_window,
+    certify_ext_dim,
+    certify_ext_vanishing,
     product_nonzero_at_e2,
     resolve_named,
 )
@@ -261,61 +258,22 @@ class Session:
         if self.disk is not None:
             summary = self.disk.get(self._key(s, t))
             if summary is not None:
-                rep = summary_to_report(self.ctx, summary)
-                self.reports[(s, t)] = rep
-                return rep
+                try:
+                    rep = summary_to_report(self.ctx, summary)
+                except (AttributeError, KeyError, TypeError, ValueError, MayextError):
+                    name = self.disk.path_for(self._key(s, t)).name
+                    click.echo(
+                        f"warning: malformed cache value in {name}, recomputing",
+                        err=True,
+                    )
+                else:
+                    self.reports[(s, t)] = rep
+                    return rep
         rep = e2_at(self.ctx, s, t, cache=self.memo)
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
         self.reports[(s, t)] = rep
         return rep
-
-
-def session_vanish(session: Session, s: int, t: int) -> Certificate:
-    """Zero-side certificate built from (possibly cached) reports."""
-    report = session.report(s, t)
-    if report.e1_total == 0:
-        return Certificate(s, t, E1_EMPTY, 0, 0, 0, report)
-    if report.e2_total == 0:
-        return Certificate(s, t, E2_ZERO, 0, report.e1_total, 0, report)
-    return Certificate(
-        s, t, UPPER_BOUND, report.e2_total, report.e1_total, report.e2_total, report
-    )
-
-
-def session_dim(session: Session, s: int, t: int) -> Certificate:
-    """Dimension certificate; exact when both (s-1,t) and (s+1,t) die."""
-    cert = session_vanish(session, s, t)
-    if cert.certified_zero or cert.e2_total == 0:
-        return cert
-    above = session.report(s + 1, t).e2_total
-    below = session.report(s - 1, t).e2_total if s >= 1 else 0
-    if above == 0 and below == 0:
-        cert.verdict = DIM_CERTIFIED
-    return cert
-
-
-def session_window(
-    session: Session, bidegree: tuple[int, int], r_min: int, r_max: int
-) -> WindowReport:
-    """Differential-window report built from (possibly cached) reports."""
-    s, t = bidegree
-    if s < 0 or t < 0:
-        raise InvalidParams(f"bidegree out of range: ({s},{t})")
-    if r_min < 2 or r_max < r_min:
-        raise InvalidRange(f"need 2 <= r_min <= r_max, got [{r_min},{r_max}]")
-    report = WindowReport(s, t, r_min, r_max)
-    for r in range(r_min, r_max + 1):
-        target = session_vanish(session, s + r, t + r - 1)
-        if r <= s and t - r + 1 >= 0:
-            src_bidegree = (s - r, t - r + 1)
-            source = session_vanish(session, *src_bidegree)
-        else:
-            src_bidegree, source = None, None
-        report.rows.append(
-            WindowRow(r, (s + r, t + r - 1), target, src_bidegree, source)
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +335,7 @@ def _check_e2_dim(session: Session, ctx: PrimeContext, claim: dict):
 def _check_ext_vanishing(session: Session, ctx: PrimeContext, claim: dict):
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
-    cert = session_vanish(session, s, t)
+    cert = certify_ext_vanishing(session.report, s, t)
     expect = claim["expect"]
     if expect == "zero":
         if cert.certified_zero:
@@ -404,7 +362,7 @@ def _check_dr_window(session: Session, ctx: PrimeContext, claim: dict):
     t = eval_expr(claim["t"], ctx)
     r_min = eval_expr(claim.get("r_min", 2), ctx)
     r_max = eval_expr(claim["r_max"], ctx)
-    report = session_window(session, (s, t), r_min, r_max)
+    report = adams_dr_window(session.report, (s, t), r_min, r_max)
     expect = claim["expect"]
     bad = []
     for key, want in expect.items():
@@ -551,22 +509,11 @@ class ClaimResult:
 def run_claims(
     claims: list,
     cache_dir=None,
-    jobs: int = 1,
     include_conjectures: bool = False,
     sessions: dict | None = None,
 ) -> list[ClaimResult]:
-    """Check every claim, reusing one session per prime.
-
-    Results come back in claim order regardless of the worker count.
-    """
+    """Check every claim in order, reusing one session per prime."""
     sessions = {} if sessions is None else sessions
-    lock = threading.Lock()
-
-    def session_for(p: int) -> Session:
-        with lock:
-            if p not in sessions:
-                sessions[p] = Session(PrimeContext(p), cache_dir)
-            return sessions[p]
 
     def run_one(index: int, claim: dict) -> ClaimResult:
         if not isinstance(claim, dict):
@@ -581,7 +528,10 @@ def run_claims(
                 raise InvalidParams(f"unknown claim kind {claim.get('kind')!r}")
             if "p" not in claim:
                 raise InvalidParams("claim needs a prime p")
-            session = session_for(claim["p"])
+            p = claim["p"]
+            if p not in sessions:
+                sessions[p] = Session(PrimeContext(p), cache_dir)
+            session = sessions[p]
             status, detail = checker(session, session.ctx, claim)
             return ClaimResult(index, claim, status, detail)
         except MayextError as exc:
@@ -589,11 +539,7 @@ def run_claims(
         except (KeyError, TypeError, ValueError) as exc:
             return ClaimResult(index, claim, "error", f"{type(exc).__name__}: {exc}")
 
-    if jobs <= 1:
-        return [run_one(i, c) for i, c in enumerate(claims)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_one, i, c) for i, c in enumerate(claims)]
-        return [f.result() for f in futures]
+    return [run_one(i, c) for i, c in enumerate(claims)]
 
 
 def load_claims(path=None) -> list:
@@ -623,7 +569,7 @@ def chart_data(session: Session, s_max: int, t_max: int) -> dict:
             report = session.report(s, t)
             if report.e2_total == 0:
                 continue
-            cert = session_dim(session, s, t)
+            cert = certify_ext_dim(session.report, s, t)
             reps = [
                 rep.text()
                 for u in sorted(report.weights)
@@ -835,7 +781,7 @@ def vanish(session, s, t, as_json):
     """Vanishing/dimension certificate at (S, T)."""
     ctx = session.ctx
     s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    cert = _guard(lambda: session_dim(session, s_val, t_val))
+    cert = _guard(lambda: certify_ext_dim(session.report, s_val, t_val))
     if as_json:
         click.echo(json.dumps(cert.serialize(), indent=2))
         return
@@ -854,7 +800,9 @@ def window(session, s, t, r_min, r_max, as_json):
     """Differential targets and sources for a class at (S, T)."""
     ctx = session.ctx
     s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    report = _guard(lambda: session_window(session, (s_val, t_val), r_min, r_max))
+    report = _guard(
+        lambda: adams_dr_window(session.report, (s_val, t_val), r_min, r_max)
+    )
     if as_json:
         click.echo(json.dumps(report.serialize(), indent=2))
         return
@@ -1040,11 +988,10 @@ def chart(session, s_max, t_max, fmt, output):
 @click.argument(
     "claims_file", required=False, type=click.Path(exists=True, dir_okay=False)
 )
-@click.option("--jobs", default=1, show_default=True, type=int)
 @click.option("--include-conjectures", is_flag=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.pass_context
-def verify(ctx_click, claims_file, jobs, include_conjectures, as_json):
+def verify(ctx_click, claims_file, include_conjectures, as_json):
     """Check a JSON claims file (default: the shipped regression corpus)."""
     session = ctx_click.obj
     try:
@@ -1057,7 +1004,6 @@ def verify(ctx_click, claims_file, jobs, include_conjectures, as_json):
     results = run_claims(
         claims,
         cache_dir=cache_dir,
-        jobs=jobs,
         include_conjectures=include_conjectures,
         sessions={session.ctx.p: session},
     )

@@ -34,10 +34,11 @@ shifted by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .adams_certify import Certificate, certify_ext_dim
 from .may_core import InvalidParams, MayextError, PrimeContext, a, h, multiply
-from .may_diff import cell_homology, echelon, reduce_vector
+from .may_diff import cell_homology, e2_at, echelon, reduce_vector
 
 
 class WindowTooLarge(MayextError):
@@ -193,9 +194,10 @@ def sphere_table(
     table = SphereTable(ctx, s_range, t_range)
     if homology is not None:
         table.homology = homology
+    reports = partial(e2_at, ctx, cache=table.homology)
     for s in range(s_min, s_max + 1):
         for t in range(t_min, t_max + 1):
-            cert = certify_ext_dim(ctx, s, t, cache=table.homology)
+            cert = certify_ext_dim(reports, s, t)
             hi = 0 if cert.certified_zero else cert.e2_total
             lo = hi if cert.certified_exact else 0
             cell = SphereCell(s, t, cert, DimInterval(lo, hi, cert.verdict))

@@ -361,9 +361,7 @@ def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
     return sorted(gens)
 
 
-def enumerate_basis(
-    ctx: PrimeContext, s: int, t: int, _reverse: bool = False
-) -> list[Monomial]:
+def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     """All canonical basis monomials of bidegree (s, t), any weight.
 
     Exponent multisets are enumerated by depth-first search over the
@@ -377,8 +375,6 @@ def enumerate_basis(
     if t < s:
         return []
     gens = generators_bounded(ctx, t)
-    if _reverse:
-        gens = list(reversed(gens))
     degrees = [g.tridegree(ctx) for g in gens]
     n = len(gens)
     # max_rate[k] = max over gens[k:] of 2 * t_g / s_g, exact since s_g in {1, 2}

@@ -200,19 +200,19 @@ def _vector(elem: Element, index: dict, width: int, where: str) -> list[int]:
 
 
 def cell_homology(
-    ctx: PrimeContext, s: int, t: int, cache: dict | None = None, _reverse: bool = False
+    ctx: PrimeContext, s: int, t: int, cache: dict | None = None
 ) -> CellHomology:
     """Cycles, boundaries, and reduced representatives at bidegree (s, t)."""
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
-    key = (ctx.p, s, t, _reverse)
+    key = (ctx.p, s, t)
     if cache is not None and key in cache:
         return cache[key]
     p = ctx.p
-    basis0 = enumerate_basis(ctx, s, t, _reverse=_reverse)
+    basis0 = enumerate_basis(ctx, s, t)
     groups0 = _group_by_weight(ctx, basis0)
-    groups1 = _group_by_weight(ctx, enumerate_basis(ctx, s + 1, t, _reverse=_reverse))
-    below = enumerate_basis(ctx, s - 1, t, _reverse=_reverse) if s >= 1 else []
+    groups1 = _group_by_weight(ctx, enumerate_basis(ctx, s + 1, t))
+    below = enumerate_basis(ctx, s - 1, t) if s >= 1 else []
     groups_below = _group_by_weight(ctx, below)
 
     cell = CellHomology(s, t, basis0)
@@ -295,14 +295,10 @@ class E2Report:
 
 
 def e2_at(
-    ctx: PrimeContext,
-    s: int,
-    t: int,
-    cache: dict | None = None,
-    _reverse: bool = False,
+    ctx: PrimeContext, s: int, t: int, cache: dict | None = None
 ) -> E2Report:
     """Kernel-mod-boundary dimensions at (s, t), one block per weight."""
-    cell = cell_homology(ctx, s, t, cache=cache, _reverse=_reverse)
+    cell = cell_homology(ctx, s, t, cache=cache)
     weights = {}
     for u, blk in sorted(cell.blocks.items()):
         reps = [_block_element(blk, v, ctx.p) for v in blk.rep_vecs]

@@ -8,6 +8,7 @@ the same condition so the suite status matches the printed verdict.
 
 import random
 import time
+from functools import partial
 
 from mayext.may_core import (
     Monomial,
@@ -46,6 +47,7 @@ C7 = PrimeContext(7)
 
 # shared across criteria so overlapping cells are computed once
 CACHE = {}
+C7_REPORTS = partial(e2_at, C7, cache=CACHE)
 HOMOLOGY = {5: {}, 7: {}}
 
 
@@ -86,7 +88,7 @@ def test_five_generator_window_reproduces_exactly(capsys):
             got = sorted(mono.text() for mono in enumerate_basis(C7, s, t))
             ok = ok and got == sorted(want)
             checked += 1
-        cert = certify_ext_dim(C7, 5, E + C7.q + 1, cache=CACHE)
+        cert = certify_ext_dim(C7_REPORTS, 5, E + C7.q + 1)
         ok = ok and cert.verdict == E2_ZERO
         survivor = e2_at(C7, 6, E + 2)
         reps = [r for w in survivor.serialize()["weights"] for r in w["reps"]]
@@ -181,7 +183,7 @@ def test_supposition_audit_certifies_every_cell(capsys):
     for n in (2, 3):
         T = 7**n * C7.q
         for s, t in ((2, T + C7.q), (2, T + 1), (3, T + C7.q)):
-            cert = certify_ext_dim(C7, s, t, cache=CACHE)
+            cert = certify_ext_dim(C7_REPORTS, s, t)
             ok = ok and cert.verdict in (UPPER_BOUND, DIM_CERTIFIED)
             ok = ok and cert.dim >= 1
     elapsed = verdict(
@@ -202,7 +204,7 @@ def test_differential_window_and_second_term_product(capsys):
     # product is a first-differential boundary (test_five_factor_boundary
     # pins the witness), so the criterion is checked one index higher.
     bidegree = (6, 7**4 * C7.q + 3 * (7**2 + 7 + 1) * C7.q)
-    report = adams_dr_window(C7, bidegree, 2, 6, cache=CACHE)
+    report = adams_dr_window(C7_REPORTS, bidegree, 2, 6)
     window_ok = report.sources_all_zero and report.not_boundary == "full"
     for row in report.rows:
         window_ok = window_ok and row.source is not None
@@ -284,7 +286,7 @@ def random_monomial(rng, ctx):
     return Monomial.build(pairs, rng.randint(1, ctx.p - 1))
 
 
-def test_algebra_property_suites(capsys):
+def test_algebra_property_suites(capsys, reversed_generators):
     started = time.monotonic()
     rng = random.Random(20260819)
     ok = True
@@ -327,7 +329,9 @@ def test_algebra_property_suites(capsys):
     ]
     for ctx, s, t in reversal_cells:
         fwd = e2_at(ctx, s, t)
-        rev = e2_at(ctx, s, t, _reverse=True)
+        with reversed_generators() as calls:
+            rev = e2_at(ctx, s, t)
+        ok = ok and bool(calls)
         fwd_dims = {u: w.e2_dim for u, w in fwd.weights.items()}
         rev_dims = {u: w.e2_dim for u, w in rev.weights.items()}
         ok = ok and fwd_dims == rev_dims and fwd.e2_total == rev.e2_total

@@ -1,8 +1,11 @@
 """Named classes, vanishing certificates, and differential windows."""
 
+from functools import partial
+
 import pytest
 
 from mayext.may_core import PrimeContext, parse_element, tridegree
+from mayext.may_diff import e2_at
 from mayext.adams_certify import (
     DIM_CERTIFIED,
     E1_EMPTY,
@@ -28,6 +31,11 @@ C7 = PrimeContext(7)
 def cache():
     # shared across the module so repeated cells are computed once
     return {}
+
+
+@pytest.fixture(scope="module")
+def reports(cache):
+    return partial(e2_at, C7, cache=cache)
 
 
 class TestResolveNamed:
@@ -129,53 +137,53 @@ class TestResolveNamed:
 
 
 class TestCertificates:
-    def test_empty_cell(self, cache):
-        cert = certify_ext_vanishing(C7, 4, 29400 + 2 * 12 - 1, cache=cache)
+    def test_empty_cell(self, reports):
+        cert = certify_ext_vanishing(reports, 4, 29400 + 2 * 12 - 1)
         assert cert.verdict == E1_EMPTY
         assert cert.certified_zero and cert.certified_exact
         assert cert.dim == 0 and cert.e1_total == 0
 
-    def test_killed_cell(self, cache):
-        cert = certify_ext_vanishing(C7, 5, 29400 + 12 + 1, cache=cache)
+    def test_killed_cell(self, reports):
+        cert = certify_ext_vanishing(reports, 5, 29400 + 12 + 1)
         assert cert.verdict == E2_ZERO
         assert cert.certified_zero
         assert cert.e1_total == 3 and cert.e2_total == 0
 
-    def test_upper_bound_cell(self, cache):
-        cert = certify_ext_vanishing(C7, 1, 588, cache=cache)
+    def test_upper_bound_cell(self, reports):
+        cert = certify_ext_vanishing(reports, 1, 588)
         assert cert.verdict == UPPER_BOUND
         assert not cert.certified_zero
         assert cert.dim == 1
 
-    def test_dim_certified_when_neighbors_die(self, cache):
-        cert = certify_ext_dim(C7, 1, 12, cache=cache)
+    def test_dim_certified_when_neighbors_die(self, reports):
+        cert = certify_ext_dim(reports, 1, 12)
         assert cert.verdict == DIM_CERTIFIED
         assert cert.certified_exact
         assert cert.dim == 1
 
-    def test_live_neighbor_blocks_upgrade(self, cache):
+    def test_live_neighbor_blocks_upgrade(self, reports):
         # the cell below carries a class, so only an upper bound is issued
-        cert = certify_ext_dim(C7, 2, 588, cache=cache)
+        cert = certify_ext_dim(reports, 2, 588)
         assert cert.verdict == UPPER_BOUND
         assert cert.dim == 1
 
-    def test_six_factor_product_cell(self, cache):
-        cert = certify_ext_dim(C7, 4, 29400, cache=cache)
+    def test_six_factor_product_cell(self, reports):
+        cert = certify_ext_dim(reports, 4, 29400)
         assert cert.verdict == UPPER_BOUND
         assert cert.dim == 1
 
-    def test_serialize_includes_basis_for_live_cells(self, cache):
-        cert = certify_ext_vanishing(C7, 1, 588, cache=cache)
+    def test_serialize_includes_basis_for_live_cells(self, reports):
+        cert = certify_ext_vanishing(reports, 1, 588)
         data = cert.serialize()
         assert data["verdict"] == UPPER_BOUND
         assert data["basis"] == ["h[1,2]"]
-        zero = certify_ext_vanishing(C7, 3, 29400 + 2 * 12 + 1, cache=cache)
+        zero = certify_ext_vanishing(reports, 3, 29400 + 2 * 12 + 1)
         assert "basis" not in zero.serialize()
 
 
 class TestWindow:
-    def test_live_target_is_reported(self, cache):
-        report = adams_dr_window(C7, (1, 588), 2, 2, cache=cache)
+    def test_live_target_is_reported(self, reports):
+        report = adams_dr_window(reports, (1, 588), 2, 2)
         (row,) = report.rows
         assert row.target_bidegree == (3, 589)
         assert row.target.verdict == UPPER_BOUND
@@ -186,19 +194,19 @@ class TestWindow:
         assert report.targets_all_zero is False
         assert report.permanent_cycle_up_to == 1
 
-    def test_live_source_blocks_not_boundary(self, cache):
-        report = adams_dr_window(C7, (3, 589), 2, 2, cache=cache)
+    def test_live_source_blocks_not_boundary(self, reports):
+        report = adams_dr_window(reports, (3, 589), 2, 2)
         assert report.sources_all_zero is False
         assert report.not_boundary == "no"
 
-    def test_partial_when_window_stops_short(self, cache):
-        report = adams_dr_window(C7, (6, 6168), 2, 3, cache=cache)
+    def test_partial_when_window_stops_short(self, reports):
+        report = adams_dr_window(reports, (6, 6168), 2, 3)
         assert report.sources_all_zero is True
         assert report.not_boundary == "partial"
         assert report.permanent_cycle_up_to == 1
 
-    def test_full_window_for_six_factor_cell(self, cache):
-        report = adams_dr_window(C7, (6, 6168), 2, 6, cache=cache)
+    def test_full_window_for_six_factor_cell(self, reports):
+        report = adams_dr_window(reports, (6, 6168), 2, 6)
         assert report.sources_all_zero is True
         assert report.not_boundary == "full"
         sources = [row.source_bidegree for row in report.rows]
@@ -209,11 +217,11 @@ class TestWindow:
         assert data["not_boundary"] == "full"
         assert len(data["rows"]) == 5
 
-    def test_invalid_ranges(self):
+    def test_invalid_ranges(self, reports):
         with pytest.raises(InvalidRange):
-            adams_dr_window(C7, (1, 588), 1, 3)
+            adams_dr_window(reports, (1, 588), 1, 3)
         with pytest.raises(InvalidRange):
-            adams_dr_window(C7, (1, 588), 3, 2)
+            adams_dr_window(reports, (1, 588), 3, 2)
 
 
 class TestProducts:

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from click.testing import CliRunner
 
+from mayext import may_diff
 from mayext.may_core import ParseError, PrimeContext
 from mayext.may_diff import SCHEMA_VERSION, e2_at
 from mayext.cli_runner import (
@@ -338,12 +339,6 @@ class TestRunClaims:
         results = run_claims(SMALL_CLAIMS["claims"][3:4], include_conjectures=True)
         assert results[0].status == "pass"
 
-    def test_jobs_preserve_order(self):
-        claims = SMALL_CLAIMS["claims"][:3] * 2
-        serial = [r.status for r in run_claims(claims)]
-        threaded = [r.status for r in run_claims(claims, jobs=3)]
-        assert serial == threaded
-
     def test_load_claims_accepts_bare_list(self, tmp_path):
         path = write_claims(tmp_path, [{"kind": "e2_dim"}])
         assert load_claims(path) == [{"kind": "e2_dim"}]
@@ -443,6 +438,59 @@ class TestCacheThroughCli:
         assert second.exit_code == 0
         assert second.stdout == first.stdout
         assert "mismatch" in second.stderr
+
+    def test_malformed_value_recovers(self, runner, tmp_path):
+        first = self.invoke_e2(runner, tmp_path)
+        for path in tmp_path.glob("*.json"):
+            record = json.loads(path.read_text())
+            record["value"] = {}
+            path.write_text(json.dumps(record))
+        second = self.invoke_e2(runner, tmp_path)
+        assert second.exit_code == 0
+        assert second.stdout == first.stdout
+        assert "malformed" in second.stderr
+
+    @pytest.mark.parametrize("bad_rep", ["h[1,", 5])
+    def test_malformed_representative_recovers(self, runner, tmp_path, bad_rep):
+        first = self.invoke_e2(runner, tmp_path)
+        (path,) = tmp_path.glob("*.json")
+        record = json.loads(path.read_text())
+        record["value"]["weights"][0]["reps"] = [bad_rep]
+        path.write_text(json.dumps(record))
+        second = self.invoke_e2(runner, tmp_path)
+        assert second.exit_code == 0
+        assert second.stdout == first.stdout
+        assert "malformed" in second.stderr
+        # the recomputed report overwrote the bad record
+        third = self.invoke_e2(runner, tmp_path)
+        assert third.stdout == first.stdout
+        assert third.stderr == ""
+
+    @pytest.mark.parametrize(
+        "args, records",
+        [
+            # targets (3,589) and (4,590); s = 1 < r_min leaves no sources
+            (["window", "1", "p^2*q", "--r-max", "3"], 2),
+            # the cell (2,588) and its neighbours (3,588) and (1,588)
+            (["vanish", "2", "p^2*q"], 3),
+        ],
+    )
+    def test_certificates_read_through_the_disk_cache(
+        self, runner, tmp_path, monkeypatch, args, records
+    ):
+        argv = ["-p", "7", "--cache-dir", str(tmp_path), *args, "--json"]
+        cold = runner.invoke(main, argv)
+        assert cold.exit_code == 0
+        # one record per certified bidegree: the CLI read through the session
+        assert len(list(tmp_path.glob("*.json"))) == records
+
+        def no_computing(*args, **kwargs):
+            raise AssertionError("warm run recomputed a cell")
+
+        monkeypatch.setattr(may_diff, "cell_homology", no_computing)
+        warm = runner.invoke(main, argv)
+        assert warm.exit_code == 0
+        assert warm.stdout == cold.stdout
 
     def test_envvar_cache_dir(self, runner, tmp_path):
         res = runner.invoke(
