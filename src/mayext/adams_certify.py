@@ -15,17 +15,15 @@ the latter being vacuous once r exceeds s.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .may_core import (
     Element,
-    Generator,
     InvalidParams,
     MayextError,
     Monomial,
     PrimeContext,
-    multiply,
     product,
     tridegree,
     a,

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Union
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple
 
 
 class MayextError(Exception):
@@ -274,7 +275,7 @@ class Element:
         return f"Element({self.text()})"
 
 
-MulOperand = Union[Generator, Monomial, Element]
+MulOperand = Generator | Monomial | Element
 
 
 def _as_element(x: MulOperand, ctx: PrimeContext) -> Element:
@@ -361,12 +362,39 @@ def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
     return sorted(gens)
 
 
+# Memory bounds of enumerate_basis: the largest reachability table, in
+# bits (4 MiB), and the most entries the wide search memoises at a time
+# (a few MiB; a cell of the corpus needs at most 12k).  Past the second
+# the memo is cleared: a cell too hard for it then costs time, not memory.
+_REACH_TABLE_BITS = 1 << 25
+_REACH_MEMO_ENTRIES = 1 << 15
+
+
 def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     """All canonical basis monomials of bidegree (s, t), any weight.
 
-    Exponent multisets are enumerated by depth-first search over the
-    bounded generator list with exact residual pruning on both the
-    remaining filtration and the remaining internal degree.
+    Exponent multisets are found by depth-first search over the bounded
+    generator list.  The search is output-sensitive: it enters a branch
+    (generator k with exponent e) only when the generators after k can
+    still make up the remaining filtration and internal degree exactly,
+    so every branch it enters ends in a monomial.  The reachability test
+    is one of two, chosen by the size of the table it would need:
+
+    * Narrow t, where (t + 1)(s + 1) len(gens) <= _REACH_TABLE_BITS:
+      reach[k][r] is a Python-int bitset of the internal degrees up to t
+      that gens[k:] reach with filtration exactly r, built once per call.
+    * Wide t (up to p^12 q, about 1.4e10 at p = 7, where a table t bits
+      wide cannot be built): a search memoised on (k, s_rem, t_rem),
+      pruned by the least and the largest internal degree per filtration
+      unit of gens[k:] and by the number of a's left mod q.  It closes the
+      last one or two filtration units by a dict lookup on internal degree
+      (one a or h; one b, a square of an a, or a pair of distinct degree-1
+      generators) instead of looping over the generators.  The memo holds
+      at most _REACH_MEMO_ENTRIES entries.
+
+    The cutoff exists because the table grows with t; below it the table
+    is several times faster than the memoised search, so it is a memory
+    bound, not a tuning option.  Both tests fill the same factor tuples.
     """
     if s < 0 or t < 0:
         return []
@@ -375,36 +403,126 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     if t < s:
         return []
     gens = generators_bounded(ctx, t)
-    degrees = [g.tridegree(ctx) for g in gens]
     n = len(gens)
-    # max_rate[k] = max over gens[k:] of 2 * t_g / s_g, exact since s_g in {1, 2}
-    max_rate = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        rate = 2 * degrees[k].t // degrees[k].s
-        max_rate[k] = max(rate, max_rate[k + 1])
+    degrees = [g.tridegree(ctx)[:2] for g in gens]  # (s_g, t_g)
+    e_top = [1 if g.is_odd else s for g in gens]  # exterior h's appear at most once
+
+    # unit[t_g] / double[t_g]: index of the generator of filtration 1 / 2
+    # with internal degree t_g (unique within each filtration)
+    unit: dict[int, int] = {}
+    double: dict[int, int] = {}
+    for k, (ds, dt) in enumerate(degrees):
+        (unit if ds == 1 else double)[dt] = k
+    closed: dict[tuple[int, int], list[tuple[int, Factors]]] = {}
+
+    def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors]]:
+        """(first index, factors) of each way to make up the last s_rem <= 2
+        filtration units and t_rem internal degrees, by degree lookup."""
+        key = (s_rem, t_rem)
+        ways = closed.get(key)
+        if ways is None:
+            ways = []
+            if s_rem == 0:
+                if t_rem == 0:
+                    ways.append((n, ()))
+            elif s_rem == 1:
+                k = unit.get(t_rem)
+                if k is not None:
+                    ways.append((k, ((gens[k], 1),)))
+            else:
+                k = double.get(t_rem)
+                if k is not None:
+                    ways.append((k, ((gens[k], 1),)))
+                for dt, k in unit.items():
+                    k2 = unit.get(t_rem - dt)
+                    if k2 is None or dt > t_rem - dt:
+                        continue
+                    if k2 == k:
+                        if not gens[k].is_odd:
+                            ways.append((k, ((gens[k], 2),)))
+                    else:
+                        lo, hi = min(k, k2), max(k, k2)
+                        ways.append((lo, ((gens[lo], 1), (gens[hi], 1))))
+            closed[key] = ways
+        return ways
+
+    if (t + 1) * (s + 1) * n <= _REACH_TABLE_BITS:
+        closing = 0
+        mask = (1 << (t + 1)) - 1
+        reach = [[1] + [0] * s]
+        for k in range(n - 1, -1, -1):
+            below = reach[-1]
+            row = list(below)
+            ds, dt = degrees[k]
+            # knapsack step: an exterior h is taken at most once, an a or b
+            # any number of times (ascending r reuses the updated row)
+            source = below if gens[k].is_odd else row
+            for r in range(ds, s + 1):
+                row[r] = (row[r] | source[r - ds] << dt) & mask
+            reach.append(row)
+        reach.reverse()
+
+        def reachable(k: int, s_rem: int, t_rem: int) -> int:
+            return reach[k][s_rem] >> t_rem & 1
+
+    else:
+        closing = 2
+        # min_rate[k] / max_rate[k]: min / max over gens[k:] of 2 t_g / s_g,
+        # exact since s_g is 1 or 2; a_left[k]: whether gens[k:] holds an a
+        rates = [2 * dt // ds for ds, dt in degrees][::-1]
+        min_rate = list(accumulate(rates, min))[::-1]
+        max_rate = list(accumulate(rates, max))[::-1]
+        a_left = list(accumulate([g.kind == KIND_A for g in reversed(gens)], max))[::-1]
+        q = ctx.q
+        memo: dict[tuple[int, int, int], bool] = {}
+
+        def reachable(k: int, s_rem: int, t_rem: int) -> bool:
+            if s_rem <= closing:
+                return any(first >= k for first, _ in closings(s_rem, t_rem))
+            key = (k, s_rem, t_rem)
+            hit = memo.get(key)
+            if hit is None:
+                hit = False
+                # an a has t = 1 mod q and an h or b t = 0 mod q, so the
+                # c <= s_rem a-units still to come satisfy c = t_rem mod q
+                if (
+                    k < n
+                    and s_rem * min_rate[k] <= 2 * t_rem <= s_rem * max_rate[k]
+                    and t_rem % q <= (s_rem if a_left[k] else 0)
+                ):
+                    ds, dt = degrees[k]
+                    for e in range(min(e_top[k], s_rem // ds, t_rem // dt) + 1):
+                        if reachable(k + 1, s_rem - e * ds, t_rem - e * dt):
+                            hit = True
+                            break
+                if len(memo) >= _REACH_MEMO_ENTRIES:
+                    memo.clear()
+                    closed.clear()
+                memo[key] = hit
+            return hit
 
     found: list[Factors] = []
     stack: list[tuple[Generator, int]] = []
 
-    def walk(k: int, s_rem: int, t_rem: int) -> None:
-        if s_rem == 0:
-            if t_rem == 0:
-                found.append(tuple(stack))
+    def fill(k: int, s_rem: int, t_rem: int) -> None:
+        # (k, s_rem, t_rem) is reachable
+        if s_rem <= closing:
+            prefix = tuple(stack)
+            for first, tail in closings(s_rem, t_rem):
+                if first >= k:
+                    found.append(prefix + tail)
             return
-        if k == n or t_rem < s_rem or 2 * t_rem > s_rem * max_rate[k]:
-            return
-        g, d = gens[k], degrees[k]
-        e_max = min(s_rem // d.s, t_rem // d.t)
-        if g.is_odd:
-            e_max = min(e_max, 1)
-        for e in range(e_max + 1):
-            if e:
-                stack.append((g, e))
-            walk(k + 1, s_rem - e * d.s, t_rem - e * d.t)
-            if e:
-                stack.pop()
+        g, (ds, dt) = gens[k], degrees[k]
+        for e in range(min(e_top[k], s_rem // ds, t_rem // dt) + 1):
+            if reachable(k + 1, s_rem - e * ds, t_rem - e * dt):
+                if e:
+                    stack.append((g, e))
+                fill(k + 1, s_rem - e * ds, t_rem - e * dt)
+                if e:
+                    stack.pop()
 
-    walk(0, s, t)
+    if reachable(0, s, t):
+        fill(0, s, t)
     monomials = [Monomial.build(fs) for fs in found]
     monomials.sort(key=lambda m: m.factors)
     return monomials

@@ -26,7 +26,6 @@ from .may_core import (
     Generator,
     InvalidParams,
     KIND_A,
-    KIND_B,
     KIND_H,
     Monomial,
     MulOperand,

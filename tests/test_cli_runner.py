@@ -150,6 +150,12 @@ class TestBasicCommands:
         assert res.exit_code == 0
         assert res.stdout.strip() == "(1,12): DimCertified, dim = 1"
 
+    def test_vanish_at_wide_t(self, runner):
+        # t = 7^12 is far too wide for a reachability table
+        res = runner.invoke(main, ["-p", "7", "vanish", "3", "p^12"])
+        assert res.exit_code == 0
+        assert res.stdout.strip() == "(3,13841287201): E1Empty, dim = 0"
+
     def test_vanish_upper_bound(self, runner):
         res = runner.invoke(main, ["-p", "7", "vanish", "1", "p^2*q"])
         assert res.stdout.strip() == "(1,588): UpperBound, dim <= 1"

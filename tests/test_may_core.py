@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mayext import may_core
 from mayext.may_core import (
     Element,
     Generator,
@@ -203,6 +204,20 @@ class TestDegreeResidue:
             degree_residue(a(0), C5, 0)
 
 
+def _t(ctx, *gens):
+    return sum(g.tridegree(ctx).t for g in gens)
+
+
+# non-empty cells far too wide for a reachability table (t ~ 10^7 .. 10^10)
+WIDE_CELLS = [
+    (C5, 2, _t(C5, h(1, 10), a(0))),
+    (C5, 2, _t(C5, a(9), a(9))),
+    (C7, 1, _t(C7, h(2, 9))),
+    (C7, 2, _t(C7, b(1, 10))),
+    (C7, 2, _t(C7, h(1, 3), h(2, 9))),
+]
+
+
 def brute_force_basis(ctx, s, t):
     """Exhaustive multiset enumeration, independent of the search order."""
     if s == 0:
@@ -239,12 +254,28 @@ class TestEnumerateBasis:
         assert [m.text() for m in enumerate_basis(C5, 2, 9)] == ["a0 h[1,0]"]
         assert [m.text() for m in enumerate_basis(C5, 2, 10)] == ["a0 a1"]
 
-    @pytest.mark.parametrize("ctx", [C3, C5])
-    def test_matches_brute_force(self, ctx):
-        for s in range(0, 5):
-            for t in range(0, 121, 7):
-                fast = [m.factors for m in enumerate_basis(ctx, s, t)]
-                assert fast == brute_force_basis(ctx, s, t), (ctx.p, s, t)
+    @pytest.mark.parametrize(
+        "contexts, table_bits, memo_entries",
+        [([C3], None, None), ([C5], None, None), ([C3, C5], 0, None), ([C3, C5], 0, 8)],
+        ids=["ctx0", "ctx1", "memoised", "memo-cleared"],
+    )
+    def test_matches_brute_force(self, contexts, table_bits, memo_entries, monkeypatch):
+        # table_bits 0 sends every cell of the grid through the memoised
+        # search that wide t needs (the wide cells take it at any cutoff);
+        # a tiny memo bound makes that search clear its memo again and again.
+        # Every t below 16 is in the grid, so cells made of a0 alone are too.
+        ts = [*range(16), *range(21, 121, 7)]
+        cells = [(ctx, s, t) for ctx in contexts for s in range(0, 5) for t in ts]
+        if table_bits is not None:
+            monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
+            cells += WIDE_CELLS
+        if memo_entries is not None:
+            monkeypatch.setattr(may_core, "_REACH_MEMO_ENTRIES", memo_entries)
+        for ctx, s, t in cells:
+            fast = [m.factors for m in enumerate_basis(ctx, s, t)]
+            assert fast == brute_force_basis(ctx, s, t), (ctx.p, s, t)
+            if (ctx, s, t) in WIDE_CELLS:
+                assert fast, (ctx.p, s, t)
 
     def test_every_monomial_has_requested_bidegree(self):
         for m in enumerate_basis(C5, 4, 100):
@@ -252,11 +283,15 @@ class TestEnumerateBasis:
             assert (d.s, d.t) == (4, 100)
 
     def test_reverse_order_gives_same_set(self, reversed_generators):
-        fwd = {m.factors for m in enumerate_basis(C5, 4, 120)}
-        with reversed_generators() as calls:
-            rev = {m.factors for m in enumerate_basis(C5, 4, 120)}
-        assert calls
-        assert fwd == rev
+        # (5, 6, 156) is narrow; the p=7 cell needs the memoised search
+        cells = [(C5, 6, 156), (C7, 3, _t(C7, a(0), h(1, 0), h(1, 11)))]
+        for ctx, s, t in cells:
+            fwd = {m.factors for m in enumerate_basis(ctx, s, t)}
+            with reversed_generators() as calls:
+                rev = {m.factors for m in enumerate_basis(ctx, s, t)}
+            assert calls
+            assert len(fwd) >= 2
+            assert fwd == rev, (ctx.p, s, t)
 
 
 def generator_pool(p):

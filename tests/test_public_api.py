@@ -1,8 +1,16 @@
 """Guards on the public surface of the package."""
 
+import ast
+import gc
+import importlib
 import inspect
+import sys
+import weakref
+from pathlib import Path
 
 import mayext
+
+PACKAGE_DIR = Path(mayext.__file__).parent
 
 
 def test_no_private_parameters_in_public_signatures():
@@ -18,3 +26,58 @@ def test_no_private_parameters_in_public_signatures():
         checked += 1
     assert checked > 0
     assert offenders == []
+
+
+def test_every_import_is_used():
+    # a name a module imports must be read in it; __future__ imports and
+    # the names __init__.py re-exports through __all__ are exempt
+    checked, offenders = 0, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(mayext.__all__)
+        offenders += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+        checked += 1
+    assert checked > 1
+    assert offenders == []
+
+
+def _purge_package():
+    for name in [m for m in sys.modules if m == "mayext" or m.startswith("mayext.")]:
+        del sys.modules[name]
+
+
+def test_reimport_frees_the_previous_import():
+    # a process that re-imports the package (a long-running host, the
+    # benchmark) must not keep each purged import alive, e.g. through a
+    # typing cache holding one of its classes
+    saved = {
+        name: module
+        for name, module in sys.modules.items()
+        if name == "mayext" or name.startswith("mayext.")
+    }
+    try:
+        _purge_package()
+        first = weakref.ref(importlib.import_module("mayext.may_core").Element)
+        for _ in range(20):
+            _purge_package()
+            importlib.import_module("mayext")
+        _purge_package()
+        gc.collect()
+        assert first() is None
+    finally:
+        _purge_package()
+        sys.modules.update(saved)
