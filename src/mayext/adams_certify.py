@@ -22,7 +22,6 @@ from .may_core import (
     Element,
     InvalidParams,
     MayextError,
-    Monomial,
     PrimeContext,
     product,
     tridegree,
@@ -30,7 +29,7 @@ from .may_core import (
     b,
     h,
 )
-from .may_diff import E2Report, cell_homology, d1, reduce_vector
+from .may_diff import E2Report, cell_homology, d1, reduce_mod_boundaries
 
 E1_EMPTY = "E1Empty"
 E2_ZERO = "E2Zero"
@@ -429,24 +428,8 @@ def product_nonzero_at_e2(
         }
     if not d1(prod, ctx).is_zero:
         raise AssertionError("product of cocycles failed to be a cocycle")
-    s, t = expected
-    cell = cell_homology(ctx, s, t, cache=cache)
-    p = ctx.p
-    by_weight: dict[int, list[Monomial]] = {}
-    for mono in prod.monomials():
-        by_weight.setdefault(mono.tridegree(ctx).u, []).append(mono)
-    reduced = Element.zero(ctx)
-    for u, monos in sorted(by_weight.items()):
-        blk = cell.block(u)
-        if blk is None:
-            raise AssertionError(f"product term has no block at ({s},{t},{u})")
-        vec = [0] * blk.e1_dim
-        for mono in monos:
-            vec[blk.index[mono.factors]] = mono.coeff
-        vec = reduce_vector(vec, blk.boundary_ech, blk.boundary_pivots, p)
-        for c, m in zip(vec, blk.monomials):
-            if c:
-                reduced = reduced + Element(p, {m.factors: c})
+    cell = cell_homology(ctx, *expected, cache=cache)
+    reduced = reduce_mod_boundaries(ctx, cell, prod)
     return {
         "nonzero": not reduced.is_zero,
         "bidegree": expected,

@@ -536,7 +536,7 @@ def run_claims(
             return ClaimResult(index, claim, status, detail)
         except MayextError as exc:
             return ClaimResult(index, claim, "error", f"{type(exc).__name__}: {exc}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return ClaimResult(index, claim, "error", f"{type(exc).__name__}: {exc}")
 
     return [run_one(i, c) for i, c in enumerate(claims)]

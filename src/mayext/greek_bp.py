@@ -191,10 +191,6 @@ class BPGen:
             return self.a * p**self.s * (p**2 + p + 1) * q - p**self.s * (p + 1) * q
         raise InvalidParams(f"unknown generator kind {self.kind!r}")
 
-    @property
-    def degree_uncertain(self) -> bool:
-        return self.kind == "c2" and self.a != 1
-
     def text(self) -> str:
         if self.kind == "v2":
             return f"v2^{self.e}"

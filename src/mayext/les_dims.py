@@ -17,12 +17,14 @@ Columns:
          splits each group into ker/cok of a_0-multiplication with a
          degree shift of one in t.
     M2 = the same spectrum in the second variable (a_0 acts with
-         bidegree (1, 1) on that side).
+         bidegree (1, 1) on that side), which is M shifted by one in t:
+         M2(s, t) = M(s, t+1).
     L  = cofiber of the first alpha element: h_0-multiplication, degree
          shift q.
     K  = cofiber of the Adams self-map on M, first variable: the
          connecting map raises bidegree by (1, q+1) between M-cells.
-    K2 = second variable of K, connecting map on M2-cells.
+    K2 = second variable of K, connecting map on M2-cells; it reads each
+         M2-cell as the M-cell one step up in t.
 
 Connecting-map lower bounds use a composite factorization: the K-column
 connecting map composed with the Moore inclusion and projection is
@@ -38,7 +40,10 @@ from functools import partial
 
 from .adams_certify import Certificate, certify_ext_dim
 from .may_core import InvalidParams, MayextError, PrimeContext, a, h, multiply
-from .may_diff import cell_homology, e2_at, echelon, reduce_vector
+from .may_diff import _vector, cell_homology, e2_at, echelon, reduce_mod_boundaries
+
+# Most sphere cells one table may certify.
+MAX_CELLS = 20000
 
 
 class WindowTooLarge(MayextError):
@@ -97,8 +102,6 @@ class SphereTable:
         self.s_range = tuple(s_range)
         self.t_range = tuple(t_range)
         self.cells: dict[tuple[int, int], SphereCell] = {}
-        self.homology: dict = {}
-        self.zero_maps = False
 
     @staticmethod
     def _empty(s: int, t: int) -> bool:
@@ -123,62 +126,35 @@ class SphereTable:
             raise InsufficientWindow(f"cell ({s},{t}) is outside the table window")
         return cell.h0_rank_lower if op == "h0" else cell.a0_rank_lower
 
-    def with_zero_maps(self) -> "SphereTable":
-        """New view in which every propagated map is treated as zero."""
-        out = SphereTable(self.ctx, self.s_range, self.t_range)
-        out.homology = self.homology
-        out.cells = self.cells
-        out.zero_maps = True
-        return out
 
-    def with_widened(self, s: int, t: int) -> "SphereTable":
-        """New view with one cell degraded to [0, hi] and witness-free."""
-        out = SphereTable(self.ctx, self.s_range, self.t_range)
-        out.homology = self.homology
-        out.cells = dict(self.cells)
-        cell = out.cells[(s, t)]
-        out.cells[(s, t)] = SphereCell(
-            s, t, cell.cert, DimInterval(0, cell.dim.hi, "widened"), 0, 0
-        )
-        return out
-
-
-def _witness_rank(table: SphereTable, cell: SphereCell, gen, t_shift: int) -> int:
+def _witness_rank(
+    ctx: PrimeContext, homology: dict, cell: SphereCell, gen, t_shift: int
+) -> int:
     """E2 rank of multiplication by gen out of cell into (s+1, t+t_shift)."""
-    ctx = table.ctx
-    p = ctx.p
-    src = cell_homology(ctx, cell.s, cell.t, cache=table.homology)
-    tgt = cell_homology(ctx, cell.s + 1, cell.t + t_shift, cache=table.homology)
+    tgt = cell_homology(ctx, cell.s + 1, cell.t + t_shift, cache=homology)
     if tgt.e1_total == 0:
         return 0
     total = 0
     gen_u = gen.tridegree(ctx).u
-    for u, blk in src.blocks.items():
-        if not blk.rep_vecs:
-            continue
+    for u, weight in cell.cert.report.weights.items():
         tgt_blk = tgt.block(u + gen_u)
-        if tgt_blk is None:
+        if not weight.representatives or tgt_blk is None:
             continue
-        rows = []
-        for vec in blk.rep_vecs:
-            image = [0] * tgt_blk.e1_dim
-            for c, mono in zip(vec, blk.monomials):
-                if not c:
-                    continue
-                prod = multiply(mono.scaled(c), gen, ctx)
-                for pm in prod.monomials():
-                    idx = tgt_blk.index[pm.factors]
-                    image[idx] = (image[idx] + pm.coeff) % p
-            rows.append(
-                reduce_vector(image, tgt_blk.boundary_ech, tgt_blk.boundary_pivots, p)
+        where = f"({tgt.s},{tgt.t},{tgt_blk.u})"
+        rows = [
+            _vector(
+                reduce_mod_boundaries(ctx, tgt, multiply(rep, gen, ctx)),
+                tgt_blk.index,
+                tgt_blk.e1_dim,
+                where,
             )
-        total += len(echelon(rows, p)[1])
+            for rep in weight.representatives
+        ]
+        total += len(echelon(rows, ctx.p)[1])
     return total
 
 
-def sphere_table(
-    ctx: PrimeContext, s_range, t_range, max_cells: int = 20000, homology=None
-) -> SphereTable:
+def sphere_table(ctx: PrimeContext, s_range, t_range, homology=None) -> SphereTable:
     """Certify every cell in the window and pin witness lower bounds.
 
     An externally supplied homology memo dict is shared across calls so
@@ -189,12 +165,11 @@ def sphere_table(
     if s_min < 0 or t_min < 0 or s_max < s_min or t_max < t_min:
         raise InvalidParams(f"bad window s={tuple(s_range)}, t={tuple(t_range)}")
     count = (s_max - s_min + 1) * (t_max - t_min + 1)
-    if count > max_cells:
-        raise WindowTooLarge(f"{count} cells requested, budget is {max_cells}")
+    if count > MAX_CELLS:
+        raise WindowTooLarge(f"{count} cells requested, budget is {MAX_CELLS}")
     table = SphereTable(ctx, s_range, t_range)
-    if homology is not None:
-        table.homology = homology
-    reports = partial(e2_at, ctx, cache=table.homology)
+    homology = {} if homology is None else homology
+    reports = partial(e2_at, ctx, cache=homology)
     for s in range(s_min, s_max + 1):
         for t in range(t_min, t_max + 1):
             cert = certify_ext_dim(reports, s, t)
@@ -202,8 +177,8 @@ def sphere_table(
             lo = hi if cert.certified_exact else 0
             cell = SphereCell(s, t, cert, DimInterval(lo, hi, cert.verdict))
             if hi:
-                cell.a0_rank_lower = _witness_rank(table, cell, a(0), 1)
-                cell.h0_rank_lower = _witness_rank(table, cell, h(1, 0), ctx.q)
+                cell.a0_rank_lower = _witness_rank(ctx, homology, cell, a(0), 1)
+                cell.h0_rank_lower = _witness_rank(ctx, homology, cell, h(1, 0), ctx.q)
             table.cells[(s, t)] = cell
 
     for (s, t), cell in table.cells.items():
@@ -230,8 +205,6 @@ def _map_rank(
     witness_cell: tuple[int, int],
     op: str,
 ) -> tuple[int, int]:
-    if table.zero_maps:
-        return (0, 0)
     hi = min(src.hi, tgt.hi)
     lo = table.rank_lower(*witness_cell, op)
     if lo > hi:
@@ -269,14 +242,8 @@ def ext_dims_M(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInte
 
 
 def ext_dims_M2(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
-    """Second-variable Moore column at (s, t)."""
-    ker_src, ker_tgt = table.dim(s, t), table.dim(s + 1, t + 1)
-    rank1 = _map_rank(table, ker_src, ker_tgt, (s, t), "a0")
-    cok_src, cok_tgt = table.dim(s - 1, t), table.dim(s, t + 1)
-    rank2 = _map_rank(table, cok_src, cok_tgt, (s - 1, t), "a0")
-    return _ker(ker_src, rank1, f"a0:({s},{t})->({s+1},{t+1})") + _coker(
-        cok_tgt, rank2, f"a0:({s-1},{t})->({s},{t+1})"
-    )
+    """Second-variable Moore column at (s, t), which is M(s, t+1)."""
+    return ext_dims_M(ctx, table, s, t + 1)
 
 
 def ext_dims_L(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
@@ -295,12 +262,6 @@ def _moore(ctx, table, s, t):
     if s < 0 or t < 0 or t < s:
         return DimInterval(0, 0, f"M({s},{t}) empty")
     return ext_dims_M(ctx, table, s, t)
-
-
-def _moore2(ctx, table, s, t):
-    if s < 0 or t < 0:
-        return DimInterval(0, 0, f"M2({s},{t}) empty")
-    return ext_dims_M2(ctx, table, s, t)
 
 
 def ext_dims_K(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
@@ -323,14 +284,14 @@ def ext_dims_K2(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInt
     """Second-variable column of the Adams self-map cofiber at (s, t).
 
     Composite anchoring for the second variable shifts the witness cell
-    by one in t: the connecting map out of M2(s, t) is bounded below by
-    the sphere h_0 rank at (s, t+1).
+    by one in t: the connecting map out of M2(s, t) = M(s, t+1) is bounded
+    below by the sphere h_0 rank at (s, t+1).
     """
-    q = ctx.q
-    cok_src, cok_tgt = _moore2(ctx, table, s - 1, t), _moore2(ctx, table, s, t + q + 1)
-    rank1 = _map_rank(table, cok_src, cok_tgt, (s - 1, t + 1), "h0")
-    ker_src, ker_tgt = _moore2(ctx, table, s, t), _moore2(ctx, table, s + 1, t + q + 1)
-    rank2 = _map_rank(table, ker_src, ker_tgt, (s, t + 1), "h0")
+    q, t1 = ctx.q, t + 1
+    cok_src, cok_tgt = _moore(ctx, table, s - 1, t1), _moore(ctx, table, s, t1 + q + 1)
+    rank1 = _map_rank(table, cok_src, cok_tgt, (s - 1, t1), "h0")
+    ker_src, ker_tgt = _moore(ctx, table, s, t1), _moore(ctx, table, s + 1, t1 + q + 1)
+    rank2 = _map_rank(table, ker_src, ker_tgt, (s, t1), "h0")
     return _coker(cok_tgt, rank1, f"d:M2({s-1},{t})->M2({s},{t+q+1})") + _ker(
         ker_src, rank2, f"d:M2({s},{t})->M2({s+1},{t+q+1})"
     )
@@ -371,23 +332,3 @@ def ext_dims(
     if s < 0 or t < 0:
         return DimInterval(0, 0, "out of range")
     return _COLUMNS[spectrum](ctx, table, s, t)
-
-
-def table_rows(
-    ctx: PrimeContext, table: SphereTable, queries: list[tuple[str, int, int]]
-) -> list[dict]:
-    rows = []
-    for spectrum, s, t in queries:
-        interval = ext_dims(ctx, table, spectrum, s, t)
-        rows.append(
-            {
-                "spectrum": spectrum,
-                "s": s,
-                "t": t,
-                "lo": interval.lo,
-                "hi": interval.hi,
-                "exact": interval.exact,
-                "provenance": interval.provenance,
-            }
-        )
-    return rows

@@ -75,9 +75,6 @@ class TriDegree(NamedTuple):
     def __add__(self, other):
         return TriDegree(self.s + other[0], self.t + other[1], self.u + other[2])
 
-    def text(self) -> str:
-        return f"({self.s},{self.t},{self.u})"
-
 
 KIND_A, KIND_H, KIND_B = 0, 1, 2
 _KIND_LETTER = {KIND_A: "a", KIND_H: "h", KIND_B: "b"}
@@ -162,10 +159,6 @@ class Monomial:
     def one(coeff: int = 1) -> "Monomial":
         return Monomial((), coeff)
 
-    @property
-    def key(self) -> Factors:
-        return self.factors
-
     def tridegree(self, ctx: PrimeContext) -> TriDegree:
         total = TriDegree(0, 0, 0)
         for g, e in self.factors:
@@ -232,12 +225,6 @@ class Element:
     def monomials(self) -> Iterator[Monomial]:
         for key in sorted(self._terms):
             yield Monomial(key, self._terms[key])
-
-    def coefficient(self, key: Factors) -> int:
-        return self._terms.get(key, 0)
-
-    def keys(self) -> Iterator[Factors]:
-        return iter(self._terms)
 
     def __add__(self, other: "Element") -> "Element":
         if self.p != other.p:
@@ -526,13 +513,6 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     monomials = [Monomial.build(fs) for fs in found]
     monomials.sort(key=lambda m: m.factors)
     return monomials
-
-
-def degree_residue(g: MulOperand, ctx: PrimeContext, modulus: int) -> int:
-    """Internal degree of g reduced mod modulus."""
-    if modulus < 1:
-        raise InvalidParams(f"modulus must be >= 1, got {modulus}")
-    return tridegree(g, ctx).t % modulus
 
 
 _TOKEN = re.compile(

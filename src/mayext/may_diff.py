@@ -102,10 +102,6 @@ def echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return mat[:r], pivots
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    return len(echelon(rows, p)[1])
-
-
 def reduce_vector(
     vec: list[int], ech: list[list[int]], pivots: list[int], p: int
 ) -> list[int]:
@@ -251,6 +247,27 @@ def _block_element(blk: _Block, vec: list[int], p: int) -> Element:
     for c, m in zip(vec, blk.monomials):
         if c % p:
             out = out + Element(p, {m.factors: c})
+    return out
+
+
+def reduce_mod_boundaries(
+    ctx: PrimeContext, cell: CellHomology, elem: Element
+) -> Element:
+    """elem, an element of bidegree (cell.s, cell.t), reduced modulo the d1
+    boundaries of each weight block it meets; zero iff elem is a boundary.
+
+    Raises AssertionError when a term of elem has no block or no basis
+    monomial in the cell.
+    """
+    out = Element.zero(ctx)
+    for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
+        where = f"({cell.s},{cell.t},{u})"
+        blk = cell.block(u)
+        if blk is None:
+            raise AssertionError(f"term {monos[0].text()} has no block at {where}")
+        vec = _vector(Element.from_monomials(ctx, monos), blk.index, blk.e1_dim, where)
+        vec = reduce_vector(vec, blk.boundary_ech, blk.boundary_pivots, ctx.p)
+        out = out + _block_element(blk, vec, ctx.p)
     return out
 
 

@@ -180,6 +180,41 @@ class TestBasicCommands:
         assert res.exit_code == 0
         assert res.stdout.splitlines()[0] == "M(1,200): dim in [1,1] (exact)"
 
+    @pytest.mark.parametrize(
+        "args,want",
+        [
+            (
+                ["-p", "5", "les", "M2", "2", "p^2*q+q-1"],
+                [
+                    "M2(2,207): dim in [0,1]",
+                    "  via ker a0:(2,207)->(3,208) rank[0,0]"
+                    " + cok a0:(1,207)->(2,208) rank[0,0]",
+                ],
+            ),
+            (
+                ["-p", "5", "les", "K2", "3", "p^2*q+q"],
+                [
+                    "K2(3,208): dim in [0,2]",
+                    "  via cok d:M2(2,208)->M2(3,217) rank[0,1]"
+                    " + ker d:M2(3,208)->M2(4,217) rank[0,1]",
+                ],
+            ),
+            (
+                ["-p", "7", "les", "K2", "1", "p^2*q-q-2"],
+                [
+                    "K2(1,574): dim in [1,1] (exact)",
+                    "  via cok d:M2(0,574)->M2(1,587) rank[0,0]"
+                    " + ker d:M2(1,574)->M2(2,587) rank[0,0]",
+                ],
+            ),
+        ],
+        ids=["M2", "K2-wide", "K2-exact"],
+    )
+    def test_les_second_variable_provenance(self, runner, args, want):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stdout.splitlines() == want
+
     def test_les_json(self, runner):
         res = runner.invoke(main, ["-p", "5", "les", "K", "1", "p^2*q", "--json"])
         data = json.loads(res.stdout)
@@ -340,6 +375,24 @@ class TestRunClaims:
         assert "cannot certify zero" in results[2].detail
         assert "unknown claim kind" in results[4].detail
         assert "needs a prime" in results[5].detail
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            {"kind": "dr_window", "p": 5, "s": 1, "t": 8, "r_max": 3, "expect": 5},
+            {"kind": "stem", "p": 5, "family": "h0h", "params": [1], "expect": "q"},
+            {"kind": "thom", "p": 5, "index": 5, "expect": "h0h[2]"},
+        ],
+        ids=["window-expect-int", "stem-params-list", "thom-index-int"],
+    )
+    def test_malformed_claim_is_an_error(self, runner, tmp_path, claim):
+        (result,) = run_claims([claim])
+        assert result.status == "error"
+        assert result.detail.startswith("AttributeError")
+        res = runner.invoke(main, ["verify", write_claims(tmp_path, [claim])])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "1 claims: 1 error" in res.stdout
 
     def test_include_conjectures_runs_them(self):
         results = run_claims(SMALL_CLAIMS["claims"][3:4], include_conjectures=True)
