@@ -29,16 +29,17 @@ from .may_core import (
     b,
     h,
 )
-from .may_diff import E2Report, cell_homology, d1, reduce_mod_boundaries
+from .may_diff import E2Report, d1, reduce_mod_boundaries
 
 E1_EMPTY = "E1Empty"
 E2_ZERO = "E2Zero"
 DIM_CERTIFIED = "DimCertified"
 UPPER_BOUND = "UpperBound"
 
-# Where certificates read second-term reports from: reports(s, t).  A CLI
-# session passes its (possibly disk-cached) Session.report; library code
-# passes functools.partial(e2_at, ctx, cache=memo).
+# Where second-term records come from: reports(s, t).  Certificates take
+# Session.report, which may serve records rebuilt from disk; reduction mod
+# boundaries needs records that carry their boundary data, such as
+# Session.cell or cell_homology itself.
 ReportSource = Callable[[int, int], E2Report]
 
 
@@ -389,9 +390,10 @@ def adams_dr_window(
 
 
 def product_nonzero_at_e2(
-    ctx: PrimeContext, classes: list, cache: dict | None = None
+    ctx: PrimeContext, classes: list, cells: ReportSource
 ) -> dict:
-    """Multiply representatives and reduce mod boundaries in their bidegree.
+    """Multiply representatives and reduce mod boundaries in their bidegree,
+    read from cells(s, t) (for example Session.cell).
 
     A nonzero answer means the product survives to the second term; it is
     a statement about the second term, not yet about the abutment.
@@ -428,8 +430,7 @@ def product_nonzero_at_e2(
         }
     if not d1(prod, ctx).is_zero:
         raise AssertionError("product of cocycles failed to be a cocycle")
-    cell = cell_homology(ctx, *expected, cache=cache)
-    reduced = reduce_mod_boundaries(ctx, cell, prod)
+    reduced = reduce_mod_boundaries(ctx, cells(*expected), prod)
     return {
         "nonzero": not reduced.is_zero,
         "bidegree": expected,

@@ -1,7 +1,7 @@
 """Command line front end: cached sessions, claim checking, and charts.
 
 A Session owns one prime and reuses work at two levels: an in-process
-memo shared by every homology computation, and an optional on-disk
+memo of second-term records keyed by (s, t), and an optional on-disk
 cache of serialized second-term reports keyed by (module, p, s, t,
 schema_version).  Disk records embed their own key, so a corrupt file,
 a malformed value or a digest collision degrades to a recomputation
@@ -61,7 +61,7 @@ from .may_core import (
     parse_element,
     parse_monomial,
 )
-from .may_diff import SCHEMA_VERSION, E2Report, WeightBlock, d1, e2_at
+from .may_diff import SCHEMA_VERSION, E2Report, WeightBlock, cell_homology, d1
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +234,12 @@ def summary_to_report(ctx: PrimeContext, data: dict) -> E2Report:
 
 
 class Session:
-    """All computations for one prime, with memo and optional disk reuse."""
+    """All computations for one prime: one memo of second-term records
+    keyed by (s, t), and an optional disk cache behind report."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
         self.ctx = ctx
-        self.memo: dict = {}
-        self.reports: dict[tuple[int, int], E2Report] = {}
+        self.memo: dict[tuple[int, int], E2Report] = {}
         self.disk = DiskCache(cache_dir) if cache_dir else None
 
     def _key(self, s: int, t: int) -> dict:
@@ -251,8 +251,21 @@ class Session:
             "schema_version": SCHEMA_VERSION,
         }
 
+    def cell(self, s: int, t: int) -> E2Report:
+        """The record of (s, t) computed in this process, with the boundary
+        data that reduction mod boundaries needs.  A record the memo holds
+        from disk is recomputed and replaced."""
+        hit = self.memo.get((s, t))
+        if hit is not None and hit.reducible:
+            return hit
+        rep = cell_homology(self.ctx, s, t)
+        self.memo[(s, t)] = rep
+        return rep
+
     def report(self, s: int, t: int) -> E2Report:
-        hit = self.reports.get((s, t))
+        """The record of (s, t) from the memo, else from disk, else computed
+        by cell and written to disk."""
+        hit = self.memo.get((s, t))
         if hit is not None:
             return hit
         if self.disk is not None:
@@ -267,12 +280,11 @@ class Session:
                         err=True,
                     )
                 else:
-                    self.reports[(s, t)] = rep
+                    self.memo[(s, t)] = rep
                     return rep
-        rep = e2_at(self.ctx, s, t, cache=self.memo)
+        rep = self.cell(s, t)
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
-        self.reports[(s, t)] = rep
         return rep
 
 
@@ -381,7 +393,7 @@ def _check_les_dim(session: Session, ctx: PrimeContext, claim: dict):
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
     s_range, t_range = window_for(ctx, spectrum, s, t)
-    table = sphere_table(ctx, s_range, t_range, homology=session.memo)
+    table = sphere_table(ctx, s_range, t_range, session.cell)
     res = ext_dims(ctx, table, spectrum, s, t)
     expect = claim["expect"]
     where = f"{spectrum}({s},{t})"
@@ -456,7 +468,7 @@ def _check_product_nonzero(session: Session, ctx: PrimeContext, claim: dict):
         resolve_named(entry["name"], entry.get("params", {}), ctx)
         for entry in claim["classes"]
     ]
-    result = product_nonzero_at_e2(ctx, classes, cache=session.memo)
+    result = product_nonzero_at_e2(ctx, classes, session.cell)
     want = bool(claim["expect"])
     names = " * ".join(cls.text() for cls in classes)
     note = " (conjectural factor)" if result["conjectural"] else ""
@@ -832,7 +844,7 @@ def les(session, spectrum, s, t, as_json):
 
     def go():
         s_range, t_range = window_for(ctx, spectrum, s_val, t_val)
-        table = sphere_table(ctx, s_range, t_range, homology=session.memo)
+        table = sphere_table(ctx, s_range, t_range, session.cell)
         return ext_dims(ctx, table, spectrum, s_val, t_val)
 
     res = _guard(go)

@@ -36,11 +36,10 @@ shifted by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .adams_certify import Certificate, certify_ext_dim
+from .adams_certify import Certificate, ReportSource, certify_ext_dim
 from .may_core import InvalidParams, MayextError, PrimeContext, a, h, multiply
-from .may_diff import _vector, cell_homology, e2_at, echelon, reduce_mod_boundaries
+from .may_diff import _vector, echelon, reduce_mod_boundaries
 
 # Most sphere cells one table may certify.
 MAX_CELLS = 20000
@@ -128,16 +127,16 @@ class SphereTable:
 
 
 def _witness_rank(
-    ctx: PrimeContext, homology: dict, cell: SphereCell, gen, t_shift: int
+    ctx: PrimeContext, cells: ReportSource, cell: SphereCell, gen, t_shift: int
 ) -> int:
     """E2 rank of multiplication by gen out of cell into (s+1, t+t_shift)."""
-    tgt = cell_homology(ctx, cell.s + 1, cell.t + t_shift, cache=homology)
+    tgt = cells(cell.s + 1, cell.t + t_shift)
     if tgt.e1_total == 0:
         return 0
     total = 0
     gen_u = gen.tridegree(ctx).u
     for u, weight in cell.cert.report.weights.items():
-        tgt_blk = tgt.block(u + gen_u)
+        tgt_blk = tgt.weights.get(u + gen_u)
         if not weight.representatives or tgt_blk is None:
             continue
         where = f"({tgt.s},{tgt.t},{tgt_blk.u})"
@@ -145,7 +144,6 @@ def _witness_rank(
             _vector(
                 reduce_mod_boundaries(ctx, tgt, multiply(rep, gen, ctx)),
                 tgt_blk.index,
-                tgt_blk.e1_dim,
                 where,
             )
             for rep in weight.representatives
@@ -154,10 +152,13 @@ def _witness_rank(
     return total
 
 
-def sphere_table(ctx: PrimeContext, s_range, t_range, homology=None) -> SphereTable:
+def sphere_table(
+    ctx: PrimeContext, s_range, t_range, cells: ReportSource
+) -> SphereTable:
     """Certify every cell in the window and pin witness lower bounds.
 
-    An externally supplied homology memo dict is shared across calls so
+    Cells are read from cells(s, t), which must return records that carry
+    their boundary data, such as Session.cell; a memoising source lets
     repeated windows over the same prime reuse cell computations.
     """
     s_min, s_max = s_range
@@ -168,17 +169,15 @@ def sphere_table(ctx: PrimeContext, s_range, t_range, homology=None) -> SphereTa
     if count > MAX_CELLS:
         raise WindowTooLarge(f"{count} cells requested, budget is {MAX_CELLS}")
     table = SphereTable(ctx, s_range, t_range)
-    homology = {} if homology is None else homology
-    reports = partial(e2_at, ctx, cache=homology)
     for s in range(s_min, s_max + 1):
         for t in range(t_min, t_max + 1):
-            cert = certify_ext_dim(reports, s, t)
+            cert = certify_ext_dim(cells, s, t)
             hi = 0 if cert.certified_zero else cert.e2_total
             lo = hi if cert.certified_exact else 0
             cell = SphereCell(s, t, cert, DimInterval(lo, hi, cert.verdict))
             if hi:
-                cell.a0_rank_lower = _witness_rank(ctx, homology, cell, a(0), 1)
-                cell.h0_rank_lower = _witness_rank(ctx, homology, cell, h(1, 0), ctx.q)
+                cell.a0_rank_lower = _witness_rank(ctx, cells, cell, a(0), 1)
+                cell.h0_rank_lower = _witness_rank(ctx, cells, cell, h(1, 0), ctx.q)
             table.cells[(s, t)] = cell
 
     for (s, t), cell in table.cells.items():

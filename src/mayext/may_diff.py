@@ -19,10 +19,11 @@ representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .may_core import (
     Element,
+    Factors,
     Generator,
     InvalidParams,
     KIND_A,
@@ -126,154 +127,29 @@ def kernel(rows: list[list[int]], p: int, dim: int) -> list[list[int]]:
 
 @dataclass
 class WeightBlock:
+    """Second-term data of one weight u inside a bidegree.
+
+    A block computed by cell_homology also carries what reduction mod
+    boundaries needs: `index`, the column of each basis monomial (its
+    factors, in canonical order), and the echelon form and pivots of the
+    boundary space.  A block rebuilt from a serialized report has None
+    in all three.
+    """
+
     u: int
     e1_dim: int
     cycle_dim: int
     boundary_dim: int
     e2_dim: int
     representatives: list[Element]
-
-
-@dataclass
-class CellHomology:
-    """Per-weight kernel/boundary data of one bidegree (s, t)."""
-
-    s: int
-    t: int
-    basis: list[Monomial]
-    blocks: dict[int, "_Block"] = field(default_factory=dict)
-
-    def block(self, u: int) -> "_Block | None":
-        return self.blocks.get(u)
-
-    @property
-    def e1_total(self) -> int:
-        return len(self.basis)
-
-    @property
-    def e2_total(self) -> int:
-        return sum(blk.e2_dim for blk in self.blocks.values())
-
-
-@dataclass
-class _Block:
-    u: int
-    monomials: list[Monomial]
-    index: dict
-    cycle_vecs: list[list[int]]
-    boundary_ech: list[list[int]]
-    boundary_pivots: list[int]
-    rep_vecs: list[list[int]]
-
-    @property
-    def e1_dim(self) -> int:
-        return len(self.monomials)
-
-    @property
-    def boundary_dim(self) -> int:
-        return len(self.boundary_ech)
-
-    @property
-    def e2_dim(self) -> int:
-        return len(self.rep_vecs)
-
-
-def _group_by_weight(ctx, monomials):
-    groups: dict[int, list[Monomial]] = {}
-    for m in monomials:
-        groups.setdefault(m.tridegree(ctx).u, []).append(m)
-    return groups
-
-
-def _vector(elem: Element, index: dict, width: int, where: str) -> list[int]:
-    vec = [0] * width
-    for mono in elem.monomials():
-        if mono.factors not in index:
-            raise AssertionError(f"term {mono.text()} missing from basis of {where}")
-        vec[index[mono.factors]] = mono.coeff
-    return vec
-
-
-def cell_homology(
-    ctx: PrimeContext, s: int, t: int, cache: dict | None = None
-) -> CellHomology:
-    """Cycles, boundaries, and reduced representatives at bidegree (s, t)."""
-    if s < 0 or t < 0:
-        raise InvalidParams(f"bidegree out of range: ({s},{t})")
-    key = (ctx.p, s, t)
-    if cache is not None and key in cache:
-        return cache[key]
-    p = ctx.p
-    basis0 = enumerate_basis(ctx, s, t)
-    groups0 = _group_by_weight(ctx, basis0)
-    groups1 = _group_by_weight(ctx, enumerate_basis(ctx, s + 1, t))
-    below = enumerate_basis(ctx, s - 1, t) if s >= 1 else []
-    groups_below = _group_by_weight(ctx, below)
-
-    cell = CellHomology(s, t, basis0)
-    for u, monos in sorted(groups0.items()):
-        index = {m.factors: k for k, m in enumerate(monos)}
-        width = len(monos)
-
-        target = groups1.get(u - 1, [])
-        target_index = {m.factors: k for k, m in enumerate(target)}
-        out_rows = [
-            _vector(d1(m, ctx), target_index, len(target), f"({s+1},{t},{u-1})")
-            for m in monos
-        ]
-        cycles = kernel(out_rows, p, width)
-
-        boundary_rows = []
-        for m in groups_below.get(u + 1, []):
-            img = d1(m, ctx)
-            if not img.is_zero:
-                boundary_rows.append(_vector(img, index, width, f"({s},{t},{u})"))
-        b_ech, b_piv = echelon(boundary_rows, p)
-
-        reduced = [reduce_vector(v, b_ech, b_piv, p) for v in cycles]
-        rep_vecs, _ = echelon([v for v in reduced if any(v)], p)
-        if len(rep_vecs) != len(cycles) - len(b_ech):
-            raise AssertionError(
-                f"boundary space escapes the cycle space at ({s},{t},{u})"
-            )
-        cell.blocks[u] = _Block(u, monos, index, cycles, b_ech, b_piv, rep_vecs)
-    if cache is not None:
-        cache[key] = cell
-    return cell
-
-
-def _block_element(blk: _Block, vec: list[int], p: int) -> Element:
-    out = Element(p)
-    for c, m in zip(vec, blk.monomials):
-        if c % p:
-            out = out + Element(p, {m.factors: c})
-    return out
-
-
-def reduce_mod_boundaries(
-    ctx: PrimeContext, cell: CellHomology, elem: Element
-) -> Element:
-    """elem, an element of bidegree (cell.s, cell.t), reduced modulo the d1
-    boundaries of each weight block it meets; zero iff elem is a boundary.
-
-    Raises AssertionError when a term of elem has no block or no basis
-    monomial in the cell.
-    """
-    out = Element.zero(ctx)
-    for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
-        where = f"({cell.s},{cell.t},{u})"
-        blk = cell.block(u)
-        if blk is None:
-            raise AssertionError(f"term {monos[0].text()} has no block at {where}")
-        vec = _vector(Element.from_monomials(ctx, monos), blk.index, blk.e1_dim, where)
-        vec = reduce_vector(vec, blk.boundary_ech, blk.boundary_pivots, ctx.p)
-        out = out + _block_element(blk, vec, ctx.p)
-    return out
+    index: dict[Factors, int] | None = None
+    boundary_ech: list[list[int]] | None = None
+    boundary_pivots: list[int] | None = None
 
 
 @dataclass
 class E2Report:
-    """Second-term dimensions of one bidegree, split by weight."""
+    """Second term of one bidegree, one block per weight in ascending u."""
 
     s: int
     t: int
@@ -287,6 +163,11 @@ class E2Report:
     @property
     def e2_total(self) -> int:
         return sum(w.e2_dim for w in self.weights.values())
+
+    @property
+    def reducible(self) -> bool:
+        """Whether every block carries its boundary data (not rebuilt from disk)."""
+        return all(w.index is not None for w in self.weights.values())
 
     def serialize(self) -> dict:
         return {
@@ -310,15 +191,92 @@ class E2Report:
         }
 
 
-def e2_at(
-    ctx: PrimeContext, s: int, t: int, cache: dict | None = None
-) -> E2Report:
-    """Kernel-mod-boundary dimensions at (s, t), one block per weight."""
-    cell = cell_homology(ctx, s, t, cache=cache)
+def _group_by_weight(ctx, monomials):
+    groups: dict[int, list[Monomial]] = {}
+    for m in monomials:
+        groups.setdefault(m.tridegree(ctx).u, []).append(m)
+    return groups
+
+
+def _vector(elem: Element, index: dict, where: str) -> list[int]:
+    vec = [0] * len(index)
+    for mono in elem.monomials():
+        if mono.factors not in index:
+            raise AssertionError(f"term {mono.text()} missing from basis of {where}")
+        vec[index[mono.factors]] = mono.coeff
+    return vec
+
+
+def _block_element(index: dict, vec: list[int], p: int) -> Element:
+    return Element(p, dict(zip(index, vec)))
+
+
+def cell_homology(ctx: PrimeContext, s: int, t: int) -> E2Report:
+    """The second-term record of (s, t): per weight, the dimensions, the
+    representatives and the boundary data that reduce_mod_boundaries needs.
+    Nothing is memoised here; Session.cell is the memo."""
+    if s < 0 or t < 0:
+        raise InvalidParams(f"bidegree out of range: ({s},{t})")
+    p = ctx.p
+    groups0 = _group_by_weight(ctx, enumerate_basis(ctx, s, t))
+    groups1 = _group_by_weight(ctx, enumerate_basis(ctx, s + 1, t))
+    below = enumerate_basis(ctx, s - 1, t) if s >= 1 else []
+    groups_below = _group_by_weight(ctx, below)
+
     weights = {}
-    for u, blk in sorted(cell.blocks.items()):
-        reps = [_block_element(blk, v, ctx.p) for v in blk.rep_vecs]
+    for u, monos in sorted(groups0.items()):
+        index = {m.factors: k for k, m in enumerate(monos)}
+
+        target = groups1.get(u - 1, [])
+        target_index = {m.factors: k for k, m in enumerate(target)}
+        out_rows = [
+            _vector(d1(m, ctx), target_index, f"({s+1},{t},{u-1})") for m in monos
+        ]
+        cycles = kernel(out_rows, p, len(monos))
+
+        boundary_rows = []
+        for m in groups_below.get(u + 1, []):
+            img = d1(m, ctx)
+            if not img.is_zero:
+                boundary_rows.append(_vector(img, index, f"({s},{t},{u})"))
+        b_ech, b_piv = echelon(boundary_rows, p)
+
+        reduced = [reduce_vector(v, b_ech, b_piv, p) for v in cycles]
+        rep_vecs, _ = echelon([v for v in reduced if any(v)], p)
+        if len(rep_vecs) != len(cycles) - len(b_ech):
+            raise AssertionError(
+                f"boundary space escapes the cycle space at ({s},{t},{u})"
+            )
+        reps = [_block_element(index, v, p) for v in rep_vecs]
         weights[u] = WeightBlock(
-            u, blk.e1_dim, len(blk.cycle_vecs), blk.boundary_dim, blk.e2_dim, reps
+            u, len(monos), len(cycles), len(b_ech), len(reps), reps,
+            index=index, boundary_ech=b_ech, boundary_pivots=b_piv,
         )
-    return E2Report(s, t, ctx.p, weights)
+    return E2Report(s, t, p, weights)
+
+
+def reduce_mod_boundaries(
+    ctx: PrimeContext, report: E2Report, elem: Element
+) -> Element:
+    """elem, an element of bidegree (report.s, report.t), reduced modulo the
+    d1 boundaries of each weight block it meets; zero iff elem is a boundary.
+
+    Raises ValueError when report was rebuilt from disk and so has no
+    boundary data, and AssertionError when a term of elem has no block or
+    no basis monomial in the cell.
+    """
+    if not report.reducible:
+        raise ValueError(
+            f"the report of ({report.s},{report.t}) was rebuilt from disk and "
+            "has no boundary data; reduce against cell_homology's record"
+        )
+    out = Element.zero(ctx)
+    for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
+        where = f"({report.s},{report.t},{u})"
+        blk = report.weights.get(u)
+        if blk is None:
+            raise AssertionError(f"term {monos[0].text()} has no block at {where}")
+        vec = _vector(Element.from_monomials(ctx, monos), blk.index, where)
+        vec = reduce_vector(vec, blk.boundary_ech, blk.boundary_pivots, ctx.p)
+        out = out + _block_element(blk.index, vec, ctx.p)
+    return out

@@ -8,7 +8,6 @@ the same condition so the suite status matches the printed verdict.
 
 import random
 import time
-from functools import partial
 
 from mayext.may_core import (
     Monomial,
@@ -17,7 +16,7 @@ from mayext.may_core import (
     multiply,
     tridegree,
 )
-from mayext.may_diff import d1, e2_at
+from mayext.may_diff import cell_homology, d1
 from mayext.adams_certify import (
     DIM_CERTIFIED,
     E1_EMPTY,
@@ -38,7 +37,7 @@ from mayext.greek_bp import (
     stem_of,
     thom_image,
 )
-from mayext.cli_runner import load_claims, run_claims
+from mayext.cli_runner import Session, load_claims, run_claims
 
 from test_may_core import brute_force_basis, generator_pool
 
@@ -46,9 +45,8 @@ C5 = PrimeContext(5)
 C7 = PrimeContext(7)
 
 # shared across criteria so overlapping cells are computed once
-CACHE = {}
-C7_REPORTS = partial(e2_at, C7, cache=CACHE)
-HOMOLOGY = {5: {}, 7: {}}
+SESSIONS = {5: Session(C5), 7: Session(C7)}
+C7_REPORTS = SESSIONS[7].report
 
 
 def verdict(capsys, num, ok, detail, started):
@@ -90,7 +88,7 @@ def test_five_generator_window_reproduces_exactly(capsys):
             checked += 1
         cert = certify_ext_dim(C7_REPORTS, 5, E + C7.q + 1)
         ok = ok and cert.verdict == E2_ZERO
-        survivor = e2_at(C7, 6, E + 2)
+        survivor = cell_homology(C7, 6, E + 2)
         reps = [r for w in survivor.serialize()["weights"] for r in w["reps"]]
         ok = ok and survivor.e2_total == 1
         ok = ok and reps == [f"a0^2 b[1,{m - 1}] b[1,{n - 1}]"]
@@ -214,7 +212,7 @@ def test_differential_window_and_second_term_product(capsys):
         resolve_named("h", {"n": 4}, C7),
         resolve_named("gamma_tilde", {"s": 3}, C7),
     ]
-    product = product_nonzero_at_e2(C7, classes, cache=CACHE)
+    product = product_nonzero_at_e2(C7, classes, SESSIONS[7].cell)
     product_ok = product["nonzero"] is True and product["bidegree"] == bidegree
     detail = (
         f"window r=2..6 sources {'' if window_ok else 'NOT '}certified zero, "
@@ -233,11 +231,11 @@ def test_cofiber_dimension_propagation(capsys):
     zeros = 0
     for p in (5, 7):
         ctx = PrimeContext(p)
-        memo = HOMOLOGY[p]
+        cells = SESSIONS[p].cell
 
         def dims(spectrum, s, t):
             s_range, t_range = window_for(ctx, spectrum, s, t)
-            table = sphere_table(ctx, s_range, t_range, homology=memo)
+            table = sphere_table(ctx, s_range, t_range, cells)
             return ext_dims(ctx, table, spectrum, s, t)
 
         for n in (2, 3):
@@ -328,9 +326,9 @@ def test_algebra_property_suites(capsys, reversed_generators):
         (C5, 3, 208), (C5, 4, 248), (C7, 2, 588), (C7, 3, 589),
     ]
     for ctx, s, t in reversal_cells:
-        fwd = e2_at(ctx, s, t)
+        fwd = cell_homology(ctx, s, t)
         with reversed_generators() as calls:
-            rev = e2_at(ctx, s, t)
+            rev = cell_homology(ctx, s, t)
         ok = ok and bool(calls)
         fwd_dims = {u: w.e2_dim for u, w in fwd.weights.items()}
         rev_dims = {u: w.e2_dim for u, w in rev.weights.items()}

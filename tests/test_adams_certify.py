@@ -1,11 +1,9 @@
 """Named classes, vanishing certificates, and differential windows."""
 
-from functools import partial
-
 import pytest
 
+from mayext.cli_runner import Session
 from mayext.may_core import PrimeContext, parse_element, tridegree
-from mayext.may_diff import e2_at
 from mayext.adams_certify import (
     DIM_CERTIFIED,
     E1_EMPTY,
@@ -28,14 +26,14 @@ C7 = PrimeContext(7)
 
 
 @pytest.fixture(scope="module")
-def cache():
+def sessions():
     # shared across the module so repeated cells are computed once
-    return {}
+    return {5: Session(C5), 7: Session(C7)}
 
 
 @pytest.fixture(scope="module")
-def reports(cache):
-    return partial(e2_at, C7, cache=cache)
+def reports(sessions):
+    return sessions[7].report
 
 
 class TestResolveNamed:
@@ -225,64 +223,64 @@ class TestWindow:
 
 
 class TestProducts:
-    def test_pairwise_products(self, cache):
+    def test_pairwise_products(self, sessions):
         g0 = resolve_named("g0", {}, C7)
         h3 = resolve_named("h", {"n": 3}, C7)
         gt = resolve_named("gamma_tilde", {"s": 3}, C7)
-        assert product_nonzero_at_e2(C7, [g0, h3], cache=cache)["nonzero"] is True
-        assert product_nonzero_at_e2(C7, [g0, gt], cache=cache)["nonzero"] is True
-        assert product_nonzero_at_e2(C7, [h3, gt], cache=cache)["nonzero"] is False
+        assert product_nonzero_at_e2(C7, [g0, h3], sessions[7].cell)["nonzero"] is True
+        assert product_nonzero_at_e2(C7, [g0, gt], sessions[7].cell)["nonzero"] is True
+        assert product_nonzero_at_e2(C7, [h3, gt], sessions[7].cell)["nonzero"] is False
 
-    def test_triple_product_is_a_boundary(self, cache):
+    def test_triple_product_is_a_boundary(self, sessions):
         classes = [
             resolve_named("g0", {}, C7),
             resolve_named("h", {"n": 3}, C7),
             resolve_named("gamma_tilde", {"s": 3}, C7),
         ]
-        out = product_nonzero_at_e2(C7, classes, cache=cache)
+        out = product_nonzero_at_e2(C7, classes, sessions[7].cell)
         assert out["nonzero"] is False
         assert out["bidegree"] == (6, 6168)
         assert out["conjectural"] is False
 
-    def test_triple_product_at_next_index_survives(self, cache):
+    def test_triple_product_at_next_index_survives(self, sessions):
         # only at n=3 does h[1,n] h[3,0] occur in some d1(h[i,0])
         classes = [
             resolve_named("g0", {}, C7),
             resolve_named("h", {"n": 4}, C7),
             resolve_named("gamma_tilde", {"s": 3}, C7),
         ]
-        out = product_nonzero_at_e2(C7, classes, cache=cache)
+        out = product_nonzero_at_e2(C7, classes, sessions[7].cell)
         assert out["nonzero"] is True
         assert out["bidegree"] == (6, 30864)
         assert out["conjectural"] is False
 
-    def test_order_invariance(self, cache):
+    def test_order_invariance(self, sessions):
         g0 = resolve_named("g0", {}, C7)
         h3 = resolve_named("h", {"n": 3}, C7)
-        fwd = product_nonzero_at_e2(C7, [g0, h3], cache=cache)
-        rev = product_nonzero_at_e2(C7, [h3, g0], cache=cache)
+        fwd = product_nonzero_at_e2(C7, [g0, h3], sessions[7].cell)
+        rev = product_nonzero_at_e2(C7, [h3, g0], sessions[7].cell)
         assert fwd["nonzero"] == rev["nonzero"]
         assert fwd["bidegree"] == rev["bidegree"]
 
-    def test_exterior_square_is_zero(self, cache):
+    def test_exterior_square_is_zero(self, sessions):
         h2 = resolve_named("h", {"n": 2}, C7)
-        assert product_nonzero_at_e2(C7, [h2, h2], cache=cache)["nonzero"] is False
+        assert product_nonzero_at_e2(C7, [h2, h2], sessions[7].cell)["nonzero"] is False
 
-    def test_conjectural_factor_marks_result(self, cache):
+    def test_conjectural_factor_marks_result(self, sessions):
         cls = resolve_named("h0hb", {"n": 4, "m": 2}, C7)
         # not conjectural itself; pair with a conjectural partner
         g3 = resolve_named("g", {"n": 3}, C7)
         assert g3.rep is None
         with pytest.raises(MissingRepresentative):
-            product_nonzero_at_e2(C7, [g3], cache=cache)
+            product_nonzero_at_e2(C7, [g3], sessions[7].cell)
 
-    def test_single_class_self_check(self, cache):
+    def test_single_class_self_check(self, sessions):
         cls = resolve_named("h0hb", {"n": 4, "m": 2}, C5)
-        out = product_nonzero_at_e2(C5, [cls], cache=cache)
+        out = product_nonzero_at_e2(C5, [cls], sessions[5].cell)
         assert out["nonzero"] is True
 
     def test_empty_class_list_rejected(self):
         from mayext.may_core import InvalidParams
 
         with pytest.raises(InvalidParams):
-            product_nonzero_at_e2(C7, [])
+            product_nonzero_at_e2(C7, [], Session(C7).cell)

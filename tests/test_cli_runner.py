@@ -6,9 +6,9 @@ import xml.etree.ElementTree as ET
 import pytest
 from click.testing import CliRunner
 
-from mayext import may_diff
+from mayext import cli_runner
 from mayext.may_core import ParseError, PrimeContext
-from mayext.may_diff import SCHEMA_VERSION, e2_at
+from mayext.may_diff import SCHEMA_VERSION, cell_homology, reduce_mod_boundaries
 from mayext.cli_runner import (
     DiskCache,
     Session,
@@ -112,11 +112,26 @@ class TestSession:
         assert cached.serialize() == direct.serialize()
 
     def test_summary_round_trip(self):
-        rep = e2_at(C7, 5, 29413)
+        rep = cell_homology(C7, 5, 29413)
         back = summary_to_report(C7, rep.serialize())
         assert back.e1_total == rep.e1_total
         assert back.e2_total == rep.e2_total
         assert back.serialize() == rep.serialize()
+
+    def test_disk_record_is_recomputed_for_reduction(self, tmp_path):
+        Session(C7, cache_dir=tmp_path).report(1, 588)
+        session = Session(C7, cache_dir=tmp_path)
+        loaded = session.report(1, 588)
+        (rep,) = loaded.weights[1].representatives
+        # a record rebuilt from disk has no boundary data to reduce against
+        with pytest.raises(ValueError, match=r"\(1,588\)"):
+            reduce_mod_boundaries(C7, loaded, rep)
+        computed = session.cell(1, 588)
+        assert computed is not loaded
+        assert computed.serialize() == loaded.serialize()
+        assert reduce_mod_boundaries(C7, computed, rep) == rep
+        # the computed record replaced the loaded one in the memo
+        assert session.report(1, 588) is computed
 
 
 class TestBasicCommands:
@@ -546,7 +561,7 @@ class TestCacheThroughCli:
         def no_computing(*args, **kwargs):
             raise AssertionError("warm run recomputed a cell")
 
-        monkeypatch.setattr(may_diff, "cell_homology", no_computing)
+        monkeypatch.setattr(cli_runner, "cell_homology", no_computing)
         warm = runner.invoke(main, argv)
         assert warm.exit_code == 0
         assert warm.stdout == cold.stdout

@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from mayext import les_dims
+from mayext.cli_runner import Session
 from mayext.may_core import InvalidParams, PrimeContext
 from mayext.les_dims import (
     DimInterval,
@@ -46,43 +47,43 @@ class TestDimInterval:
         assert data == {"lo": 1, "hi": 1, "exact": True, "provenance": "witness"}
 
 
-def build(ctx, spectrum, s, t, homology=None):
+def build(ctx, spectrum, s, t):
     s_range, t_range = window_for(ctx, spectrum, s, t)
-    return sphere_table(ctx, s_range, t_range, homology=homology)
+    return sphere_table(ctx, s_range, t_range, Session(ctx).cell)
 
 
 class TestSphereTable:
     def test_out_of_window_raises(self):
-        table = sphere_table(C5, (0, 2), (0, 10))
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
         with pytest.raises(InsufficientWindow):
             table.dim(0, 11)
 
     def test_empty_region_is_free(self):
         # cells with s < 0, t < 0, or t < s need no table entry
-        table = sphere_table(C5, (0, 1), (0, 4))
+        table = sphere_table(C5, (0, 1), (0, 4), Session(C5).cell)
         assert (table.dim(-1, 3).lo, table.dim(-1, 3).hi) == (0, 0)
         assert table.dim(3, 2).lo == 0
 
     def test_cell_budget(self):
         with pytest.raises(WindowTooLarge):
-            sphere_table(C5, (0, 10), (0, 10000))
+            sphere_table(C5, (0, 10), (0, 10000), Session(C5).cell)
 
     def test_bad_window(self):
         with pytest.raises(InvalidParams):
-            sphere_table(C5, (2, 0), (0, 10))
+            sphere_table(C5, (2, 0), (0, 10), Session(C5).cell)
 
     def test_unit_cell(self):
-        table = sphere_table(C5, (0, 1), (0, 2))
+        table = sphere_table(C5, (0, 1), (0, 2), Session(C5).cell)
         assert (table.dim(0, 0).lo, table.dim(0, 0).hi) == (1, 1)
         assert table.dim(1, 1).lo == 1
 
     def test_homology_memo_is_shared(self):
-        memo = {}
-        sphere_table(C5, (0, 2), (0, 10), homology=memo)
-        assert memo
-        size = len(memo)
-        sphere_table(C5, (0, 2), (0, 10), homology=memo)
-        assert len(memo) == size
+        session = Session(C5)
+        sphere_table(C5, (0, 2), (0, 10), session.cell)
+        assert session.memo
+        size = len(session.memo)
+        sphere_table(C5, (0, 2), (0, 10), session.cell)
+        assert len(session.memo) == size
 
 
 class TestMooreColumns:
@@ -189,20 +190,20 @@ class TestDispatch:
     def test_window_for_covers_each_spectrum(self):
         for spectrum in ("S", "M", "M2", "L", "K", "K2"):
             s_range, t_range = window_for(C5, spectrum, 2, 50)
-            table = sphere_table(C5, s_range, t_range)
+            table = sphere_table(C5, s_range, t_range, Session(C5).cell)
             ext_dims(C5, table, spectrum, 2, 50)
 
     def test_unknown_spectrum(self):
-        table = sphere_table(C5, (0, 2), (0, 10))
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
         with pytest.raises(InvalidParams):
             ext_dims(C5, table, "X", 1, 5)
         with pytest.raises(InvalidParams):
             window_for(C5, "X", 1, 5)
 
     def test_negative_cells_are_zero(self):
-        table = sphere_table(C5, (0, 2), (0, 10))
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
         assert ext_dims(C5, table, "M", -1, 5).hi == 0
 
     def test_sphere_column_is_table_lookup(self):
-        table = sphere_table(C5, (0, 2), (0, 10))
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
         assert ext_dims(C5, table, "S", 1, 1) == table.dim(1, 1)

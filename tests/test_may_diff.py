@@ -1,14 +1,18 @@
 """First differential, linear algebra mod p, and second-term dimensions."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mayext.cli_runner import Session
 from mayext.may_core import (
     InvalidParams,
     PrimeContext,
     a,
     b,
+    enumerate_basis,
     h,
     multiply,
     parse_element,
@@ -18,7 +22,6 @@ from mayext.may_diff import (
     SCHEMA_VERSION,
     cell_homology,
     d1,
-    e2_at,
     echelon,
     kernel,
     reduce_vector,
@@ -122,9 +125,9 @@ class TestCellHomology:
         assert cell.e2_total == 1
 
     def test_cache_returns_same_object(self):
-        cache = {}
-        first = cell_homology(C7, 2, 600, cache=cache)
-        second = cell_homology(C7, 2, 600, cache=cache)
+        session = Session(C7)
+        first = session.cell(2, 600)
+        second = session.cell(2, 600)
         assert first is second
 
     def test_bad_bidegree(self):
@@ -133,24 +136,27 @@ class TestCellHomology:
 
     def test_weight_blocks_partition_basis(self):
         cell = cell_homology(C5, 3, 60)
-        assert sum(blk.e1_dim for blk in cell.blocks.values()) == cell.e1_total
+        assert cell.e1_total == len(enumerate_basis(C5, 3, 60))
+        assert list(cell.weights) == sorted(cell.weights)
+        for blk in cell.weights.values():
+            assert blk.e1_dim == len(blk.index)
 
 
 class TestE2At:
     def test_three_class_cell_dies(self):
         # three chains, all cycles killed by boundaries or non-cycles
-        rep = e2_at(C7, 5, 29413)
+        rep = cell_homology(C7, 5, 29413)
         assert rep.e1_total == 3
         assert rep.e2_total == 0
 
     def test_survivor_with_representative(self):
-        rep = e2_at(C7, 1, 588)
+        rep = cell_homology(C7, 1, 588)
         assert rep.e2_total == 1
         (blk,) = rep.weights.values()
         assert [r.text() for r in blk.representatives] == ["h[1,2]"]
 
     def test_six_factor_cell_has_one_survivor(self):
-        rep = e2_at(C7, 6, 6168)
+        rep = cell_homology(C7, 6, 6168)
         by_u = {u: w.e2_dim for u, w in rep.weights.items() if w.e1_dim}
         assert by_u == {14: 0, 21: 0, 33: 0, 45: 1}
         assert rep.weights[14].e1_dim == 2
@@ -159,9 +165,9 @@ class TestE2At:
     def test_reverse_enumeration_invariance(self, reversed_generators):
         for s, t in [(3, 60), (4, 100), (2, 588), (5, 29413), (3, 4128)]:
             ctx = C7 if t > 500 else C5
-            fwd = e2_at(ctx, s, t)
+            fwd = cell_homology(ctx, s, t)
             with reversed_generators() as calls:
-                rev = e2_at(ctx, s, t)
+                rev = cell_homology(ctx, s, t)
             assert calls
             assert fwd.e2_total == rev.e2_total
             assert {u: w.e2_dim for u, w in fwd.weights.items()} == {
@@ -169,16 +175,32 @@ class TestE2At:
             }
 
     def test_representatives_are_cycles(self):
-        rep = e2_at(C5, 3, 60)
+        rep = cell_homology(C5, 3, 60)
         for blk in rep.weights.values():
             for r in blk.representatives:
                 assert d1(r, C5).is_zero
 
     def test_serialize_shape(self):
-        data = e2_at(C7, 1, 588).serialize()
+        data = cell_homology(C7, 1, 588).serialize()
         assert data["schema"] == SCHEMA_VERSION
         assert data["p"] == 7
         assert data["e1"] == 1 and data["e2"] == 1
         (w,) = data["weights"]
         assert w["reps"] == ["h[1,2]"]
         assert w["cycles"] - w["boundaries"] == w["e2"]
+
+
+@pytest.mark.parametrize("p, t_max", [(3, 48), (5, 80)])
+def test_euler_characteristic_per_weight_complex(p, t_max):
+    # d1 has tridegree (1, 0, -1), so for fixed t and w = s + u the cells
+    # (s, t, w - s) form one finite complex, whose Euler characteristic is
+    # the same at the first and the second term; this checks every rank
+    ctx = PrimeContext(p)
+    for t in range(t_max + 1):
+        chi1, chi2 = Counter(), Counter()
+        # every generator has t >= s, so no cell with s > t is inhabited
+        for s in range(t + 1):
+            for u, blk in cell_homology(ctx, s, t).weights.items():
+                chi1[s + u] += (-1) ** s * blk.e1_dim
+                chi2[s + u] += (-1) ** s * blk.e2_dim
+        assert chi1 == chi2, f"p={p}, t={t}"
