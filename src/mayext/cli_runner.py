@@ -5,7 +5,8 @@ memo of second-term records keyed by (s, t), and an optional on-disk
 cache of serialized second-term reports keyed by (module, p, s, t,
 schema_version).  Disk records embed their own key, so a corrupt file,
 a malformed value or a digest collision degrades to a recomputation
-with a warning on stderr, never to wrong data or a crash.  Every
+with a warning, never to wrong data or a crash.  Warnings go to the
+"mayext" logger; the command line prints them on stderr.  Every
 certificate the CLI issues reads its reports through Session.report.
 
 Claims are JSON dicts with a "kind", a prime "p", kind-specific
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import tempfile
 from dataclasses import dataclass
@@ -62,6 +64,8 @@ from .may_core import (
     parse_monomial,
 )
 from .may_diff import SCHEMA_VERSION, E2Report, WeightBlock, cell_homology, d1
+
+logger = logging.getLogger("mayext")
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +194,15 @@ class DiskCache:
         except FileNotFoundError:
             return None
         except OSError as exc:
-            click.echo(f"warning: cache read failed ({exc}), recomputing", err=True)
+            logger.warning("cache read failed (%s), recomputing", exc)
             return None
         try:
             record = json.loads(raw)
         except json.JSONDecodeError:
-            click.echo(f"warning: corrupt cache file {path.name}, recomputing", err=True)
+            logger.warning("corrupt cache file %s, recomputing", path.name)
             return None
         if not isinstance(record, dict) or record.get("key") != key:
-            click.echo(f"warning: cache key mismatch in {path.name}, recomputing", err=True)
+            logger.warning("cache key mismatch in %s, recomputing", path.name)
             return None
         return record.get("value")
 
@@ -275,10 +279,7 @@ class Session:
                     rep = summary_to_report(self.ctx, summary)
                 except (AttributeError, KeyError, TypeError, ValueError, MayextError):
                     name = self.disk.path_for(self._key(s, t)).name
-                    click.echo(
-                        f"warning: malformed cache value in {name}, recomputing",
-                        err=True,
-                    )
+                    logger.warning("malformed cache value in %s, recomputing", name)
                 else:
                     self.memo[(s, t)] = rep
                     return rep
@@ -697,6 +698,17 @@ def render_chart(data: dict, fmt: str) -> str:
 # command tree
 
 
+class _StderrHandler(logging.Handler):
+    """Prints each record as "<level>: <message>" through click.echo, on
+    the stderr current at the time, like the CLI's other stderr lines."""
+
+    def emit(self, record):
+        try:
+            click.echo(f"{record.levelname.lower()}: {record.getMessage()}", err=True)
+        except Exception:
+            self.handleError(record)
+
+
 def _cli_expr(text, ctx: PrimeContext) -> int:
     try:
         return eval_expr(text, ctx)
@@ -730,6 +742,11 @@ def main(ctx, prime, cache_dir):
     except InvalidParams as exc:
         raise click.UsageError(str(exc)) from exc
     ctx.obj = Session(prime_ctx, cache_dir)
+    # the package's warnings go to this invocation's stderr, and the
+    # handler goes when the invocation ends
+    handler = _StderrHandler()
+    logger.addHandler(handler)
+    ctx.call_on_close(lambda: logger.removeHandler(handler))
 
 
 @main.command()

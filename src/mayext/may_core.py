@@ -13,7 +13,8 @@ with tridegrees (filtration s, internal degree t, weight u)
 Monomials keep their factors in a fixed canonical order: a's by index,
 then h's lexicographically, then b's lexicographically.  Commutation
 signs use stem parity ((t - s) mod 2): the h's are odd, the a's and b's
-even.  Filtration parity would make the a's odd as well, and that
+even; multiply_factors applies that rule to every product, d1's
+included.  Filtration parity would make the a's odd as well, and that
 convention is not compatible with the degree-(1,0,-1) differential
 squaring to zero, so it is not used anywhere.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -60,11 +62,23 @@ class PrimeContext:
 
     p: int
     q: int = field(init=False)
+    # per-generator tables filled on first use: tridegrees by degree(),
+    # d1 by may_diff.d1_generator.  They hold only the generators some
+    # computation reached.
+    degree_table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    d1_table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 3 or not _is_prime(self.p):
             raise InvalidParams(f"p must be an odd prime, got {self.p!r}")
         object.__setattr__(self, "q", 2 * (self.p - 1))
+
+    def degree(self, g: "Generator") -> "TriDegree":
+        """g.tridegree(self), tabulated per generator."""
+        d = self.degree_table.get(g)
+        if d is None:
+            d = self.degree_table[g] = g.tridegree(self)
+        return d
 
 
 class TriDegree(NamedTuple):
@@ -160,19 +174,17 @@ class Monomial:
         return Monomial((), coeff)
 
     def tridegree(self, ctx: PrimeContext) -> TriDegree:
-        total = TriDegree(0, 0, 0)
+        s = t = u = 0
         for g, e in self.factors:
-            d = g.tridegree(ctx)
-            total = total + TriDegree(d.s * e, d.t * e, d.u * e)
-        return total
-
-    @property
-    def odd_part(self) -> tuple[Generator, ...]:
-        return tuple(g for g, _ in self.factors if g.is_odd)
+            ds, dt, du = ctx.degree(g)
+            s += ds * e
+            t += dt * e
+            u += du * e
+        return TriDegree(s, t, u)
 
     @property
     def parity(self) -> int:
-        return len(self.odd_part) & 1
+        return sum(g.is_odd for g, _ in self.factors) & 1
 
     def scaled(self, c: int) -> "Monomial":
         return Monomial(self.factors, self.coeff * c)
@@ -291,22 +303,32 @@ def tridegree(x: MulOperand, ctx: PrimeContext) -> TriDegree:
     raise InvalidParams(f"cannot take the tridegree of {x!r}")
 
 
-def _mul_monomial(m1: Monomial, m2: Monomial, p: int) -> Monomial | None:
-    odd1 = m1.odd_part
-    odd2 = m2.odd_part
-    if odd1 and odd2 and set(odd1) & set(odd2):
-        return None
+_first = itemgetter(0)
+
+
+def multiply_factors(*parts: Factors) -> tuple[Factors, int] | None:
+    """Product of factor tuples: the canonical factors and the sign, or
+    None when an exterior generator repeats.
+
+    The sign is (-1) to the number of transpositions of odd factors that
+    sorting the concatenated parts takes, the graded-commutativity rule.
+    """
+    merged: dict[Generator, int] = {}
+    odd_seen: list[Generator] = []
     inversions = 0
-    for g2 in odd2:
-        inversions += sum(1 for g1 in odd1 if g1 > g2)
-    coeff = m1.coeff * m2.coeff * (-1) ** (inversions & 1) % p
-    if coeff == 0:
-        return None
-    merged: dict[Generator, int] = dict(m1.factors)
-    for g, e in m2.factors:
-        merged[g] = merged.get(g, 0) + e
-    factors = tuple(sorted(merged.items(), key=lambda fe: fe[0]))
-    return Monomial(factors, coeff)
+    for part in parts:
+        for g, e in part:
+            if g.kind == KIND_H:
+                if g in merged:
+                    return None
+                for g0 in odd_seen:
+                    if g0 > g:
+                        inversions += 1
+                odd_seen.append(g)
+                merged[g] = e
+            else:
+                merged[g] = merged.get(g, 0) + e
+    return tuple(sorted(merged.items(), key=_first)), -1 if inversions & 1 else 1
 
 
 def multiply(x: MulOperand, y: MulOperand, ctx: PrimeContext) -> Element:
@@ -315,11 +337,10 @@ def multiply(x: MulOperand, y: MulOperand, ctx: PrimeContext) -> Element:
     ey = _as_element(y, ctx)
     out = Element(ctx.p)
     for k1, c1 in ex._terms.items():
-        m1 = Monomial(k1, c1)
         for k2, c2 in ey._terms.items():
-            m = _mul_monomial(m1, Monomial(k2, c2), ctx.p)
-            if m is not None:
-                out._add_term(m.factors, m.coeff)
+            prod = multiply_factors(k1, k2)
+            if prod is not None:
+                out._add_term(prod[0], c1 * c2 * prod[1])
     return out
 
 
@@ -391,7 +412,7 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
         return []
     gens = generators_bounded(ctx, t)
     n = len(gens)
-    degrees = [g.tridegree(ctx)[:2] for g in gens]  # (s_g, t_g)
+    degrees = [ctx.degree(g)[:2] for g in gens]  # (s_g, t_g)
     e_top = [1 if g.is_odd else s for g in gens]  # exterior h's appear at most once
 
     # unit[t_g] / double[t_g]: index of the generator of filtration 1 / 2
@@ -510,7 +531,9 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
 
     if reachable(0, s, t):
         fill(0, s, t)
-    monomials = [Monomial.build(fs) for fs in found]
+    # canonical already when gens is in canonical order; sorting keeps
+    # the result canonical for any order of the generator list
+    monomials = [Monomial(tuple(sorted(fs, key=_first))) for fs in found]
     monomials.sort(key=lambda m: m.factors)
     return monomials
 

@@ -6,10 +6,13 @@ d1 has tridegree (1, 0, -1) and is determined by
     d1(a[i])   = - sum_{0<=k<i} a[k] h[i-k, k]
     d1(b[i,j]) = 0
 
-extended as a derivation with the stem-parity Leibniz sign.  Because d1
-preserves the internal degree and shifts the weight by exactly -1, the
-second-term computation splits into independent blocks, one per weight,
-inside each bidegree (s, t).
+extended as a derivation with the stem-parity Leibniz sign.  d1 on a
+generator is computed once per PrimeContext and tabulated (d1_generator);
+d1 on a monomial forms each Leibniz term left * term * right directly on
+factor tuples through may_core.multiply_factors, the one home of the
+sign rule.  Because d1 preserves the internal degree and shifts the
+weight by exactly -1, the second-term computation splits into
+independent blocks, one per weight, inside each bidegree (s, t).
 
 All linear algebra is dense Gaussian elimination over F_p with exact
 integer arithmetic and first-nonzero pivoting in canonical column order,
@@ -35,46 +38,61 @@ from .may_core import (
     a,
     enumerate_basis,
     h,
-    multiply,
+    multiply_factors,
 )
 
 SCHEMA_VERSION = "mayv1"
 
 
 def d1_generator(g: Generator, ctx: PrimeContext) -> Element:
-    terms = []
-    if g.kind == KIND_H:
-        for k in range(1, g.i):
-            terms.append(
-                multiply(h(g.i - k, k + g.j), h(k, g.j), ctx).scaled(-1)
-            )
-    elif g.kind == KIND_A:
-        for k in range(g.i):
-            terms.append(multiply(a(k), h(g.i - k, k), ctx).scaled(-1))
-    out = Element.zero(ctx)
-    for t in terms:
-        out = out + t
-    return out
+    """d1 on one generator, computed once per context and tabulated in
+    ctx.d1_table.  The Element returned is shared: callers must not
+    mutate it."""
+    dg = ctx.d1_table.get(g)
+    if dg is None:
+        if g.kind == KIND_H:
+            pairs = [(h(g.i - k, k + g.j), h(k, g.j)) for k in range(1, g.i)]
+        elif g.kind == KIND_A:
+            pairs = [(a(k), h(g.i - k, k)) for k in range(g.i)]
+        else:
+            pairs = []
+        dg = Element.zero(ctx)
+        for x, y in pairs:
+            prod = multiply_factors(((x, 1),), ((y, 1),))
+            if prod is not None:
+                dg._add_term(prod[0], -prod[1])
+        ctx.d1_table[g] = dg
+    return dg
 
 
 def d1(x: MulOperand, ctx: PrimeContext) -> Element:
-    """Apply the differential to a generator, monomial, or element."""
-    ex = _as_element(x, ctx)
+    """Apply the differential to a generator, monomial, or element.
+
+    Leibniz rule on factor tuples: for the factor g^e at position idx of
+    a monomial and each term of d1(g), the term is left * d1(g)-term *
+    right, with left the factors before idx and right g^(e-1) and the
+    factors after it, times e and the sign of d1 passing the odd factors
+    of left."""
+    if isinstance(x, Monomial):
+        terms = ((x.factors, x.coeff),)
+    else:
+        terms = _as_element(x, ctx)._terms.items()
     out = Element.zero(ctx)
-    for mono in ex.monomials():
-        pairs = mono.factors
+    for factors, coeff in terms:
         odd_before = 0
-        for idx, (g, e) in enumerate(pairs):
-            dg = d1_generator(g, ctx)
-            if not dg.is_zero:
-                sign = -1 if odd_before & 1 else 1
-                left = Monomial(pairs[:idx], mono.coeff * e * sign)
-                right_pairs = pairs[idx + 1 :]
+        for idx, (g, e) in enumerate(factors):
+            dg = d1_generator(g, ctx)._terms
+            if dg:
+                c = -coeff * e if odd_before & 1 else coeff * e
+                left = factors[:idx]
+                right = factors[idx + 1 :]
                 if e > 1:
-                    right_pairs = ((g, e - 1),) + right_pairs
-                term = multiply(multiply(left, dg, ctx), Monomial(right_pairs), ctx)
-                out = out + term
-            if g.is_odd:
+                    right = ((g, e - 1),) + right
+                for term, tc in dg.items():
+                    prod = multiply_factors(left, term, right)
+                    if prod is not None:
+                        out._add_term(prod[0], c * tc * prod[1])
+            if g.kind == KIND_H:
                 odd_before += 1
     return out
 

@@ -1,6 +1,7 @@
 """Command-line surface, expression parsing, disk cache, and claim runner."""
 
 import json
+import logging
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -76,21 +77,27 @@ class TestDiskCache:
         b = cache.path_for({"y": 2, "x": 1})
         assert a == b
 
-    def test_corrupt_file_is_a_miss(self, tmp_path, capsys):
+    def test_corrupt_file_is_a_miss(self, tmp_path, caplog, capsys):
         cache = DiskCache(tmp_path)
         key = {"p": 5}
         cache.put(key, 7)
-        cache.path_for(key).write_text("{not json")
-        assert cache.get(key) is None
-        assert "corrupt" in capsys.readouterr().err
+        path = cache.path_for(key)
+        path.write_text("{not json")
+        with caplog.at_level(logging.WARNING, logger="mayext"):
+            assert cache.get(key) is None
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("mayext", logging.WARNING, f"corrupt cache file {path.name}, recomputing")
+        ]
+        # the warning is a log record; only the command line prints it
+        assert capsys.readouterr().err == ""
 
-    def test_key_mismatch_is_a_miss(self, tmp_path, capsys):
+    def test_key_mismatch_is_a_miss(self, tmp_path, caplog):
         cache = DiskCache(tmp_path)
         key = {"p": 5, "s": 1}
         cache.put(key, 7)
         cache.path_for(key).write_text(json.dumps({"key": {"p": 7}, "value": 9}))
         assert cache.get(key) is None
-        assert "mismatch" in capsys.readouterr().err
+        assert "mismatch" in caplog.text
 
     def test_no_stray_tmp_files(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -503,6 +510,16 @@ class TestCacheThroughCli:
         assert second.exit_code == 0
         assert second.stdout == first.stdout
         assert "corrupt" in second.stderr
+
+    def test_warning_is_one_stderr_line_per_invocation(self, runner, tmp_path):
+        self.invoke_e2(runner, tmp_path)
+        (path,) = tmp_path.glob("*.json")
+        for _ in range(2):
+            path.write_text("{nope")
+            res = self.invoke_e2(runner, tmp_path)
+            assert res.stderr == f"warning: corrupt cache file {path.name}, recomputing\n"
+        # the handler the invocation installed is gone with it
+        assert logging.getLogger("mayext").handlers == []
 
     def test_foreign_record_recovers(self, runner, tmp_path):
         first = self.invoke_e2(runner, tmp_path)

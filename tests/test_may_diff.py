@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from mayext.cli_runner import Session
 from mayext.may_core import (
+    Element,
     InvalidParams,
     PrimeContext,
     a,
     b,
     enumerate_basis,
+    generators_bounded,
     h,
     multiply,
     parse_element,
@@ -22,6 +24,7 @@ from mayext.may_diff import (
     SCHEMA_VERSION,
     cell_homology,
     d1,
+    d1_generator,
     echelon,
     kernel,
     reduce_vector,
@@ -82,6 +85,19 @@ class TestD1OnGenerators:
 
     def test_a_two(self):
         assert d1(a(2), C7) == parse_element("6 a0 h[2,0] + 6 a1 h[1,1]", C7)
+
+    def test_table_holds_reached_generators_unchanged(self):
+        ctx = PrimeContext(7)
+        x = parse_element("a2^2 h[3,0] + 3 a1 h[2,0] b[1,0]", ctx)
+        image = d1(x, ctx)
+        table = dict(ctx.d1_table)
+        assert set(table) == {a(1), a(2), h(2, 0), h(3, 0), b(1, 0)}
+        before = {g: Element(7, dict(dg._terms)) for g, dg in table.items()}
+        # reuse serves the same objects, and no use changes them
+        assert d1(x, ctx) + d1(d1(x, ctx), ctx) == image
+        assert all(d1_generator(g, ctx) is dg for g, dg in table.items())
+        assert table == before
+        assert d1_generator(a(2), ctx) == parse_element("6 a0 h[2,0] + 6 a1 h[1,1]", ctx)
 
     def test_degree_shift(self):
         # image sits one filtration up, same t, one weight down
@@ -204,3 +220,40 @@ def test_euler_characteristic_per_weight_complex(p, t_max):
                 chi1[s + u] += (-1) ** s * blk.e1_dim
                 chi2[s + u] += (-1) ** s * blk.e2_dim
         assert chi1 == chi2, f"p={p}, t={t}"
+
+
+def e1_counts(ctx, s_max, t_max):
+    """rows[t][(s, u)]: the number of first-term monomials of tridegree
+    (s, t, u), for s <= s_max and t <= t_max.  These are the coefficients
+    of prod (1 + x^|h|) prod (1 - x^|a|)^-1 prod (1 - x^|b|)^-1, taken
+    by one knapsack pass over the generators."""
+    rows = [{} for _ in range(t_max + 1)]
+    rows[0][(0, 0)] = 1
+    for g in generators_bounded(ctx, t_max):
+        ds, dt, du = g.tridegree(ctx)
+        # descending t takes an exterior h at most once; ascending t
+        # lets an a or b add to what it already reached
+        order = range(t_max - dt, -1, -1) if g.is_odd else range(t_max - dt + 1)
+        for t in order:
+            target = rows[t + dt]
+            for (s, u), n in list(rows[t].items()):
+                if s + ds <= s_max:
+                    key = (s + ds, u + du)
+                    target[key] = target.get(key, 0) + n
+    return rows
+
+
+@pytest.mark.parametrize("p, s_max, t_max", [(3, 12, 100), (7, 6, 700)])
+def test_weight_blocks_match_the_e1_count(p, s_max, t_max):
+    # the first-term Poincare series, keyed by weight, against the block
+    # sizes of every cell in range: this guards the grouping by weight
+    ctx = PrimeContext(p)
+    rows = e1_counts(ctx, s_max, t_max)
+    inhabited = 0
+    for t in range(t_max + 1):
+        for s in range(s_max + 1):
+            want = {u: n for (s2, u), n in rows[t].items() if s2 == s}
+            got = {u: blk.e1_dim for u, blk in cell_homology(ctx, s, t).weights.items()}
+            assert got == want, f"p={p}, ({s},{t})"
+            inhabited += bool(want)
+    assert inhabited > 400
