@@ -158,26 +158,22 @@ def _need(params: dict, *keys: str) -> list[int]:
     return out
 
 
-def _rep_element(ctx: PrimeContext, *factors) -> Element:
-    return product(factors, ctx)
-
-
 def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
     """Bidegree, representative, and metadata for a standing class name."""
     p, q = ctx.p, ctx.q
     params = dict(params or {})
 
     if name == "a0":
-        return NamedClass(name, {}, 1, 1, _rep_element(ctx, a(0)))
+        return NamedClass(name, {}, 1, 1, product((a(0),), ctx))
     if name == "alpha2_tilde":
-        return NamedClass(name, {}, 2, 2 * q + 1, _rep_element(ctx, a(1), h(1, 0)))
+        return NamedClass(name, {}, 2, 2 * q + 1, product((a(1), h(1, 0)), ctx))
     if name == "g0":
         return NamedClass(
             name,
             {},
             2,
             p * q + 2 * q,
-            _rep_element(ctx, h(2, 0), h(1, 0)),
+            product((h(2, 0), h(1, 0)), ctx),
             differential={
                 "r": 2,
                 "target": (4, p * q + 2 * q + 1),
@@ -192,7 +188,7 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
         if n >= 1:
             diff = {"r": 2, "target": (3, p**n * q + 1), "value": f"a0 b[1,{n-1}]"}
         return NamedClass(
-            name, {"n": n}, 1, p**n * q, _rep_element(ctx, h(1, n)), differential=diff
+            name, {"n": n}, 1, p**n * q, product((h(1, n),), ctx), differential=diff
         )
     if name == "b":
         (n,) = _need(params, "n")
@@ -211,7 +207,7 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
             {"n": n},
             2,
             p ** (n + 1) * q,
-            _rep_element(ctx, b(1, n)),
+            product((b(1, n),), ctx),
             differential=diff,
         )
     if name == "gamma_tilde":
@@ -219,7 +215,7 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
         if not 3 <= s < p:
             raise ParamsOutOfRange(f"gamma_tilde[s] needs 3 <= s < p, got s={s}")
         t = s * p**2 * q + (s - 1) * p * q + (s - 2) * q + s - 3
-        rep = _rep_element(ctx, h(2, 1), h(1, 2), h(3, 0), *([a(3)] * (s - 3)))
+        rep = product((h(2, 1), h(1, 2), h(3, 0), *([a(3)] * (s - 3))), ctx)
         cls = NamedClass(name, {"s": s}, s, t, rep)
         got = tridegree(rep, ctx)
         if (got.s, got.t) != (s, t):
@@ -230,14 +226,14 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
         if n < 1:
             raise ParamsOutOfRange("h0h[n] needs n >= 1")
         return NamedClass(
-            name, {"n": n}, 2, p**n * q + q, _rep_element(ctx, h(1, 0), h(1, n))
+            name, {"n": n}, 2, p**n * q + q, product((h(1, 0), h(1, n)), ctx)
         )
     if name == "h0b":
         (n,) = _need(params, "n")
         if n < 1:
             raise ParamsOutOfRange("h0b[n] needs n >= 1")
         return NamedClass(
-            name, {"n": n}, 3, p**n * q + q, _rep_element(ctx, h(1, 0), b(1, n - 1))
+            name, {"n": n}, 3, p**n * q + q, product((h(1, 0), b(1, n - 1)), ctx)
         )
     if name == "h0hh":
         n, m = _need(params, "n", "m")
@@ -248,14 +244,14 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
             {"n": n, "m": m},
             3,
             p**n * q + p**m * q + q,
-            _rep_element(ctx, h(1, 0), h(1, n), h(1, m)),
+            product((h(1, 0), h(1, n), h(1, m)), ctx),
         )
     if name == "h0hb":
         n, m = _need(params, "n", "m")
         if not (m >= 1 and n >= m + 2):
             raise ParamsOutOfRange("h0hb[n,m] needs n >= m + 2, m >= 1")
-        rep = _rep_element(ctx, h(1, 0), h(1, n), b(1, m - 1)) + _rep_element(
-            ctx, h(1, 0), h(1, m), b(1, n - 1)
+        rep = product((h(1, 0), h(1, n), b(1, m - 1)), ctx) + product(
+            (h(1, 0), h(1, m), b(1, n - 1)), ctx
         ).scaled(-1)
         return NamedClass(name, {"n": n, "m": m}, 4, p**n * q + p**m * q + q, rep)
 
@@ -278,7 +274,7 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
         diff = None
         conjectural = n >= 3 or name in ("h0g", "h0l", "h0k", "h0l_prime")
         if name == "g" and n == 0:
-            rep = _rep_element(ctx, h(2, 0), h(1, 0))
+            rep = product((h(2, 0), h(1, 0)), ctx)
             conjectural = False
         if partner and n >= 3:
             diff = {

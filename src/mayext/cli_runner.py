@@ -53,7 +53,7 @@ from .greek_bp import (
     stem_of,
     thom_image,
 )
-from .les_dims import _COLUMNS, ext_dims, sphere_table, window_for
+from .les_dims import _SPECTRA, ext_dims
 from .may_core import (
     InvalidParams,
     MayextError,
@@ -393,9 +393,7 @@ def _check_les_dim(session: Session, ctx: PrimeContext, claim: dict):
     spectrum = claim["spectrum"]
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
-    s_range, t_range = window_for(ctx, spectrum, s, t)
-    table = sphere_table(ctx, s_range, t_range, session.cell)
-    res = ext_dims(ctx, table, spectrum, s, t)
+    res = ext_dims(ctx, spectrum, s, t, session.cell)
     expect = claim["expect"]
     where = f"{spectrum}({s},{t})"
     if isinstance(expect, dict) and "min_lo" in expect:
@@ -849,7 +847,7 @@ def window(session, s, t, r_min, r_max, as_json):
 
 
 @main.command()
-@click.argument("spectrum", type=click.Choice(sorted(_COLUMNS)))
+@click.argument("spectrum", type=click.Choice(sorted(_SPECTRA)))
 @click.argument("s")
 @click.argument("t")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
@@ -858,13 +856,7 @@ def les(session, spectrum, s, t, as_json):
     """Propagated dimension interval for SPECTRUM at (S, T)."""
     ctx = session.ctx
     s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-
-    def go():
-        s_range, t_range = window_for(ctx, spectrum, s_val, t_val)
-        table = sphere_table(ctx, s_range, t_range, session.cell)
-        return ext_dims(ctx, table, spectrum, s_val, t_val)
-
-    res = _guard(go)
+    res = _guard(lambda: ext_dims(ctx, spectrum, s_val, t_val, session.cell))
     if as_json:
         out = {"spectrum": spectrum, "s": s_val, "t": t_val, **res.serialize()}
         click.echo(json.dumps(out, indent=2))

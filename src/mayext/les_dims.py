@@ -23,14 +23,18 @@ Columns:
          shift q.
     K  = cofiber of the Adams self-map on M, first variable: the
          connecting map raises bidegree by (1, q+1) between M-cells.
-    K2 = second variable of K, connecting map on M2-cells; it reads each
-         M2-cell as the M-cell one step up in t.
+    K2 = second variable of K, connecting map on M2-cells, which is K
+         shifted by q+2 in t: K2(s, t) = K(s, t+q+2), with its maps
+         named in M2 coordinates.
 
-Connecting-map lower bounds use a composite factorization: the K-column
-connecting map composed with the Moore inclusion and projection is
-h_0-multiplication on the sphere, so its rank is bounded below by the
-sphere witness rank; the second-variable analogue is the same with t
-shifted by one.
+M, L and K are one rule: the kernel out of (s, t-d) and the cokernel into
+(s, t) of a map of bidegree (1, d) between cells of a base column, with
+a_0 and d = 1 on sphere cells (M), h_0 and d = q on sphere cells (L), and
+the connecting map with d = q+1 on M-cells (K).  Connecting-map lower
+bounds use a composite factorization: the K-column connecting map
+composed with the Moore inclusion and projection is h_0-multiplication on
+the sphere, so its rank is bounded below by the sphere witness rank at
+its source.
 """
 
 from __future__ import annotations
@@ -213,121 +217,100 @@ def _map_rank(
     return lo, hi
 
 
-def _ker(src: DimInterval, rank: tuple[int, int], label: str) -> DimInterval:
+def _less_rank(dim: DimInterval, rank: tuple[int, int], label: str) -> DimInterval:
     return DimInterval(
-        max(src.lo - rank[1], 0),
-        src.hi - rank[0],
-        f"ker {label} rank[{rank[0]},{rank[1]}]",
+        max(dim.lo - rank[1], 0), dim.hi - rank[0], f"{label} rank[{rank[0]},{rank[1]}]"
     )
 
 
-def _coker(tgt: DimInterval, rank: tuple[int, int], label: str) -> DimInterval:
-    return DimInterval(
-        max(tgt.lo - rank[1], 0),
-        tgt.hi - rank[0],
-        f"cok {label} rank[{rank[0]},{rank[1]}]",
-    )
+def _sequence(table, cell, op, d, s, t, name, prefix="", shift=0):
+    """Kernel out of (s, t-d) and cokernel into (s, t) of a map of bidegree
+    (1, d) between base cells cell(a, b).
 
-
-def ext_dims_M(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
-    """First-variable Moore column at (s, t)."""
-    ker_src, ker_tgt = table.dim(s, t - 1), table.dim(s + 1, t)
-    rank1 = _map_rank(table, ker_src, ker_tgt, (s, t - 1), "a0")
-    cok_src, cok_tgt = table.dim(s - 1, t - 1), table.dim(s, t)
-    rank2 = _map_rank(table, cok_src, cok_tgt, (s - 1, t - 1), "a0")
-    return _ker(ker_src, rank1, f"a0:({s},{t-1})->({s+1},{t})") + _coker(
-        cok_tgt, rank2, f"a0:({s-1},{t-1})->({s},{t})"
-    )
-
-
-def ext_dims_M2(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
-    """Second-variable Moore column at (s, t), which is M(s, t+1)."""
-    return ext_dims_M(ctx, table, s, t + 1)
-
-
-def ext_dims_L(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
-    """First-variable column of the alpha-element cofiber at (s, t)."""
-    q = ctx.q
-    ker_src, ker_tgt = table.dim(s, t - q), table.dim(s + 1, t)
-    rank1 = _map_rank(table, ker_src, ker_tgt, (s, t - q), "h0")
-    cok_src, cok_tgt = table.dim(s - 1, t - q), table.dim(s, t)
-    rank2 = _map_rank(table, cok_src, cok_tgt, (s - 1, t - q), "h0")
-    return _ker(ker_src, rank1, f"h0:({s},{t-q})->({s+1},{t})") + _coker(
-        cok_tgt, rank2, f"h0:({s-1},{t-q})->({s},{t})"
-    )
-
-
-def _moore(ctx, table, s, t):
-    if s < 0 or t < 0 or t < s:
-        return DimInterval(0, 0, f"M({s},{t}) empty")
-    return ext_dims_M(ctx, table, s, t)
-
-
-def ext_dims_K(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
-    """First-variable column of the Adams self-map cofiber at (s, t).
-
-    The connecting map raises M-cells by (1, q+1); its rank lower bound
-    is the sphere h_0 witness at the source bidegree.
+    The map's rank out of (a, b) is bounded below by the sphere op witness
+    at (a, b). Labels name the map name:prefix(a,b)->prefix(a+1,b+d), with
+    t written shift lower.
     """
-    q = ctx.q
-    cok_src, cok_tgt = _moore(ctx, table, s - 1, t - q - 1), _moore(ctx, table, s, t)
-    rank1 = _map_rank(table, cok_src, cok_tgt, (s - 1, t - q - 1), "h0")
-    ker_src, ker_tgt = _moore(ctx, table, s, t - q - 1), _moore(ctx, table, s + 1, t)
-    rank2 = _map_rank(table, ker_src, ker_tgt, (s, t - q - 1), "h0")
-    return _coker(cok_tgt, rank1, f"d:M({s-1},{t-q-1})->M({s},{t})") + _ker(
-        ker_src, rank2, f"d:M({s},{t-q-1})->M({s+1},{t})"
+
+    def arrow(a, b):
+        return f"{name}:{prefix}({a},{b - shift})->{prefix}({a + 1},{b + d - shift})"
+
+    ker_src, cok_tgt = cell(s, t - d), cell(s, t)
+    ker_rank = _map_rank(table, ker_src, cell(s + 1, t), (s, t - d), op)
+    cok_rank = _map_rank(table, cell(s - 1, t - d), cok_tgt, (s - 1, t - d), op)
+    return (
+        _less_rank(ker_src, ker_rank, "ker " + arrow(s, t - d)),
+        _less_rank(cok_tgt, cok_rank, "cok " + arrow(s - 1, t - d)),
     )
 
 
-def ext_dims_K2(ctx: PrimeContext, table: SphereTable, s: int, t: int) -> DimInterval:
-    """Second-variable column of the Adams self-map cofiber at (s, t).
-
-    Composite anchoring for the second variable shifts the witness cell
-    by one in t: the connecting map out of M2(s, t) = M(s, t+1) is bounded
-    below by the sphere h_0 rank at (s, t+1).
-    """
-    q, t1 = ctx.q, t + 1
-    cok_src, cok_tgt = _moore(ctx, table, s - 1, t1), _moore(ctx, table, s, t1 + q + 1)
-    rank1 = _map_rank(table, cok_src, cok_tgt, (s - 1, t1), "h0")
-    ker_src, ker_tgt = _moore(ctx, table, s, t1), _moore(ctx, table, s + 1, t1 + q + 1)
-    rank2 = _map_rank(table, ker_src, ker_tgt, (s, t1), "h0")
-    return _coker(cok_tgt, rank1, f"d:M2({s-1},{t})->M2({s},{t+q+1})") + _ker(
-        ker_src, rank2, f"d:M2({s},{t})->M2({s+1},{t+q+1})"
-    )
+# The columns; M2 and K2 are the second-variable ones.
+_SPECTRA = ("S", "M", "M2", "L", "K", "K2")
 
 
-_COLUMNS = {
-    "S": lambda ctx, table, s, t: table.dim(s, t),
-    "M": ext_dims_M,
-    "M2": ext_dims_M2,
-    "L": ext_dims_L,
-    "K": ext_dims_K,
-    "K2": ext_dims_K2,
-}
-
-
-def window_for(ctx: PrimeContext, spectrum: str, s: int, t: int):
-    """Smallest sphere window that serves one column query."""
-    q = ctx.q
-    pads = {
-        "S": (0, 0, 0, 0),
-        "M": (1, 1, 1, 0),
-        "M2": (1, 1, 0, 1),
-        "L": (1, 1, q, 0),
-        "K": (2, 2, q + 2, 0),
-        "K2": (2, 2, 0, q + 2),
-    }
-    if spectrum not in pads:
+def _first_variable(ctx: PrimeContext, spectrum: str, t: int) -> tuple[str, int]:
+    """The first-variable column a query reads, and the t it reads it at:
+    M2(s, t) = M(s, t+1) and K2(s, t) = K(s, t+q+2)."""
+    if spectrum not in _SPECTRA:
         raise InvalidParams(f"unknown spectrum {spectrum!r}")
-    down, up, left, right = pads[spectrum]
-    return (max(s - down, 0), s + up), (max(t - left, 0), t + right)
+    if spectrum == "M2":
+        return "M", t + 1
+    if spectrum == "K2":
+        return "K", t + ctx.q + 2
+    return spectrum, t
+
+
+def _map(ctx: PrimeContext, column: str) -> tuple[str, int, bool]:
+    """The map of a first-variable column's sequence: the sphere witness
+    that bounds its rank, its degree d in t, and whether it runs between
+    Moore cells rather than sphere cells."""
+    q = ctx.q
+    maps = {"M": ("a0", 1, False), "L": ("h0", q, False), "K": ("h0", q + 1, True)}
+    return maps[column]
+
+
+def _window(ctx: PrimeContext, spectrum: str, s: int, t: int):
+    """Smallest sphere window that serves one column query: a sequence reads
+    s-1..s+1 and t-d..t, and Moore cells reach one step further in s each
+    way and one step further down in t."""
+    column, t = _first_variable(ctx, spectrum, t)
+    ds = dt = 0
+    if column != "S":
+        _, d, moore = _map(ctx, column)
+        ds, dt = 1 + moore, d + moore
+    return (max(s - ds, 0), s + ds), (max(t - dt, 0), t)
+
+
+def _column(
+    ctx: PrimeContext, table: SphereTable, spectrum: str, s: int, t: int
+) -> DimInterval:
+    """The column's interval at (s, t), read from a table covering its window."""
+    column, t1 = _first_variable(ctx, spectrum, t)
+    if s < 0 or t < 0:
+        return DimInterval(0, 0, "out of range")
+    if column == "S":
+        return table.dim(s, t)
+    op, d, moore = _map(ctx, column)
+    if not moore:
+        ker, cok = _sequence(table, table.dim, op, d, s, t1, op)
+        return ker + cok
+
+    def moore_cell(a, b):
+        if SphereTable._empty(a, b):
+            return DimInterval(0, 0, f"M({a},{b}) empty")
+        return _column(ctx, table, "M", a, b)
+
+    # K2 names its maps in M2 coordinates, M2(a, b) = M(a, b+1)
+    prefix, shift = ("M2", 1) if spectrum == "K2" else ("M", 0)
+    ker, cok = _sequence(table, moore_cell, op, d, s, t1, "d", prefix, shift)
+    return cok + ker
 
 
 def ext_dims(
-    ctx: PrimeContext, table: SphereTable, spectrum: str, s: int, t: int
+    ctx: PrimeContext, spectrum: str, s: int, t: int, cells: ReportSource
 ) -> DimInterval:
-    if spectrum not in _COLUMNS:
-        raise InvalidParams(f"unknown spectrum {spectrum!r}")
-    if s < 0 or t < 0:
-        return DimInterval(0, 0, "out of range")
-    return _COLUMNS[spectrum](ctx, table, s, t)
+    """Dimension interval of one column at (s, t), over the smallest sphere
+    table that serves it; cells is a source such as Session.cell."""
+    s_range, t_range = _window(ctx, spectrum, s, t)
+    table = sphere_table(ctx, s_range, t_range, cells)
+    return _column(ctx, table, spectrum, s, t)

@@ -218,15 +218,18 @@ def _group_by_weight(ctx, monomials):
 
 def _vector(elem: Element, index: dict, where: str) -> list[int]:
     vec = [0] * len(index)
-    for mono in elem.monomials():
-        if mono.factors not in index:
-            raise AssertionError(f"term {mono.text()} missing from basis of {where}")
-        vec[index[mono.factors]] = mono.coeff
+    try:
+        for key, c in elem._terms.items():
+            vec[index[key]] = c
+    except KeyError:
+        key = min(k for k in elem._terms if k not in index)
+        term = Monomial(key, elem._terms[key]).text()
+        raise AssertionError(f"term {term} missing from basis of {where}") from None
     return vec
 
 
 def _block_element(index: dict, vec: list[int], p: int) -> Element:
-    return Element(p, dict(zip(index, vec)))
+    return Element(p, {key: c for key, c in zip(index, vec) if c})
 
 
 def cell_homology(ctx: PrimeContext, s: int, t: int) -> E2Report:

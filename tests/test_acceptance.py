@@ -27,7 +27,7 @@ from mayext.adams_certify import (
     product_nonzero_at_e2,
     resolve_named,
 )
-from mayext.les_dims import ext_dims, sphere_table, window_for
+from mayext.les_dims import ext_dims
 from mayext.greek_bp import (
     BetaIndex,
     GammaIndex,
@@ -234,9 +234,7 @@ def test_cofiber_dimension_propagation(capsys):
         cells = SESSIONS[p].cell
 
         def dims(spectrum, s, t):
-            s_range, t_range = window_for(ctx, spectrum, s, t)
-            table = sphere_table(ctx, s_range, t_range, cells)
-            return ext_dims(ctx, table, spectrum, s, t)
+            return ext_dims(ctx, spectrum, s, t, cells)
 
         for n in (2, 3):
             T = p**n * ctx.q

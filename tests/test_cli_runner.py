@@ -3,6 +3,7 @@
 import json
 import logging
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -141,6 +142,34 @@ class TestSession:
         assert session.report(1, 588) is computed
 
 
+# `les --json` at p=5, one cell per column: (s, t, t as evaluated, lo, hi,
+# provenance). Each map has witness rank 1 on both sides, except at S, at K
+# (the unit cell) and at K2 (an honest interval).
+LES_JSON = {
+    "S": ("1", "p^2*q", 200, 1, 1, "UpperBound+witness"),
+    "M": (
+        "2", "201", 201, 0, 0,
+        "ker a0:(2,200)->(3,201) rank[1,1] + cok a0:(1,200)->(2,201) rank[1,1]",
+    ),
+    "M2": (
+        "2", "200", 200, 0, 0,
+        "ker a0:(2,200)->(3,201) rank[1,1] + cok a0:(1,200)->(2,201) rank[1,1]",
+    ),
+    "L": (
+        "2", "208", 208, 0, 0,
+        "ker h0:(2,200)->(3,208) rank[1,1] + cok h0:(1,200)->(2,208) rank[1,1]",
+    ),
+    "K": (
+        "1", "p^2*q", 200, 1, 1,
+        "cok d:M(0,191)->M(1,200) rank[0,0] + ker d:M(1,191)->M(2,200) rank[0,0]",
+    ),
+    "K2": (
+        "3", "207", 207, 0, 2,
+        "cok d:M2(2,207)->M2(3,216) rank[0,1] + ker d:M2(3,207)->M2(4,216) rank[0,1]",
+    ),
+}
+
+
 class TestBasicCommands:
     def test_basis(self, runner):
         res = runner.invoke(main, ["-p", "7", "basis", "1", "p^2*q"])
@@ -237,17 +266,19 @@ class TestBasicCommands:
         assert res.exit_code == 0
         assert res.stdout.splitlines() == want
 
-    def test_les_json(self, runner):
-        res = runner.invoke(main, ["-p", "5", "les", "K", "1", "p^2*q", "--json"])
+    @pytest.mark.parametrize("spectrum", LES_JSON)
+    def test_les_json(self, runner, spectrum):
+        s, t, t_val, lo, hi, provenance = LES_JSON[spectrum]
+        res = runner.invoke(main, ["-p", "5", "les", spectrum, s, t, "--json"])
         data = json.loads(res.stdout)
         assert data == {
-            "spectrum": "K",
-            "s": 1,
-            "t": 200,
-            "lo": 1,
-            "hi": 1,
-            "exact": True,
-            "provenance": data["provenance"],
+            "spectrum": spectrum,
+            "s": int(s),
+            "t": t_val,
+            "lo": lo,
+            "hi": hi,
+            "exact": lo == hi,
+            "provenance": provenance,
         }
 
     def test_stems(self, runner):
@@ -397,6 +428,15 @@ class TestRunClaims:
         assert "cannot certify zero" in results[2].detail
         assert "unknown claim kind" in results[4].detail
         assert "needs a prime" in results[5].detail
+
+    def test_shipped_corpus_statuses(self):
+        # the whole shipped corpus in process, its les_dim claims included
+        results = run_claims(load_claims())
+        assert Counter(r.status for r in results) == {
+            "pass": 301,
+            "skipped-conjectural": 6,
+        }
+        assert sum(r.claim["kind"] == "les_dim" for r in results) == 80
 
     @pytest.mark.parametrize(
         "claim",

@@ -12,14 +12,10 @@ from mayext.les_dims import (
     InsufficientWindow,
     SphereCell,
     WindowTooLarge,
+    _column,
+    _window,
     ext_dims,
-    ext_dims_K,
-    ext_dims_K2,
-    ext_dims_L,
-    ext_dims_M,
-    ext_dims_M2,
     sphere_table,
-    window_for,
 )
 
 C5 = PrimeContext(5)
@@ -47,9 +43,12 @@ class TestDimInterval:
         assert data == {"lo": 1, "hi": 1, "exact": True, "provenance": "witness"}
 
 
+def dims(ctx, spectrum, s, t):
+    return ext_dims(ctx, spectrum, s, t, Session(ctx).cell)
+
+
 def build(ctx, spectrum, s, t):
-    s_range, t_range = window_for(ctx, spectrum, s, t)
-    return sphere_table(ctx, s_range, t_range, Session(ctx).cell)
+    return sphere_table(ctx, *_window(ctx, spectrum, s, t), Session(ctx).cell)
 
 
 class TestSphereTable:
@@ -91,8 +90,7 @@ class TestMooreColumns:
     def test_rank_one_cell(self, p, n):
         ctx = PrimeContext(p)
         T = p**n * ctx.q
-        table = build(ctx, "M", 1, T)
-        got = ext_dims_M(ctx, table, 1, T)
+        got = dims(ctx, "M", 1, T)
         assert (got.lo, got.hi) == (1, 1)
 
     @pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
@@ -100,15 +98,13 @@ class TestMooreColumns:
         ctx = PrimeContext(p)
         T = p**n * ctx.q
         for s, t in [(1, T + 1), (1, T + 2), (4, T + 2)]:
-            table = build(ctx, "M", s, t)
-            got = ext_dims_M(ctx, table, s, t)
+            got = dims(ctx, "M", s, t)
             assert (got.lo, got.hi) == (0, 0), (s, t)
 
     def test_second_variable_zero_cells(self):
         T = 7**2 * 12
         for s, t in [(2, T), (3, T + 1), (2, T + 1)]:
-            table = build(C7, "M2", s, t)
-            got = ext_dims_M2(C7, table, s, t)
+            got = dims(C7, "M2", s, t)
             assert (got.lo, got.hi) == (0, 0)
 
 
@@ -117,38 +113,33 @@ class TestCofiberColumns:
     def test_connecting_image_survives(self, p, n):
         ctx = PrimeContext(p)
         T = p**n * ctx.q
-        table = build(ctx, "K", 1, T)
-        got = ext_dims_K(ctx, table, 1, T)
+        got = dims(ctx, "K", 1, T)
         assert (got.lo, got.hi) == (1, 1)
 
     def test_zero_cells(self):
         T = 5**2 * 8
         for s, t in [(2, T + 1), (2, T + 2), (3, T + 1), (3, T + 2)]:
-            table = build(C5, "K", s, t)
-            got = ext_dims_K(C5, table, s, t)
+            got = dims(C5, "K", s, t)
             assert (got.lo, got.hi) == (0, 0), (s, t)
 
     def test_second_variable_zero_cells(self):
         T = 5**2 * 8
         for s, t in [(2, T), (3, T + 1)]:
-            table = build(C5, "K2", s, t)
-            got = ext_dims_K2(C5, table, s, t)
+            got = dims(C5, "K2", s, t)
             assert (got.lo, got.hi) == (0, 0)
 
     @pytest.mark.parametrize("p,n", [(5, 2), (7, 2)])
     def test_alpha_cofiber_zero_cell(self, p, n):
         ctx = PrimeContext(p)
         T = p**n * ctx.q
-        table = build(ctx, "L", 2, T + ctx.q)
-        got = ext_dims_L(ctx, table, 2, T + ctx.q)
+        got = dims(ctx, "L", 2, T + ctx.q)
         assert (got.lo, got.hi) == (0, 0)
 
     def test_honest_interval_stays_wide(self):
         # kernel witness cannot pin this cell: the candidate product is an
         # exterior square, so only the upper endpoint is certified
         T = 5**2 * 8
-        table = build(C5, "L", 2, T + 2 * C5.q)
-        got = ext_dims_L(C5, table, 2, T + 2 * C5.q)
+        got = dims(C5, "L", 2, T + 2 * C5.q)
         assert (got.lo, got.hi) == (0, 1)
         assert not got.exact
 
@@ -157,8 +148,7 @@ class TestCofiberColumns:
         q = C5.q
         cases = [(2, T + q - 1, 1), (2, T + q, 1), (3, T + q, 2)]
         for s, t, hi in cases:
-            table = build(C5, "K2", s, t)
-            got = ext_dims_K2(C5, table, s, t)
+            got = dims(C5, "K2", s, t)
             assert (got.lo, got.hi) == (0, hi), (s, t)
 
 
@@ -167,14 +157,14 @@ class TestTableViews:
         T = 5**2 * 8
         table = build(C5, "M", 1, T)
         monkeypatch.setattr(les_dims, "_map_rank", lambda *args: (0, 0))
-        got = ext_dims_M(C5, table, 1, T)
+        got = _column(C5, table, "M", 1, T)
         want = table.dim(1, T - 1) + table.dim(1, T)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
     def test_widening_a_cell_loosens_the_answer(self):
         T = 5**2 * 8
         table = build(C5, "M", 1, T)
-        tight = ext_dims_M(C5, table, 1, T)
+        tight = _column(C5, table, "M", 1, T)
         # the same table with cell (1, T) degraded to [0, hi] and witness-free
         widened = copy.copy(table)
         widened.cells = dict(table.cells)
@@ -182,28 +172,25 @@ class TestTableViews:
         widened.cells[(1, T)] = SphereCell(
             1, T, cell.cert, DimInterval(0, cell.dim.hi, "widened")
         )
-        loose = ext_dims_M(C5, widened, 1, T)
+        loose = _column(C5, widened, "M", 1, T)
         assert loose.lo <= tight.lo and loose.hi >= tight.hi
 
 
 class TestDispatch:
     def test_window_for_covers_each_spectrum(self):
         for spectrum in ("S", "M", "M2", "L", "K", "K2"):
-            s_range, t_range = window_for(C5, spectrum, 2, 50)
-            table = sphere_table(C5, s_range, t_range, Session(C5).cell)
-            ext_dims(C5, table, spectrum, 2, 50)
+            dims(C5, spectrum, 2, 50)
 
     def test_unknown_spectrum(self):
         table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
         with pytest.raises(InvalidParams):
-            ext_dims(C5, table, "X", 1, 5)
+            _column(C5, table, "X", 1, 5)
         with pytest.raises(InvalidParams):
-            window_for(C5, "X", 1, 5)
+            dims(C5, "X", 1, 5)
 
     def test_negative_cells_are_zero(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
-        assert ext_dims(C5, table, "M", -1, 5).hi == 0
+        assert dims(C5, "M", -1, 5).hi == 0
 
     def test_sphere_column_is_table_lookup(self):
         table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
-        assert ext_dims(C5, table, "S", 1, 1) == table.dim(1, 1)
+        assert _column(C5, table, "S", 1, 1) == table.dim(1, 1)

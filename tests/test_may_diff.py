@@ -27,6 +27,7 @@ from mayext.may_diff import (
     d1_generator,
     echelon,
     kernel,
+    reduce_mod_boundaries,
     reduce_vector,
 )
 
@@ -156,6 +157,17 @@ class TestCellHomology:
         assert list(cell.weights) == sorted(cell.weights)
         for blk in cell.weights.values():
             assert blk.e1_dim == len(blk.index)
+
+    def test_term_outside_the_basis_is_named(self):
+        # h[1,1] and h[1,2] share the weight of (1,8) but not its t; the
+        # first in canonical order is named, with its coefficient
+        cell = cell_homology(C5, 1, 8)
+        elem = parse_element("4 h[1,2] + 3 h[1,1] + h[1,0]", C5)
+        with pytest.raises(AssertionError) as err:
+            reduce_mod_boundaries(C5, cell, elem)
+        assert str(err.value) == "term 3 h[1,1] missing from basis of (1,8,1)"
+        inside = parse_element("2 h[1,0]", C5)
+        assert reduce_mod_boundaries(C5, cell, inside) == inside
 
 
 class TestE2At:

@@ -55,6 +55,34 @@ def test_every_import_is_used():
     assert offenders == []
 
 
+def _names_read(tree) -> list[str]:
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_every_private_definition_is_used():
+    # a module-level private function or class must be read somewhere in
+    # the package, outside its own body; code only the tests call goes
+    paths = PACKAGE_DIR.glob("*.py")
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    reads = [name for tree in trees.values() for name in _names_read(tree)]
+    checked, offenders = 0, []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            checked += 1
+            if reads.count(node.name) == _names_read(node).count(node.name):
+                offenders.append(f"{module}:{node.lineno} {node.name}")
+    assert checked > 30
+    assert offenders == []
+
+
 def _purge_package():
     for name in [m for m in sys.modules if m == "mayext" or m.startswith("mayext.")]:
         del sys.modules[name]
