@@ -36,10 +36,8 @@ E2_ZERO = "E2Zero"
 DIM_CERTIFIED = "DimCertified"
 UPPER_BOUND = "UpperBound"
 
-# Where second-term records come from: reports(s, t).  Certificates take
-# Session.report, which may serve records rebuilt from disk; reduction mod
-# boundaries needs records that carry their boundary data, such as
-# Session.cell or cell_homology itself.
+# Where second-term records come from: reports(s, t), such as
+# Session.report.  Certificates, les intervals and products all read it.
 ReportSource = Callable[[int, int], E2Report]
 
 
@@ -386,10 +384,10 @@ def adams_dr_window(
 
 
 def product_nonzero_at_e2(
-    ctx: PrimeContext, classes: list, cells: ReportSource
+    ctx: PrimeContext, classes: list, reports: ReportSource
 ) -> dict:
     """Multiply representatives and reduce mod boundaries in their bidegree,
-    read from cells(s, t) (for example Session.cell).
+    read from reports(s, t) (for example Session.report).
 
     A nonzero answer means the product survives to the second term; it is
     a statement about the second term, not yet about the abutment.
@@ -426,7 +424,7 @@ def product_nonzero_at_e2(
         }
     if not d1(prod, ctx).is_zero:
         raise AssertionError("product of cocycles failed to be a cocycle")
-    reduced = reduce_mod_boundaries(ctx, cells(*expected), prod)
+    reduced = reduce_mod_boundaries(ctx, reports(*expected), prod)
     return {
         "nonzero": not reduced.is_zero,
         "bidegree": expected,

@@ -7,7 +7,8 @@ schema_version).  Disk records embed their own key, so a corrupt file,
 a malformed value or a digest collision degrades to a recomputation
 with a warning, never to wrong data or a crash.  Warnings go to the
 "mayext" logger; the command line prints them on stderr.  Every
-certificate the CLI issues reads its reports through Session.report.
+certificate, les interval and product the CLI computes reads its
+records through Session.report.
 
 Claims are JSON dicts with a "kind", a prime "p", kind-specific
 parameters, and an "expect" value.  Any numeric parameter may be an
@@ -239,7 +240,8 @@ def summary_to_report(ctx: PrimeContext, data: dict) -> E2Report:
 
 class Session:
     """All computations for one prime: one memo of second-term records
-    keyed by (s, t), and an optional disk cache behind report."""
+    keyed by (s, t), and an optional disk cache behind report, the one
+    source of records."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
         self.ctx = ctx
@@ -255,20 +257,10 @@ class Session:
             "schema_version": SCHEMA_VERSION,
         }
 
-    def cell(self, s: int, t: int) -> E2Report:
-        """The record of (s, t) computed in this process, with the boundary
-        data that reduction mod boundaries needs.  A record the memo holds
-        from disk is recomputed and replaced."""
-        hit = self.memo.get((s, t))
-        if hit is not None and hit.reducible:
-            return hit
-        rep = cell_homology(self.ctx, s, t)
-        self.memo[(s, t)] = rep
-        return rep
-
     def report(self, s: int, t: int) -> E2Report:
         """The record of (s, t) from the memo, else from disk, else computed
-        by cell and written to disk."""
+        by cell_homology and written to disk.  A record rebuilt from disk
+        gets its boundary data on its first reduction mod boundaries."""
         hit = self.memo.get((s, t))
         if hit is not None:
             return hit
@@ -283,7 +275,8 @@ class Session:
                 else:
                     self.memo[(s, t)] = rep
                     return rep
-        rep = self.cell(s, t)
+        rep = cell_homology(self.ctx, s, t)
+        self.memo[(s, t)] = rep
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
         return rep
@@ -393,7 +386,7 @@ def _check_les_dim(session: Session, ctx: PrimeContext, claim: dict):
     spectrum = claim["spectrum"]
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
-    res = ext_dims(ctx, spectrum, s, t, session.cell)
+    res = ext_dims(ctx, spectrum, s, t, session.report)
     expect = claim["expect"]
     where = f"{spectrum}({s},{t})"
     if isinstance(expect, dict) and "min_lo" in expect:
@@ -426,8 +419,7 @@ def _check_beta_list(session: Session, ctx: PrimeContext, claim: dict):
 def _check_ext0_list(session: Session, ctx: PrimeContext, claim: dict):
     n = eval_expr(claim["n"], ctx)
     t = eval_expr(claim.get("t", 1), ctx)
-    t_internal = t * ctx.p**n * (ctx.p + 1) * ctx.q
-    gens = enumerate_ext0_KR(ctx, t_internal, n, t)
+    gens = enumerate_ext0_KR(ctx, n, t)
     got = sorted(g.text() for g in gens)
     status, detail = _list_verdict(got, _norm_plain(claim["expect"]))
     return status, f"n={n}, t={t}: {detail}"
@@ -467,7 +459,7 @@ def _check_product_nonzero(session: Session, ctx: PrimeContext, claim: dict):
         resolve_named(entry["name"], entry.get("params", {}), ctx)
         for entry in claim["classes"]
     ]
-    result = product_nonzero_at_e2(ctx, classes, session.cell)
+    result = product_nonzero_at_e2(ctx, classes, session.report)
     want = bool(claim["expect"])
     names = " * ".join(cls.text() for cls in classes)
     note = " (conjectural factor)" if result["conjectural"] else ""
@@ -856,7 +848,7 @@ def les(session, spectrum, s, t, as_json):
     """Propagated dimension interval for SPECTRUM at (S, T)."""
     ctx = session.ctx
     s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    res = _guard(lambda: ext_dims(ctx, spectrum, s_val, t_val, session.cell))
+    res = _guard(lambda: ext_dims(ctx, spectrum, s_val, t_val, session.report))
     if as_json:
         out = {"spectrum": spectrum, "s": s_val, "t": t_val, **res.serialize()}
         click.echo(json.dumps(out, indent=2))
@@ -913,7 +905,7 @@ def greek_ext0(session, n, t_param):
     ctx = session.ctx
     n_val, t_val = _cli_expr(n, ctx), _cli_expr(t_param, ctx)
     t_internal = t_val * ctx.p**n_val * (ctx.p + 1) * ctx.q
-    gens = _guard(lambda: enumerate_ext0_KR(ctx, t_internal, n_val, t_val))
+    gens = _guard(lambda: enumerate_ext0_KR(ctx, n_val, t_val))
     for gen in gens:
         click.echo(gen.text())
     click.echo(f"degree {t_internal}", err=True)

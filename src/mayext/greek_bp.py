@@ -211,23 +211,17 @@ def _q1(p: int, a: int, s: int) -> int:
     return 1
 
 
-def enumerate_ext0_KR(
-    ctx: PrimeContext, t_internal: int, n: int, t: int
-) -> list[BPGen]:
-    """Generators of the degree-t_internal part of the Ext^0 column.
+def enumerate_ext0_KR(ctx: PrimeContext, n: int, t: int) -> list[BPGen]:
+    """Generators of the Ext^0 column in internal degree t p^n (p+1) q.
 
     Solves v1exp * q + a p^s (p+1) q = t p^n (p+1) q subject to the
     v1-exponent window for the height-n truncation: p^s | v1exp,
     v1exp <= p^n - 1, and v1exp >= p^n - 1 - q1 (t = 1) respectively
     v1exp >= p^n - q1 (t >= 2), plus the pure power v2^(t p^n).
     """
-    p, q = ctx.p, ctx.q
+    p = ctx.p
     if n < 1 or t < 1 or t % p == 0:
         raise InvalidParams(f"need n >= 1 and t >= 1 prime to p, got n={n}, t={t}")
-    if t_internal != t * p**n * (p + 1) * q:
-        raise InvalidParams(
-            f"degree mismatch: t_internal={t_internal} is not t*p^n*(p+1)*q"
-        )
     out = [BPGen("v2", e=t * p**n)]
     for d in range(1, (p**n - 1) // (p + 1) + 1):
         val = t * p**n - d
@@ -315,21 +309,6 @@ def _check_degrees(ctx: PrimeContext, idx, cls: NamedClass) -> None:
         )
 
 
-_STEMS = {
-    "h0h": ("n",),
-    "h0b": ("n",),
-    "h0hh": ("n", "m"),
-    "h0hb": ("n", "m"),
-    "gamma_tilde": ("s",),
-    "beta_tilde": ("s",),
-    "alpha": ("t", "n"),
-    "h0g": ("n",),
-    "h0l": ("n",),
-    "h0k": ("n",),
-    "h0l_prime": ("n",),
-}
-
-
 def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
     """Stem (homotopy degree) of one family member, by closed formula."""
     p, q = ctx.p, ctx.q
@@ -353,8 +332,6 @@ def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
             return t * (p**2 + p + 1) * q - bb * (p + 1) * q - c * q - 3
         n, s = need("n", "s")
         return p ** (n + 2) * q + (p**n - s) * (p + 1) * q - q - 3
-    if family not in _STEMS:
-        raise UnknownFamily(f"no stem formula for {family!r}")
     if family == "h0h":
         (n,) = need("n")
         return p**n * q + q - 2

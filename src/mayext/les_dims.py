@@ -131,39 +131,37 @@ class SphereTable:
 
 
 def _witness_rank(
-    ctx: PrimeContext, cells: ReportSource, cell: SphereCell, gen, t_shift: int
+    ctx: PrimeContext, reports: ReportSource, cell: SphereCell, gen, t_shift: int
 ) -> int:
     """E2 rank of multiplication by gen out of cell into (s+1, t+t_shift)."""
-    tgt = cells(cell.s + 1, cell.t + t_shift)
+    tgt = reports(cell.s + 1, cell.t + t_shift)
     if tgt.e1_total == 0:
         return 0
     total = 0
     gen_u = gen.tridegree(ctx).u
     for u, weight in cell.cert.report.weights.items():
-        tgt_blk = tgt.weights.get(u + gen_u)
-        if not weight.representatives or tgt_blk is None:
+        if not weight.representatives or u + gen_u not in tgt.weights:
             continue
-        where = f"({tgt.s},{tgt.t},{tgt_blk.u})"
-        rows = [
-            _vector(
-                reduce_mod_boundaries(ctx, tgt, multiply(rep, gen, ctx)),
-                tgt_blk.index,
-                where,
-            )
+        reduced = [
+            reduce_mod_boundaries(ctx, tgt, multiply(rep, gen, ctx))
             for rep in weight.representatives
         ]
+        # read after reducing: a record rebuilt from disk gets its index then
+        tgt_blk = tgt.weights[u + gen_u]
+        where = f"({tgt.s},{tgt.t},{tgt_blk.u})"
+        rows = [_vector(r, tgt_blk.index, where) for r in reduced]
         total += len(echelon(rows, ctx.p)[1])
     return total
 
 
 def sphere_table(
-    ctx: PrimeContext, s_range, t_range, cells: ReportSource
+    ctx: PrimeContext, s_range, t_range, reports: ReportSource
 ) -> SphereTable:
     """Certify every cell in the window and pin witness lower bounds.
 
-    Cells are read from cells(s, t), which must return records that carry
-    their boundary data, such as Session.cell; a memoising source lets
-    repeated windows over the same prime reuse cell computations.
+    Cells are read from reports(s, t), such as Session.report; a memoising
+    source lets repeated windows over the same prime reuse cell
+    computations.
     """
     s_min, s_max = s_range
     t_min, t_max = t_range
@@ -175,13 +173,13 @@ def sphere_table(
     table = SphereTable(ctx, s_range, t_range)
     for s in range(s_min, s_max + 1):
         for t in range(t_min, t_max + 1):
-            cert = certify_ext_dim(cells, s, t)
+            cert = certify_ext_dim(reports, s, t)
             hi = 0 if cert.certified_zero else cert.e2_total
             lo = hi if cert.certified_exact else 0
             cell = SphereCell(s, t, cert, DimInterval(lo, hi, cert.verdict))
             if hi:
-                cell.a0_rank_lower = _witness_rank(ctx, cells, cell, a(0), 1)
-                cell.h0_rank_lower = _witness_rank(ctx, cells, cell, h(1, 0), ctx.q)
+                cell.a0_rank_lower = _witness_rank(ctx, reports, cell, a(0), 1)
+                cell.h0_rank_lower = _witness_rank(ctx, reports, cell, h(1, 0), ctx.q)
             table.cells[(s, t)] = cell
 
     for (s, t), cell in table.cells.items():
@@ -286,8 +284,6 @@ def _column(
 ) -> DimInterval:
     """The column's interval at (s, t), read from a table covering its window."""
     column, t1 = _first_variable(ctx, spectrum, t)
-    if s < 0 or t < 0:
-        return DimInterval(0, 0, "out of range")
     if column == "S":
         return table.dim(s, t)
     op, d, moore = _map(ctx, column)
@@ -307,10 +303,14 @@ def _column(
 
 
 def ext_dims(
-    ctx: PrimeContext, spectrum: str, s: int, t: int, cells: ReportSource
+    ctx: PrimeContext, spectrum: str, s: int, t: int, reports: ReportSource
 ) -> DimInterval:
     """Dimension interval of one column at (s, t), over the smallest sphere
-    table that serves it; cells is a source such as Session.cell."""
+    table that serves it; reports is a source such as Session.report.
+    Every column is zero at a negative bidegree."""
+    _first_variable(ctx, spectrum, t)  # an unknown spectrum raises first
+    if s < 0 or t < 0:
+        return DimInterval(0, 0, "out of range")
     s_range, t_range = _window(ctx, spectrum, s, t)
-    table = sphere_table(ctx, s_range, t_range, cells)
+    table = sphere_table(ctx, s_range, t_range, reports)
     return _column(ctx, table, spectrum, s, t)

@@ -151,7 +151,7 @@ class WeightBlock:
     boundaries needs: `index`, the column of each basis monomial (its
     factors, in canonical order), and the echelon form and pivots of the
     boundary space.  A block rebuilt from a serialized report has None
-    in all three.
+    in all three until reduce_mod_boundaries replaces it.
     """
 
     u: int
@@ -184,7 +184,8 @@ class E2Report:
 
     @property
     def reducible(self) -> bool:
-        """Whether every block carries its boundary data (not rebuilt from disk)."""
+        """Whether every block carries its boundary data: false for a record
+        rebuilt from disk until its first reduction mod boundaries."""
         return all(w.index is not None for w in self.weights.values())
 
     def serialize(self) -> dict:
@@ -235,7 +236,7 @@ def _block_element(index: dict, vec: list[int], p: int) -> Element:
 def cell_homology(ctx: PrimeContext, s: int, t: int) -> E2Report:
     """The second-term record of (s, t): per weight, the dimensions, the
     representatives and the boundary data that reduce_mod_boundaries needs.
-    Nothing is memoised here; Session.cell is the memo."""
+    Nothing is memoised here; Session.report is the memo."""
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
     p = ctx.p
@@ -282,15 +283,14 @@ def reduce_mod_boundaries(
     """elem, an element of bidegree (report.s, report.t), reduced modulo the
     d1 boundaries of each weight block it meets; zero iff elem is a boundary.
 
-    Raises ValueError when report was rebuilt from disk and so has no
-    boundary data, and AssertionError when a term of elem has no block or
-    no basis monomial in the cell.
+    A report rebuilt from disk has no boundary data; on its first reduction
+    it takes the weight blocks of cell_homology in place, so the caller's
+    copy (a memo entry, say) holds the full record from then on.  Raises
+    AssertionError when a term of elem has no block or no basis monomial
+    in the cell.
     """
     if not report.reducible:
-        raise ValueError(
-            f"the report of ({report.s},{report.t}) was rebuilt from disk and "
-            "has no boundary data; reduce against cell_homology's record"
-        )
+        report.weights = cell_homology(ctx, report.s, report.t).weights
     out = Element.zero(ctx)
     for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
         where = f"({report.s},{report.t},{u})"

@@ -8,8 +8,10 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from mayext import cli_runner
-from mayext.may_core import ParseError, PrimeContext
+from mayext import cli_runner, may_diff
+from mayext.adams_certify import product_nonzero_at_e2, resolve_named
+from mayext.les_dims import ext_dims
+from mayext.may_core import ParseError, PrimeContext, product
 from mayext.may_diff import SCHEMA_VERSION, cell_homology, reduce_mod_boundaries
 from mayext.cli_runner import (
     DiskCache,
@@ -23,6 +25,13 @@ from mayext.cli_runner import (
 
 C5 = PrimeContext(5)
 C7 = PrimeContext(7)
+
+# g0, h[3] and gamma_tilde[3] at p=7: g0 h[3] survives, h[3] gamma_tilde[3]
+# and the triple product, in (6, 6168), are boundaries
+PRODUCT_CLASSES = [
+    resolve_named(name, params, C7)
+    for name, params in (("g0", {}), ("h", {"n": 3}), ("gamma_tilde", {"s": 3}))
+]
 
 
 @pytest.fixture()
@@ -126,20 +135,56 @@ class TestSession:
         assert back.e2_total == rep.e2_total
         assert back.serialize() == rep.serialize()
 
-    def test_disk_record_is_recomputed_for_reduction(self, tmp_path):
-        Session(C7, cache_dir=tmp_path).report(1, 588)
+    def test_disk_record_is_recomputed_for_reduction(self, tmp_path, monkeypatch):
+        Session(C7, cache_dir=tmp_path).report(6, 6168)
+        calls = []
+        real = cell_homology
+
+        def counting(ctx, s, t):
+            calls.append((s, t))
+            return real(ctx, s, t)
+
+        monkeypatch.setattr(may_diff, "cell_homology", counting)
+        monkeypatch.setattr(cli_runner, "cell_homology", counting)
         session = Session(C7, cache_dir=tmp_path)
-        loaded = session.report(1, 588)
-        (rep,) = loaded.weights[1].representatives
-        # a record rebuilt from disk has no boundary data to reduce against
-        with pytest.raises(ValueError, match=r"\(1,588\)"):
-            reduce_mod_boundaries(C7, loaded, rep)
-        computed = session.cell(1, 588)
-        assert computed is not loaded
-        assert computed.serialize() == loaded.serialize()
-        assert reduce_mod_boundaries(C7, computed, rep) == rep
-        # the computed record replaced the loaded one in the memo
-        assert session.report(1, 588) is computed
+        loaded = session.report(6, 6168)
+        assert not loaded.reducible
+        assert calls == []
+        text = loaded.serialize()
+        # g0 h[3] gamma_tilde[3] is a nonzero d1 boundary in (6, 6168)
+        boundary = product([cls.rep for cls in PRODUCT_CLASSES], C7)
+        assert not boundary.is_zero
+        assert reduce_mod_boundaries(C7, loaded, boundary).is_zero
+        # the record took its boundary data in place and stays the memo's
+        assert loaded.reducible
+        assert loaded.serialize() == text
+        assert session.report(6, 6168) is loaded
+        for blk in loaded.weights.values():
+            for rep in blk.representatives:
+                assert reduce_mod_boundaries(C7, loaded, rep) == rep
+        assert calls == [(6, 6168)]
+
+    def test_les_and_products_read_a_warm_cache(self, tmp_path):
+        queries = [("S", 1, 200), ("M", 2, 201), ("L", 2, 208), ("K2", 3, 207)]
+        g0, h3, gt = PRODUCT_CLASSES
+
+        def answers(cache_dir=None):
+            s5, s7 = Session(C5, cache_dir), Session(C7, cache_dir)
+            dims = [ext_dims(C5, *query, s5.report) for query in queries]
+            products = [
+                product_nonzero_at_e2(C7, classes, s7.report)["nonzero"]
+                for classes in ([g0, h3], [h3, gt], [g0, h3, gt])
+            ]
+            return dims, products
+
+        plain = answers()
+        assert plain[1] == [True, False, False]
+        assert answers(tmp_path) == plain
+        written = sorted(tmp_path.glob("*.json"))
+        assert written
+        # the warm run reads every record from disk, so it writes none
+        assert answers(tmp_path) == plain
+        assert sorted(tmp_path.glob("*.json")) == written
 
 
 # `les --json` at p=5, one cell per column: (s, t, t as evaluated, lo, hi,
@@ -265,6 +310,14 @@ class TestBasicCommands:
         res = runner.invoke(main, args)
         assert res.exit_code == 0
         assert res.stdout.splitlines() == want
+
+    def test_les_negative_bidegree(self, runner):
+        res = runner.invoke(main, ["-p", "5", "les", "--", "S", "-1", "5"])
+        assert res.exit_code == 0
+        assert res.stdout.splitlines() == [
+            "S(-1,5): dim in [0,0] (exact)",
+            "  via out of range",
+        ]
 
     @pytest.mark.parametrize("spectrum", LES_JSON)
     def test_les_json(self, runner, spectrum):

@@ -8,6 +8,7 @@ from mayext import les_dims
 from mayext.cli_runner import Session
 from mayext.may_core import InvalidParams, PrimeContext
 from mayext.les_dims import (
+    _SPECTRA,
     DimInterval,
     InsufficientWindow,
     SphereCell,
@@ -44,44 +45,44 @@ class TestDimInterval:
 
 
 def dims(ctx, spectrum, s, t):
-    return ext_dims(ctx, spectrum, s, t, Session(ctx).cell)
+    return ext_dims(ctx, spectrum, s, t, Session(ctx).report)
 
 
 def build(ctx, spectrum, s, t):
-    return sphere_table(ctx, *_window(ctx, spectrum, s, t), Session(ctx).cell)
+    return sphere_table(ctx, *_window(ctx, spectrum, s, t), Session(ctx).report)
 
 
 class TestSphereTable:
     def test_out_of_window_raises(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).report)
         with pytest.raises(InsufficientWindow):
             table.dim(0, 11)
 
     def test_empty_region_is_free(self):
         # cells with s < 0, t < 0, or t < s need no table entry
-        table = sphere_table(C5, (0, 1), (0, 4), Session(C5).cell)
+        table = sphere_table(C5, (0, 1), (0, 4), Session(C5).report)
         assert (table.dim(-1, 3).lo, table.dim(-1, 3).hi) == (0, 0)
         assert table.dim(3, 2).lo == 0
 
     def test_cell_budget(self):
         with pytest.raises(WindowTooLarge):
-            sphere_table(C5, (0, 10), (0, 10000), Session(C5).cell)
+            sphere_table(C5, (0, 10), (0, 10000), Session(C5).report)
 
     def test_bad_window(self):
         with pytest.raises(InvalidParams):
-            sphere_table(C5, (2, 0), (0, 10), Session(C5).cell)
+            sphere_table(C5, (2, 0), (0, 10), Session(C5).report)
 
     def test_unit_cell(self):
-        table = sphere_table(C5, (0, 1), (0, 2), Session(C5).cell)
+        table = sphere_table(C5, (0, 1), (0, 2), Session(C5).report)
         assert (table.dim(0, 0).lo, table.dim(0, 0).hi) == (1, 1)
         assert table.dim(1, 1).lo == 1
 
     def test_homology_memo_is_shared(self):
         session = Session(C5)
-        sphere_table(C5, (0, 2), (0, 10), session.cell)
+        sphere_table(C5, (0, 2), (0, 10), session.report)
         assert session.memo
         size = len(session.memo)
-        sphere_table(C5, (0, 2), (0, 10), session.cell)
+        sphere_table(C5, (0, 2), (0, 10), session.report)
         assert len(session.memo) == size
 
 
@@ -182,15 +183,20 @@ class TestDispatch:
             dims(C5, spectrum, 2, 50)
 
     def test_unknown_spectrum(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).report)
         with pytest.raises(InvalidParams):
             _column(C5, table, "X", 1, 5)
         with pytest.raises(InvalidParams):
             dims(C5, "X", 1, 5)
+        # the spectrum is checked before the bidegree
+        with pytest.raises(InvalidParams):
+            dims(C5, "X", -1, 5)
 
-    def test_negative_cells_are_zero(self):
-        assert dims(C5, "M", -1, 5).hi == 0
+    @pytest.mark.parametrize("s,t", [(-1, 5), (2, -3), (0, -20)])
+    @pytest.mark.parametrize("spectrum", _SPECTRA)
+    def test_negative_cells_are_zero(self, spectrum, s, t):
+        assert dims(C5, spectrum, s, t) == DimInterval(0, 0, "out of range")
 
     def test_sphere_column_is_table_lookup(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).cell)
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).report)
         assert _column(C5, table, "S", 1, 1) == table.dim(1, 1)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mayext.cli_runner import Session
 from mayext.may_core import (
     Element,
     InvalidParams,
@@ -140,12 +139,6 @@ class TestCellHomology:
         cell = cell_homology(C7, 1, 588)
         assert cell.e1_total == 1
         assert cell.e2_total == 1
-
-    def test_cache_returns_same_object(self):
-        session = Session(C7)
-        first = session.cell(2, 600)
-        second = session.cell(2, 600)
-        assert first is second
 
     def test_bad_bidegree(self):
         with pytest.raises(InvalidParams):
