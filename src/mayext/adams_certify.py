@@ -45,7 +45,7 @@ class UnknownName(MayextError):
     """No class with that name is in the table."""
 
 
-class ParamsOutOfRange(MayextError):
+class ParamsOutOfRange(InvalidParams):
     """The class exists but not for these parameter values."""
 
 
@@ -65,7 +65,7 @@ class Certificate:
     dim: int
     e1_total: int
     e2_total: int
-    report: E2Report | None = None
+    report: E2Report
 
     @property
     def certified_zero(self) -> bool:
@@ -84,7 +84,7 @@ class Certificate:
             "e1": self.e1_total,
             "e2": self.e2_total,
         }
-        if self.report is not None and self.e2_total:
+        if self.e2_total:
             out["basis"] = [
                 rep.text()
                 for blk in self.report.weights.values()

@@ -64,7 +64,7 @@ from .may_core import (
     parse_element,
     parse_monomial,
 )
-from .may_diff import SCHEMA_VERSION, E2Report, WeightBlock, cell_homology, d1
+from .may_diff import SCHEMA_VERSION, E2Report, cell_homology, d1, summary_to_report
 
 logger = logging.getLogger("mayext")
 
@@ -220,22 +220,6 @@ class DiskCache:
             except OSError:
                 pass
             raise
-
-
-def summary_to_report(ctx: PrimeContext, data: dict) -> E2Report:
-    """Rebuild a report from its serialized form, reparsing representatives."""
-    weights = {}
-    for entry in data["weights"]:
-        reps = [parse_element(txt, ctx) for txt in entry["reps"]]
-        weights[entry["u"]] = WeightBlock(
-            u=entry["u"],
-            e1_dim=entry["e1"],
-            cycle_dim=entry["cycles"],
-            boundary_dim=entry["boundaries"],
-            e2_dim=entry["e2"],
-            representatives=reps,
-        )
-    return E2Report(s=data["s"], t=data["t"], p=data["p"], weights=weights)
 
 
 class Session:
@@ -904,11 +888,11 @@ def greek_ext0(session, n, t_param):
     """Zero-line generators for the height-N truncation in one degree."""
     ctx = session.ctx
     n_val, t_val = _cli_expr(n, ctx), _cli_expr(t_param, ctx)
-    t_internal = t_val * ctx.p**n_val * (ctx.p + 1) * ctx.q
     gens = _guard(lambda: enumerate_ext0_KR(ctx, n_val, t_val))
     for gen in gens:
         click.echo(gen.text())
-    click.echo(f"degree {t_internal}", err=True)
+    # the first generator is always v2^(t p^n), of the column's degree
+    click.echo(f"degree {gens[0].degree(ctx)}", err=True)
 
 
 @greek.command("ext1")

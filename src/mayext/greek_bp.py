@@ -2,7 +2,7 @@
 
 Indexes are solved against internal-degree equations with exact integer
 arithmetic; nothing here touches the trigraded complex except through
-the named-class table used by the dictionary lookups.
+the named-class table, which the dictionary lookups and stem_of read.
 
 Beta admissibility for beta[a,s,b,c] (the class beta_{ap^s/b,c+1} of
 internal degree a p^s (p+1) q - b q) requires b >= 1, c >= 0, a >= 1
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .adams_certify import NamedClass, resolve_named
+from .adams_certify import NamedClass, UnknownName, resolve_named
 from .may_core import InvalidParams, MayextError, ParseError, PrimeContext
 
 
@@ -32,7 +32,7 @@ class NoDictionaryEntry(MayextError):
 
 
 class UnknownFamily(MayextError):
-    """No stem formula is registered under that family name."""
+    """stem_of knows no family of that name."""
 
 
 @dataclass(frozen=True)
@@ -310,8 +310,17 @@ def _check_degrees(ctx: PrimeContext, idx, cls: NamedClass) -> None:
 
 
 def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
-    """Stem (homotopy degree) of one family member, by closed formula."""
-    p, q = ctx.p, ctx.q
+    """Stem t - s of one family member, read from where its degree is
+    defined.
+
+    A class that resolve_named knows (h0h, gamma_tilde, g0, ...) has stem
+    cls.t - cls.s.  An index family has stem its index degree minus its
+    filtration: beta[a,s,b,c], or beta_{tp^n/s} given as t, n, s, minus 2;
+    gamma[t,b,c], or gamma_{p^n/s} given as n, s (c = 1), minus 3; and
+    alpha[t,n] minus 1.  Parameters outside the class's domain raise
+    InvalidParams (ParamsOutOfRange for a named class); an unknown family
+    raises UnknownFamily.
+    """
     params = dict(params or {})
 
     def need(*keys):
@@ -322,50 +331,22 @@ def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
 
     if family == "beta":
         if "a" in params:
-            a, s, bb, _c = need("a", "s", "b", "c")
-            return a * p**s * (p + 1) * q - bb * q - 2
-        t, n, s = need("t", "n", "s")
-        return t * p**n * (p + 1) * q - s * q - 2
+            return BetaIndex(*need("a", "s", "b", "c")).degree(ctx) - 2
+        return BetaIndex(*need("t", "n", "s")).degree(ctx) - 2
     if family == "gamma":
         if "t" in params:
-            t, bb, c = need("t", "b", "c")
-            return t * (p**2 + p + 1) * q - bb * (p + 1) * q - c * q - 3
+            return GammaIndex(*need("t", "b", "c")).degree(ctx) - 3
         n, s = need("n", "s")
-        return p ** (n + 2) * q + (p**n - s) * (p + 1) * q - q - 3
-    if family == "h0h":
-        (n,) = need("n")
-        return p**n * q + q - 2
-    if family == "h0b":
-        (n,) = need("n")
-        return p**n * q + q - 3
-    if family == "h0hh":
-        n, m = need("n", "m")
-        return p**n * q + p**m * q + q - 3
-    if family == "h0hb":
-        n, m = need("n", "m")
-        return p**n * q + p**m * q + q - 4
-    if family == "gamma_tilde":
-        (s,) = need("s")
-        return s * p**2 * q + (s - 1) * p * q + (s - 2) * q - 3
-    if family == "beta_tilde":
-        (s,) = need("s")
-        return s * p * q + (s - 1) * q - 2
+        if n < 0:
+            raise InvalidParams(f"gamma[n,s] needs n >= 0, got n={n}")
+        return GammaIndex(ctx.p**n, s).degree(ctx) - 3
     if family == "alpha":
-        t, n = need("t", "n")
-        return t * p**n * q - 1
-    if family == "h0g":
-        (n,) = need("n")
-        return p ** (n + 1) * q + 2 * p**n * q + q - 3
-    if family == "h0l":
-        (n,) = need("n")
-        return p ** (n + 1) * q + 2 * p**n * q + q - 4
-    if family == "h0k":
-        (n,) = need("n")
-        return 2 * p ** (n + 1) * q + p**n * q + q - 3
-    if family == "h0l_prime":
-        (n,) = need("n")
-        return 2 * p ** (n + 1) * q + p**n * q + q - 4
-    raise UnknownFamily(f"no stem formula for {family!r}")
+        return AlphaIndex(*need("t", "n")).degree(ctx) - 1
+    try:
+        cls = resolve_named(family, params, ctx)
+    except UnknownName as exc:
+        raise UnknownFamily(f"no stem formula for {family!r}") from exc
+    return cls.t - cls.s
 
 
 _INDEX_RE = re.compile(r"^(beta|gamma|alpha)\[([0-9,\s]+)\]$")

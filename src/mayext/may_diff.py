@@ -39,6 +39,7 @@ from .may_core import (
     enumerate_basis,
     h,
     multiply_factors,
+    parse_element,
 )
 
 SCHEMA_VERSION = "mayv1"
@@ -208,6 +209,22 @@ class E2Report:
                 for u, w in sorted(self.weights.items())
             ],
         }
+
+
+def summary_to_report(ctx: PrimeContext, data: dict) -> E2Report:
+    """Rebuild a report from its serialized form, reparsing representatives."""
+    weights = {}
+    for entry in data["weights"]:
+        reps = [parse_element(txt, ctx) for txt in entry["reps"]]
+        weights[entry["u"]] = WeightBlock(
+            u=entry["u"],
+            e1_dim=entry["e1"],
+            cycle_dim=entry["cycles"],
+            boundary_dim=entry["boundaries"],
+            e2_dim=entry["e2"],
+            representatives=reps,
+        )
+    return E2Report(s=data["s"], t=data["t"], p=data["p"], weights=weights)
 
 
 def _group_by_weight(ctx, monomials):

@@ -12,7 +12,12 @@ from mayext import cli_runner, may_diff
 from mayext.adams_certify import product_nonzero_at_e2, resolve_named
 from mayext.les_dims import ext_dims
 from mayext.may_core import ParseError, PrimeContext, product
-from mayext.may_diff import SCHEMA_VERSION, cell_homology, reduce_mod_boundaries
+from mayext.may_diff import (
+    SCHEMA_VERSION,
+    cell_homology,
+    reduce_mod_boundaries,
+    summary_to_report,
+)
 from mayext.cli_runner import (
     DiskCache,
     Session,
@@ -20,7 +25,6 @@ from mayext.cli_runner import (
     load_claims,
     main,
     run_claims,
-    summary_to_report,
 )
 
 C5 = PrimeContext(5)
@@ -345,6 +349,26 @@ class TestBasicCommands:
     def test_stems_bad_param(self, runner):
         res = runner.invoke(main, ["-p", "5", "stems", "h0h", "-P", "n2"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["h0h", "-P", "n=-1"], "h0h[n] needs n >= 1"),
+            (["h0g", "-P", "n=-1"], "h0g[n] needs n >= 0"),
+            (
+                ["beta", "-P", "a=0", "-P", "s=0", "-P", "b=0", "-P", "c=0"],
+                "bad beta index BetaIndex(a=0, s=0, b=0, c=0)",
+            ),
+            (["beta_tilde", "-P", "s=0"], "beta_tilde[s] needs s >= 2"),
+        ],
+        ids=["h0h", "h0g", "beta", "beta_tilde"],
+    )
+    def test_stems_out_of_domain_exit_one(self, runner, args, message):
+        # these once printed 7.6, 16.2, -2 and -10
+        res = runner.invoke(main, ["-p", "5", "stems", *args])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"Error: {message}\n"
 
 
 class TestGreekCommands:

@@ -1,5 +1,7 @@
 """Family index admissibility, BP-side enumeration, and the detection dictionary."""
 
+import itertools
+
 import pytest
 
 from mayext.may_core import InvalidParams, ParseError, PrimeContext
@@ -294,6 +296,26 @@ class TestThomDictionary:
                 assert idx.degree(ctx) == cls.t
 
 
+# every parameter form of every family stem_of answers for
+STEM_PARAMS = {
+    "beta": [("a", "s", "b", "c"), ("t", "n", "s")],
+    "gamma": [("t", "b", "c"), ("n", "s")],
+    "alpha": [("t", "n")],
+    "gamma_tilde": [("s",)],
+    "beta_tilde": [("s",)],
+    "h0hh": [("n", "m")],
+    "h0hb": [("n", "m")],
+    **{name: [()] for name in ("a0", "alpha2_tilde", "g0")},
+    **{
+        name: [("n",)]
+        for name in (
+            "h0h", "h0b", "h0g", "h0l", "h0k", "h0l_prime",
+            "h", "b", "g", "k", "l", "l_prime",
+        )
+    },
+}
+
+
 class TestStems:
     def test_h0_ladders(self):
         for p in (5, 7):
@@ -353,6 +375,19 @@ class TestStems:
             stem_of(C5, "beta", {"a": 1, "s": 1})
         with pytest.raises(InvalidParams):
             stem_of(C5, "h0h", {})
+
+    @pytest.mark.parametrize("family", sorted(STEM_PARAMS))
+    def test_answer_is_an_int_or_a_typed_error(self, family):
+        for p in (3, 5, 7):
+            ctx = PrimeContext(p)
+            for keys in STEM_PARAMS[family]:
+                for values in itertools.product(range(-2, 6), repeat=len(keys)):
+                    params = dict(zip(keys, values))
+                    try:
+                        got = stem_of(ctx, family, params)
+                    except (InvalidParams, UnknownFamily):
+                        continue
+                    assert type(got) is int, (p, params, got)
 
 
 class TestParseIndex:
