@@ -224,12 +224,13 @@ class DiskCache:
 
 class Session:
     """All computations for one prime: one memo of second-term records
-    keyed by (s, t), and an optional disk cache behind report, the one
-    source of records."""
+    and one of weight-grouped bases, both keyed by (s, t), and an optional
+    disk cache behind report, the one source of records."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
         self.ctx = ctx
         self.memo: dict[tuple[int, int], E2Report] = {}
+        self.bases: dict[tuple[int, int], dict] = {}
         self.disk = DiskCache(cache_dir) if cache_dir else None
 
     def _key(self, s: int, t: int) -> dict:
@@ -259,7 +260,7 @@ class Session:
                 else:
                     self.memo[(s, t)] = rep
                     return rep
-        rep = cell_homology(self.ctx, s, t)
+        rep = cell_homology(self.ctx, s, t, self.bases)
         self.memo[(s, t)] = rep
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())

@@ -35,6 +35,16 @@ class UnknownFamily(MayextError):
     """stem_of knows no family of that name."""
 
 
+class ColumnTooLarge(InvalidParams):
+    """enumerate_ext0_KR would try more v1 exponents than its budget."""
+
+
+# enumerate_ext0_KR tries (p^n - 1)/(p + 1) v1 exponents one by one; the
+# largest column under this cap (p = 7, n = 8: 720,600 exponents) takes
+# about a second through the CLI on a 2-core Xeon host
+MAX_EXT0_CANDIDATES = 10**6
+
+
 @dataclass(frozen=True)
 class BetaIndex:
     a: int
@@ -218,12 +228,20 @@ def enumerate_ext0_KR(ctx: PrimeContext, n: int, t: int) -> list[BPGen]:
     v1-exponent window for the height-n truncation: p^s | v1exp,
     v1exp <= p^n - 1, and v1exp >= p^n - 1 - q1 (t = 1) respectively
     v1exp >= p^n - q1 (t >= 2), plus the pure power v2^(t p^n).
+    Raises ColumnTooLarge when (p^n - 1)/(p + 1), the number of v1
+    exponents to try, exceeds MAX_EXT0_CANDIDATES.
     """
     p = ctx.p
     if n < 1 or t < 1 or t % p == 0:
         raise InvalidParams(f"need n >= 1 and t >= 1 prime to p, got n={n}, t={t}")
+    candidates = (p**n - 1) // (p + 1)
+    if candidates > MAX_EXT0_CANDIDATES:
+        raise ColumnTooLarge(
+            f"ext0 at n={n}, t={t} has {candidates} v1 exponents to try, "
+            f"budget is {MAX_EXT0_CANDIDATES}"
+        )
     out = [BPGen("v2", e=t * p**n)]
-    for d in range(1, (p**n - 1) // (p + 1) + 1):
+    for d in range(1, candidates + 1):
         val = t * p**n - d
         s = 0
         while val % p == 0:
@@ -332,7 +350,13 @@ def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
     if family == "beta":
         if "a" in params:
             return BetaIndex(*need("a", "s", "b", "c")).degree(ctx) - 2
-        return BetaIndex(*need("t", "n", "s")).degree(ctx) - 2
+        t, n, s = need("t", "n", "s")
+        for name, value, least in (("t", t, 1), ("n", n, 0), ("s", s, 1)):
+            if value < least:
+                raise InvalidParams(
+                    f"beta[t,n,s] needs {name} >= {least}, got {name}={value}"
+                )
+        return BetaIndex(t, n, s).degree(ctx) - 2
     if family == "gamma":
         if "t" in params:
             return GammaIndex(*need("t", "b", "c")).degree(ctx) - 3

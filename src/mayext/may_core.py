@@ -94,26 +94,40 @@ KIND_A, KIND_H, KIND_B = 0, 1, 2
 _KIND_LETTER = {KIND_A: "a", KIND_H: "h", KIND_B: "b"}
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A single algebra generator; ordering is the canonical factor order."""
+class Generator(tuple):
+    """A single algebra generator, the tuple (kind, i, j).
 
-    kind: int
-    i: int
-    j: int = 0
+    Tuple order is the canonical factor order, and hashing, equality and
+    ordering run as the built-in tuple's: generators are the keys of every
+    factor tuple, so these are the hottest calls of the algebra.
+    """
 
-    def __post_init__(self):
-        if self.kind not in (KIND_A, KIND_H, KIND_B):
-            raise InvalidParams(f"unknown generator kind {self.kind!r}")
-        if self.kind == KIND_A:
-            if self.i < 0 or self.j != 0:
-                raise InvalidParams(f"a[i] needs i >= 0, got i={self.i}, j={self.j}")
+    __slots__ = ()
+
+    def __new__(cls, kind: int, i: int, j: int = 0):
+        if kind not in (KIND_A, KIND_H, KIND_B):
+            raise InvalidParams(f"unknown generator kind {kind!r}")
+        if kind == KIND_A:
+            if i < 0 or j != 0:
+                raise InvalidParams(f"a[i] needs i >= 0, got i={i}, j={j}")
         else:
-            if self.i < 1 or self.j < 0:
+            if i < 1 or j < 0:
                 raise InvalidParams(
-                    f"{_KIND_LETTER[self.kind]}[i,j] needs i >= 1, j >= 0, "
-                    f"got i={self.i}, j={self.j}"
+                    f"{_KIND_LETTER[kind]}[i,j] needs i >= 1, j >= 0, "
+                    f"got i={i}, j={j}"
                 )
+        return tuple.__new__(cls, (kind, i, j))
+
+    kind = property(itemgetter(0))
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which takes the fields
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Generator(kind={self[0]!r}, i={self[1]!r}, j={self[2]!r})"
 
     @property
     def is_odd(self) -> bool:

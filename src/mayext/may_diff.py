@@ -13,6 +13,9 @@ factor tuples through may_core.multiply_factors, the one home of the
 sign rule.  Because d1 preserves the internal degree and shifts the
 weight by exactly -1, the second-term computation splits into
 independent blocks, one per weight, inside each bidegree (s, t).
+cell_homology reads the bases of (s-1, t), (s, t) and (s+1, t) from the
+caller's memo of weight-grouped bases and enumerates only the ones it
+lacks, so a session (Session.report) enumerates each cell once.
 
 All linear algebra is dense Gaussian elimination over F_p with exact
 integer arithmetic and first-nonzero pivoting in canonical column order,
@@ -250,17 +253,34 @@ def _block_element(index: dict, vec: list[int], p: int) -> Element:
     return Element(p, {key: c for key, c in zip(index, vec) if c})
 
 
-def cell_homology(ctx: PrimeContext, s: int, t: int) -> E2Report:
+def _basis_by_weight(ctx: PrimeContext, s: int, t: int, bases: dict):
+    """The basis of (s, t) grouped by weight: bases[(s, t)], enumerated
+    into it when absent."""
+    groups = bases.get((s, t))
+    if groups is None:
+        groups = bases[(s, t)] = _group_by_weight(ctx, enumerate_basis(ctx, s, t))
+    return groups
+
+
+def cell_homology(
+    ctx: PrimeContext, s: int, t: int, bases: dict | None = None
+) -> E2Report:
     """The second-term record of (s, t): per weight, the dimensions, the
     representatives and the boundary data that reduce_mod_boundaries needs.
-    Nothing is memoised here; Session.report is the memo."""
+
+    The bases of (s, t), (s+1, t) and (s-1, t), grouped by weight, come
+    from `bases`, the caller's memo keyed by (s, t), and what is missing
+    is enumerated into it; without one the call uses a fresh dict.
+    Records are not memoised here: Session.report keeps them, and passes
+    its own memo of bases."""
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
+    if bases is None:
+        bases = {}
     p = ctx.p
-    groups0 = _group_by_weight(ctx, enumerate_basis(ctx, s, t))
-    groups1 = _group_by_weight(ctx, enumerate_basis(ctx, s + 1, t))
-    below = enumerate_basis(ctx, s - 1, t) if s >= 1 else []
-    groups_below = _group_by_weight(ctx, below)
+    groups0 = _basis_by_weight(ctx, s, t, bases)
+    groups1 = _basis_by_weight(ctx, s + 1, t, bases)
+    groups_below = _basis_by_weight(ctx, s - 1, t, bases)
 
     weights = {}
     for u, monos in sorted(groups0.items()):

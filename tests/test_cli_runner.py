@@ -2,12 +2,17 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mayext
 from mayext import cli_runner, may_diff
 from mayext.adams_certify import product_nonzero_at_e2, resolve_named
 from mayext.les_dims import ext_dims
@@ -360,8 +365,12 @@ class TestBasicCommands:
                 "bad beta index BetaIndex(a=0, s=0, b=0, c=0)",
             ),
             (["beta_tilde", "-P", "s=0"], "beta_tilde[s] needs s >= 2"),
+            (
+                ["beta", "-P", "t=1", "-P", "n=-1", "-P", "s=1"],
+                "beta[t,n,s] needs n >= 0, got n=-1",
+            ),
         ],
-        ids=["h0h", "h0g", "beta", "beta_tilde"],
+        ids=["h0h", "h0g", "beta", "beta_tilde", "beta_tns"],
     )
     def test_stems_out_of_domain_exit_one(self, runner, args, message):
         # these once printed 7.6, 16.2, -2 and -10
@@ -402,6 +411,21 @@ class TestGreekCommands:
     def test_ext0_outer_exponent(self, runner):
         res = runner.invoke(main, ["greek", "ext0", "2", "-t", "2"])
         assert res.stdout.splitlines() == ["v2^50", "v1^24 c1~[46,0]"]
+
+    def test_ext0_over_budget_exits_one(self):
+        # this once ran until killed: about 1.6e20 v1 exponents at p = 5
+        res = subprocess.run(
+            [sys.executable, "-c", "from mayext.cli_runner import main; main()",
+             "-p", "5", "greek", "ext0", "30"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(mayext.__file__).parents[1])},
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == (
+            "Error: ext0 at n=30, t=1 has 155220429102579752604 v1 exponents "
+            "to try, budget is 1000000\n"
+        )
 
     def test_ext1(self, runner):
         res = runner.invoke(main, ["greek", "ext1", "4"])

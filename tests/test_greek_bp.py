@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
+from mayext import greek_bp
 from mayext.may_core import InvalidParams, ParseError, PrimeContext
 from mayext.greek_bp import (
     AlphaIndex,
     BetaIndex,
     BPGen,
+    ColumnTooLarge,
     GammaIndex,
     NoDictionaryEntry,
     UnknownFamily,
@@ -214,6 +216,18 @@ class TestExt0Column:
             enumerate_ext0_KR(C5, 0, 1)
         with pytest.raises(InvalidParams):
             enumerate_ext0_KR(C5, 1, 5)
+
+    def test_budget_counts_the_v1_exponents(self, monkeypatch):
+        # (5^4 - 1)/6 = 104 exponents at n = 4
+        monkeypatch.setattr(greek_bp, "MAX_EXT0_CANDIDATES", 104)
+        assert len(enumerate_ext0_KR(C5, 4, 2)) == 3
+        monkeypatch.setattr(greek_bp, "MAX_EXT0_CANDIDATES", 103)
+        with pytest.raises(ColumnTooLarge) as err:
+            enumerate_ext0_KR(C5, 4, 2)
+        assert str(err.value) == (
+            "ext0 at n=4, t=2 has 104 v1 exponents to try, budget is 103"
+        )
+        assert isinstance(err.value, InvalidParams)
 
 
 class TestExt1Column:

@@ -1,6 +1,8 @@
 """Generator arithmetic, canonical monomials, and basis enumeration."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 
 from mayext import may_core
 from mayext.may_core import (
+    KIND_A,
+    KIND_B,
+    KIND_H,
     Element,
     Generator,
     InvalidParams,
@@ -81,6 +86,53 @@ class TestTridegrees:
             b(1, -1)
         with pytest.raises(InvalidParams):
             Generator(7, 1, 0)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("ctx, t_max", [(C3, 400), (C5, 2000), (C7, 10**6)])
+    def test_order_is_kind_i_j(self, ctx, t_max):
+        gens = generators_bounded(ctx, t_max)
+        by_fields = sorted(gens, key=lambda g: (g.kind, g.i, g.j))
+        assert gens == by_fields
+        assert sorted(gens[::-1]) == by_fields
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((7, 1, 0), "unknown generator kind 7"),
+            ((KIND_A, -1), "a[i] needs i >= 0, got i=-1, j=0"),
+            ((KIND_A, 1, 2), "a[i] needs i >= 0, got i=1, j=2"),
+            ((KIND_H, 0, 0), "h[i,j] needs i >= 1, j >= 0, got i=0, j=0"),
+            ((KIND_B, 1, -1), "b[i,j] needs i >= 1, j >= 0, got i=1, j=-1"),
+        ],
+    )
+    def test_bad_indices(self, args, message):
+        with pytest.raises(InvalidParams) as err:
+            Generator(*args)
+        assert str(err.value) == message
+
+    def test_repr(self):
+        assert repr(a(3)) == "Generator(kind=0, i=3, j=0)"
+        assert repr(h(2, 1)) == "Generator(kind=1, i=2, j=1)"
+        assert repr(Generator(kind=KIND_B, i=1, j=4)) == "Generator(kind=2, i=1, j=4)"
+
+    def test_fields_are_read_only(self):
+        g = h(2, 1)
+        assert (g.kind, g.i, g.j) == (KIND_H, 2, 1)
+        with pytest.raises(AttributeError):
+            g.i = 3
+
+    def test_dict_keys(self):
+        gens = generators_bounded(C5, 2000)
+        table = {g: k for k, g in enumerate(gens)}
+        assert len(table) == len(gens)
+        assert table[Generator(KIND_H, 1, 2)] == gens.index(h(1, 2))
+        assert h(1, 2) != b(1, 2) and h(1, 2) != a(1)
+
+    def test_copy_and_pickle_keep_the_class(self):
+        g = b(2, 1)
+        for back in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(back) is Generator and back == g
 
 
 class TestMonomial:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mayext import may_diff
+from mayext.cli_runner import Session
 from mayext.may_core import (
     Element,
     InvalidParams,
@@ -161,6 +163,34 @@ class TestCellHomology:
         assert str(err.value) == "term 3 h[1,1] missing from basis of (1,8,1)"
         inside = parse_element("2 h[1,0]", C5)
         assert reduce_mod_boundaries(C5, cell, inside) == inside
+
+
+class TestBasisMemo:
+    @pytest.fixture()
+    def enumerated(self, monkeypatch):
+        calls = []
+        real = may_diff.enumerate_basis
+
+        def counting(ctx, s, t):
+            calls.append((s, t))
+            return real(ctx, s, t)
+
+        monkeypatch.setattr(may_diff, "enumerate_basis", counting)
+        return calls
+
+    def test_session_enumerates_each_cell_once(self, enumerated):
+        session = Session(C5)
+        low, high = session.report(3, 60), session.report(4, 60)
+        assert Counter(enumerated) == {(s, 60): 1 for s in (2, 3, 4, 5)}
+        assert low.serialize() == cell_homology(C5, 3, 60).serialize()
+        assert high.serialize() == cell_homology(C5, 4, 60).serialize()
+
+    def test_call_without_a_memo_enumerates_its_three_cells(self, enumerated):
+        # no memo outlives the call, so nothing hides a change of
+        # enumeration order from a later call on the same context
+        cell_homology(C5, 3, 60)
+        cell_homology(C5, 3, 60)
+        assert Counter(enumerated) == {(s, 60): 2 for s in (2, 3, 4)}
 
 
 class TestE2At:
