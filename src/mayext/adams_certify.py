@@ -23,6 +23,7 @@ from .may_core import (
     InvalidParams,
     MayextError,
     PrimeContext,
+    WorkBudgetExceeded,
     product,
     tridegree,
     a,
@@ -39,6 +40,11 @@ UPPER_BOUND = "UpperBound"
 # Where second-term records come from: reports(s, t), such as
 # Session.report.  Certificates, les intervals and products all read it.
 ReportSource = Callable[[int, int], E2Report]
+
+# adams_dr_window certifies two cells per row, and cells grow with r: at
+# p = 7 from (2, 100), 400 rows took 0.35 s, 500 rows 0.67 s and 800 rows
+# 2.1 s on a 2-core Xeon host
+MAX_WINDOW_ROWS = 500
 
 
 class UnknownName(MayextError):
@@ -365,12 +371,22 @@ class WindowReport:
 def adams_dr_window(
     reports: ReportSource, bidegree: tuple[int, int], r_min: int, r_max: int
 ) -> WindowReport:
-    """Vanishing certificates for every d_r target and source in a range."""
+    """Vanishing certificates for every d_r target and source in a range.
+
+    Raises WorkBudgetExceeded when the range has more than MAX_WINDOW_ROWS
+    values of r.  The constant bounds the number of rows, not the cost of
+    one cell, which grows with the bidegree.
+    """
     s, t = bidegree
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
     if r_min < 2 or r_max < r_min:
         raise InvalidRange(f"need 2 <= r_min <= r_max, got [{r_min},{r_max}]")
+    if r_max - r_min + 1 > MAX_WINDOW_ROWS:
+        raise WorkBudgetExceeded(
+            f"window r_min={r_min}, r_max={r_max} has {r_max - r_min + 1} rows, "
+            f"budget is {MAX_WINDOW_ROWS}"
+        )
     report = WindowReport(s, t, r_min, r_max)
     for r in range(r_min, r_max + 1):
         target = certify_ext_vanishing(reports, s + r, t + r - 1)
@@ -386,35 +402,25 @@ def adams_dr_window(
 def product_nonzero_at_e2(
     ctx: PrimeContext, classes: list, reports: ReportSource
 ) -> dict:
-    """Multiply representatives and reduce mod boundaries in their bidegree,
-    read from reports(s, t) (for example Session.report).
+    """Multiply the representatives of NamedClasses and reduce mod the
+    boundaries of their bidegree, read from reports(s, t) (for example
+    Session.report).
 
     A nonzero answer means the product survives to the second term; it is
     a statement about the second term, not yet about the abutment.
     """
     if not classes:
         raise InvalidParams("empty product")
-    reps = []
-    conjectural = False
     for cls in classes:
-        if isinstance(cls, NamedClass):
-            conjectural = conjectural or cls.conjectural
-            if cls.rep is None:
-                raise MissingRepresentative(
-                    f"{cls.text()} has a bidegree but no representative"
-                )
-            reps.append(cls.rep)
-        else:
-            reps.append(cls)
-    prod = product(reps, ctx)
-    expected_s = expected_t = 0
-    for cls in classes:
-        if isinstance(cls, NamedClass):
-            expected_s, expected_t = expected_s + cls.s, expected_t + cls.t
-        else:
-            td = tridegree(cls, ctx)
-            expected_s, expected_t = expected_s + td.s, expected_t + td.t
-    expected = (expected_s, expected_t)
+        if not isinstance(cls, NamedClass):
+            raise InvalidParams(f"expected a NamedClass, got {cls!r}")
+        if cls.rep is None:
+            raise MissingRepresentative(
+                f"{cls.text()} has a bidegree but no representative"
+            )
+    prod = product([cls.rep for cls in classes], ctx)
+    expected = (sum(cls.s for cls in classes), sum(cls.t for cls in classes))
+    conjectural = any(cls.conjectural for cls in classes)
     if prod.is_zero:
         return {
             "nonzero": False,

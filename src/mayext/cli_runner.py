@@ -60,6 +60,7 @@ from .may_core import (
     MayextError,
     ParseError,
     PrimeContext,
+    WorkBudgetExceeded,
     enumerate_basis,
     parse_element,
     parse_monomial,
@@ -72,12 +73,20 @@ logger = logging.getLogger("mayext")
 # ---------------------------------------------------------------------------
 # expression evaluation
 
+# the largest '^' in the README, the claim corpus and the benchmark inputs
+# is p^12, 34 bits at p = 7
+MAX_POWER_BITS = 1024
+
 
 class _ExprParser:
     """Recursive-descent arithmetic over integers, p, and q.
 
     expr := term (('+'|'-') term)*;  term := factor ('*' factor)*;
     factor := atom ('^' factor)?  with right-associative '^'.
+
+    A power b^e with |b| >= 2 is refused with WorkBudgetExceeded, before it
+    is computed, when (bits(|b|) - 1) * e >= MAX_POWER_BITS: its result
+    would then have more than MAX_POWER_BITS bits.
     """
 
     def __init__(self, text: str, variables: dict[str, int]):
@@ -126,6 +135,11 @@ class _ExprParser:
             exp = self._factor()
             if exp < 0:
                 self._fail("negative exponent")
+            if (abs(base).bit_length() - 1) * exp >= MAX_POWER_BITS:
+                raise WorkBudgetExceeded(
+                    f"{base}^{exp} has more than {MAX_POWER_BITS} bits, "
+                    f"the budget for '^'"
+                )
             return base**exp
         return base
 
@@ -522,9 +536,7 @@ def run_claims(
             session = sessions[p]
             status, detail = checker(session, session.ctx, claim)
             return ClaimResult(index, claim, status, detail)
-        except MayextError as exc:
-            return ClaimResult(index, claim, "error", f"{type(exc).__name__}: {exc}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (MayextError, AttributeError, KeyError, TypeError, ValueError) as exc:
             return ClaimResult(index, claim, "error", f"{type(exc).__name__}: {exc}")
 
     return [run_one(i, c) for i, c in enumerate(claims)]
@@ -684,23 +696,29 @@ class _StderrHandler(logging.Handler):
             self.handleError(record)
 
 
-def _cli_expr(text, ctx: PrimeContext) -> int:
-    try:
-        return eval_expr(text, ctx)
-    except ParseError as exc:
-        raise click.UsageError(str(exc)) from exc
+class BoundaryCommand(click.Command):
+    """A leaf command whose package errors become the README's exit codes:
+    a ParseError is a usage error (exit 2, under this command's usage
+    line) and any other MayextError is an error (exit 1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ParseError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except MayextError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-def _guard(fn):
-    try:
-        return fn()
-    except ParseError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except MayextError as exc:
-        raise click.ClickException(str(exc)) from exc
+class BoundaryGroup(click.Group):
+    """Makes every command registered under it a BoundaryCommand, and every
+    subgroup a BoundaryGroup."""
+
+    command_class = BoundaryCommand
+    group_class = type
 
 
-@click.group()
+@click.group(cls=BoundaryGroup)
 @click.option("--prime", "-p", default=5, show_default=True, type=int, help="Odd prime.")
 @click.option(
     "--cache-dir",
@@ -731,8 +749,7 @@ def main(ctx, prime, cache_dir):
 def basis(session, s, t):
     """First-term monomial basis at filtration S, internal degree T."""
     ctx = session.ctx
-    s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    monomials = _guard(lambda: enumerate_basis(ctx, s_val, t_val))
+    monomials = enumerate_basis(ctx, eval_expr(s, ctx), eval_expr(t, ctx))
     for mono in monomials:
         click.echo(f"{mono.text()}  u={mono.tridegree(ctx).u}")
     click.echo(f"total {len(monomials)}", err=True)
@@ -744,8 +761,7 @@ def basis(session, s, t):
 def d1_command(session, element):
     """First differential of ELEMENT, e.g. 'a2' or '2 h[1,0] b[1,1]'."""
     ctx = session.ctx
-    result = _guard(lambda: d1(parse_element(element, ctx), ctx))
-    click.echo(result.text())
+    click.echo(d1(parse_element(element, ctx), ctx).text())
 
 
 @main.command()
@@ -756,8 +772,8 @@ def d1_command(session, element):
 def e2(session, s, t, as_json):
     """Second-term summary at (S, T): weights, dims, representatives."""
     ctx = session.ctx
-    s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    report = _guard(lambda: session.report(s_val, t_val))
+    s_val, t_val = eval_expr(s, ctx), eval_expr(t, ctx)
+    report = session.report(s_val, t_val)
     if as_json:
         click.echo(json.dumps(report.serialize(), indent=2))
         return
@@ -784,8 +800,8 @@ def e2(session, s, t, as_json):
 def vanish(session, s, t, as_json):
     """Vanishing/dimension certificate at (S, T)."""
     ctx = session.ctx
-    s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    cert = _guard(lambda: certify_ext_dim(session.report, s_val, t_val))
+    s_val, t_val = eval_expr(s, ctx), eval_expr(t, ctx)
+    cert = certify_ext_dim(session.report, s_val, t_val)
     if as_json:
         click.echo(json.dumps(cert.serialize(), indent=2))
         return
@@ -803,10 +819,8 @@ def vanish(session, s, t, as_json):
 def window(session, s, t, r_min, r_max, as_json):
     """Differential targets and sources for a class at (S, T)."""
     ctx = session.ctx
-    s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    report = _guard(
-        lambda: adams_dr_window(session.report, (s_val, t_val), r_min, r_max)
-    )
+    bidegree = (eval_expr(s, ctx), eval_expr(t, ctx))
+    report = adams_dr_window(session.report, bidegree, r_min, r_max)
     if as_json:
         click.echo(json.dumps(report.serialize(), indent=2))
         return
@@ -832,8 +846,8 @@ def window(session, s, t, r_min, r_max, as_json):
 def les(session, spectrum, s, t, as_json):
     """Propagated dimension interval for SPECTRUM at (S, T)."""
     ctx = session.ctx
-    s_val, t_val = _cli_expr(s, ctx), _cli_expr(t, ctx)
-    res = _guard(lambda: ext_dims(ctx, spectrum, s_val, t_val, session.report))
+    s_val, t_val = eval_expr(s, ctx), eval_expr(t, ctx)
+    res = ext_dims(ctx, spectrum, s_val, t_val, session.report)
     if as_json:
         out = {"spectrum": spectrum, "s": s_val, "t": t_val, **res.serialize()}
         click.echo(json.dumps(out, indent=2))
@@ -856,8 +870,7 @@ def greek():
 def greek_beta_list(session, t_internal, strict):
     """Admissible second-family indices in one internal degree."""
     ctx = session.ctx
-    degree = _cli_expr(t_internal, ctx)
-    for idx in _guard(lambda: enumerate_beta(ctx, degree, strict=strict)):
+    for idx in enumerate_beta(ctx, eval_expr(t_internal, ctx), strict=strict):
         click.echo(idx.text())
 
 
@@ -867,15 +880,10 @@ def greek_beta_list(session, t_internal, strict):
 @click.pass_context
 def greek_beta_check(ctx_click, index, strict):
     """Exit 0 if INDEX (beta[a,s,b,c]) is admissible, 1 otherwise."""
-    session = ctx_click.obj
-
-    def go():
-        idx = parse_index(index)
-        if not isinstance(idx, BetaIndex):
-            raise ParseError(f"expected a beta index, got {index!r}")
-        return beta_admissible(session.ctx, idx, strict=strict)
-
-    ok = _guard(go)
+    idx = parse_index(index)
+    if not isinstance(idx, BetaIndex):
+        raise ParseError(f"expected a beta index, got {index!r}")
+    ok = beta_admissible(ctx_click.obj.ctx, idx, strict=strict)
     click.echo("admissible" if ok else "inadmissible")
     if not ok:
         ctx_click.exit(1)
@@ -888,8 +896,7 @@ def greek_beta_check(ctx_click, index, strict):
 def greek_ext0(session, n, t_param):
     """Zero-line generators for the height-N truncation in one degree."""
     ctx = session.ctx
-    n_val, t_val = _cli_expr(n, ctx), _cli_expr(t_param, ctx)
-    gens = _guard(lambda: enumerate_ext0_KR(ctx, n_val, t_val))
+    gens = enumerate_ext0_KR(ctx, eval_expr(n, ctx), eval_expr(t_param, ctx))
     for gen in gens:
         click.echo(gen.text())
     # the first generator is always v2^(t p^n), of the column's degree
@@ -902,8 +909,7 @@ def greek_ext0(session, n, t_param):
 def greek_ext1(session, n):
     """One-line generators in the degree p^n q column."""
     ctx = session.ctx
-    n_val = _cli_expr(n, ctx)
-    for gen in _guard(lambda: enumerate_ext1_BPK(ctx, n_val)):
+    for gen in enumerate_ext1_BPK(ctx, eval_expr(n, ctx)):
         click.echo(gen.text())
 
 
@@ -913,8 +919,7 @@ def greek_ext1(session, n):
 def greek_alpha(session, t_internal):
     """First-family index in one internal degree, if any."""
     ctx = session.ctx
-    degree = _cli_expr(t_internal, ctx)
-    for idx in _guard(lambda: alpha_generators(ctx, degree)):
+    for idx in alpha_generators(ctx, eval_expr(t_internal, ctx)):
         click.echo(f"{idx.text()}  denominator {idx.denominator}")
 
 
@@ -923,16 +928,12 @@ def greek_alpha(session, t_internal):
 @click.pass_obj
 def greek_thom(session, index):
     """Named cohomology class detecting INDEX, or NoDictionaryEntry."""
-    ctx = session.ctx
-
-    def go():
-        idx = parse_index(index)
-        try:
-            return thom_image(ctx, idx).text()
-        except NoDictionaryEntry:
-            return "NoDictionaryEntry"
-
-    click.echo(_guard(go))
+    idx = parse_index(index)
+    try:
+        text = thom_image(session.ctx, idx).text()
+    except NoDictionaryEntry:
+        text = "NoDictionaryEntry"
+    click.echo(text)
 
 
 @main.command()
@@ -953,8 +954,8 @@ def stems(session, family, params):
         key, sep, val = item.partition("=")
         if not sep:
             raise click.UsageError(f"-P takes key=value, got {item!r}")
-        kv[key.strip()] = _cli_expr(val.strip(), ctx)
-    click.echo(str(_guard(lambda: stem_of(ctx, family, kv))))
+        kv[key.strip()] = eval_expr(val.strip(), ctx)
+    click.echo(str(stem_of(ctx, family, kv)))
 
 
 @main.command()
@@ -971,9 +972,7 @@ def stems(session, family, params):
 @click.pass_obj
 def chart(session, s_max, t_max, fmt, output):
     """Nonzero second-term cells for s <= S_MAX, t <= T_MAX."""
-    ctx = session.ctx
-    t_val = _cli_expr(t_max, ctx)
-    data = _guard(lambda: chart_data(session, s_max, t_val))
+    data = chart_data(session, s_max, eval_expr(t_max, session.ctx))
     text = render_chart(data, fmt)
     if output:
         Path(output).write_text(text)

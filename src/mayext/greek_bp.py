@@ -24,7 +24,13 @@ import re
 from dataclasses import dataclass
 
 from .adams_certify import NamedClass, UnknownName, resolve_named
-from .may_core import InvalidParams, MayextError, ParseError, PrimeContext
+from .may_core import (
+    InvalidParams,
+    MayextError,
+    ParseError,
+    PrimeContext,
+    WorkBudgetExceeded,
+)
 
 
 class NoDictionaryEntry(MayextError):
@@ -35,7 +41,7 @@ class UnknownFamily(MayextError):
     """stem_of knows no family of that name."""
 
 
-class ColumnTooLarge(InvalidParams):
+class ColumnTooLarge(WorkBudgetExceeded):
     """enumerate_ext0_KR would try more v1 exponents than its budget."""
 
 
@@ -173,8 +179,7 @@ class BPGen:
     """One additive generator of a BP-side Ext group.
 
     kind "v2": v2^e.  kind "v1c1": v1^v1exp c1~[a,s].  kind "v2h":
-    v2^e h_i (e = 0 renders as the bare h_i).  kind "w2": v2^e w2,
-    where w2 carries degree (p+1)^2 q.  kind "c2": c2[a,s], whose
+    v2^e h_i (e = 0 renders as the bare h_i).  kind "c2": c2[a,s], whose
     degree is only pinned for a = 1.
     """
 
@@ -193,8 +198,6 @@ class BPGen:
             return self.v1exp * q + self.a * p**self.s * (p + 1) * q
         if self.kind == "v2h":
             return self.e * (p + 1) * q + p**self.i * q
-        if self.kind == "w2":
-            return self.e * (p + 1) * q + (p + 1) ** 2 * q
         if self.kind == "c2":
             if self.a != 1:
                 return None
@@ -208,8 +211,6 @@ class BPGen:
             return f"v1^{self.v1exp} c1~[{self.a},{self.s}]"
         if self.kind == "v2h":
             return f"h{self.i}" if self.e == 0 else f"v2^{self.e} h{self.i}"
-        if self.kind == "w2":
-            return "w2" if self.e == 0 else f"v2^{self.e} w2"
         return f"c2[{self.a},{self.s}]"
 
 

@@ -36,6 +36,10 @@ class InvalidParams(MayextError):
     """A parameter is outside the domain an operation supports."""
 
 
+class WorkBudgetExceeded(InvalidParams):
+    """An input would need more work than a fixed budget allows."""
+
+
 class ParseError(MayextError):
     """Input text does not conform to the expected grammar."""
 
@@ -85,9 +89,6 @@ class TriDegree(NamedTuple):
     s: int
     t: int
     u: int
-
-    def __add__(self, other):
-        return TriDegree(self.s + other[0], self.t + other[1], self.u + other[2])
 
 
 KIND_A, KIND_H, KIND_B = 0, 1, 2

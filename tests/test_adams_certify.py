@@ -3,11 +3,18 @@
 import pytest
 
 from mayext.cli_runner import Session
-from mayext.may_core import PrimeContext, parse_element, tridegree
+from mayext.may_core import (
+    InvalidParams,
+    PrimeContext,
+    WorkBudgetExceeded,
+    parse_element,
+    tridegree,
+)
 from mayext.adams_certify import (
     DIM_CERTIFIED,
     E1_EMPTY,
     E2_ZERO,
+    MAX_WINDOW_ROWS,
     UPPER_BOUND,
     Certificate,
     InvalidRange,
@@ -221,6 +228,23 @@ class TestWindow:
         with pytest.raises(InvalidRange):
             adams_dr_window(reports, (1, 588), 3, 2)
 
+    def test_row_budget_is_checked_before_any_cell(self):
+        class Reached(Exception):
+            pass
+
+        def first_cell(s, t):
+            raise Reached
+
+        # MAX_WINDOW_ROWS rows pass the budget and reach the first cell
+        with pytest.raises(Reached):
+            adams_dr_window(first_cell, (2, 100), 2, MAX_WINDOW_ROWS + 1)
+        with pytest.raises(WorkBudgetExceeded) as err:
+            adams_dr_window(first_cell, (2, 100), 2, MAX_WINDOW_ROWS + 2)
+        assert str(err.value) == (
+            f"window r_min=2, r_max={MAX_WINDOW_ROWS + 2} has "
+            f"{MAX_WINDOW_ROWS + 1} rows, budget is {MAX_WINDOW_ROWS}"
+        )
+
 
 class TestProducts:
     def test_pairwise_products(self, sessions):
@@ -280,7 +304,10 @@ class TestProducts:
         assert out["nonzero"] is True
 
     def test_empty_class_list_rejected(self):
-        from mayext.may_core import InvalidParams
-
         with pytest.raises(InvalidParams):
             product_nonzero_at_e2(C7, [], Session(C7).report)
+
+    def test_raw_element_rejected(self):
+        g0 = resolve_named("g0", {}, C7)
+        with pytest.raises(InvalidParams, match="expected a NamedClass"):
+            product_nonzero_at_e2(C7, [g0, parse_element("h[1,0]", C7)], Session(C7).report)

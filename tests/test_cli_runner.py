@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -16,7 +17,13 @@ import mayext
 from mayext import cli_runner, may_diff
 from mayext.adams_certify import product_nonzero_at_e2, resolve_named
 from mayext.les_dims import ext_dims
-from mayext.may_core import ParseError, PrimeContext, product
+from mayext.may_core import (
+    InvalidParams,
+    ParseError,
+    PrimeContext,
+    WorkBudgetExceeded,
+    product,
+)
 from mayext.may_diff import (
     SCHEMA_VERSION,
     cell_homology,
@@ -75,6 +82,17 @@ class TestEvalExpr:
         with pytest.raises(ParseError) as err:
             eval_expr("q + foo", C5)
         assert "foo" in str(err.value)
+
+    def test_power_budget(self):
+        # a power is refused when its result has more than MAX_POWER_BITS bits
+        assert cli_runner.MAX_POWER_BITS == 1024
+        assert eval_expr("2^1023", C5) == 2**1023
+        assert eval_expr("3^1023", C5) == 3**1023
+        assert eval_expr("1^(10^300)", C5) == 1
+        assert eval_expr("0^(10^300)", C5) == 0
+        with pytest.raises(WorkBudgetExceeded) as err:
+            eval_expr("2^1024", C5)
+        assert str(err.value) == "2^1024 has more than 1024 bits, the budget for '^'"
 
     @pytest.mark.parametrize("bad", ["", "2+", "(2", "2^-1", "p q", "3..2", True, None, 2.5])
     def test_rejects(self, bad):
@@ -752,3 +770,63 @@ class TestErrorSurface:
     def test_window_range_error(self, runner):
         res = runner.invoke(main, ["window", "1", "q", "--r-min", "1", "--r-max", "2"])
         assert res.exit_code == 1
+
+    @staticmethod
+    def _leaves(group, path=()):
+        for name, cmd in group.commands.items():
+            if isinstance(cmd, click.Group):
+                yield from TestErrorSurface._leaves(cmd, (*path, name))
+            else:
+                yield " ".join((*path, name)), cmd
+
+    def test_every_leaf_command_is_a_boundary(self):
+        leaves = dict(self._leaves(main))
+        assert len(leaves) == 15
+        assert [
+            name
+            for name, cmd in leaves.items()
+            if not isinstance(cmd, cli_runner.BoundaryCommand)
+        ] == []
+
+    def test_injected_parse_error_is_usage_error(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ParseError("injected")
+
+        monkeypatch.setattr(cli_runner, "enumerate_ext1_BPK", broken)
+        res = runner.invoke(main, ["greek", "ext1", "2"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("Usage: main greek ext1 [OPTIONS] N\n")
+        assert res.stderr.endswith("\nError: injected\n")
+
+    def test_injected_domain_error_is_exit_one(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvalidParams("injected")
+
+        monkeypatch.setattr(cli_runner, "certify_ext_dim", broken)
+        res = runner.invoke(main, ["vanish", "1", "q"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr == "Error: injected\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # each of these once ran until killed
+            (["basis", "2", "9^9^9"], "9^387420489 has more than 1024 bits, the budget for '^'"),
+            (
+                ["-p", "7", "window", "2", "100", "--r-max", "100000"],
+                "window r_min=2, r_max=100000 has 99999 rows, budget is 500",
+            ),
+        ],
+    )
+    def test_work_budget_exits_one(self, args, message):
+        res = subprocess.run(
+            [sys.executable, "-m", "mayext", *args],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(mayext.__file__).parents[1])},
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == f"Error: {message}\n"
