@@ -74,8 +74,10 @@ logger = logging.getLogger("mayext")
 # expression evaluation
 
 # the largest '^' in the README, the claim corpus and the benchmark inputs
-# is p^12, 34 bits at p = 7
+# is p^12, 34 bits at p = 7, and the largest value 48 bits
 MAX_POWER_BITS = 1024
+# a literal with more digits than 2^MAX_POWER_BITS is over the budget
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS))
 
 
 class _ExprParser:
@@ -86,7 +88,9 @@ class _ExprParser:
 
     A power b^e with |b| >= 2 is refused with WorkBudgetExceeded, before it
     is computed, when (bits(|b|) - 1) * e >= MAX_POWER_BITS: its result
-    would then have more than MAX_POWER_BITS bits.
+    would then have more than MAX_POWER_BITS bits.  So is a literal of more
+    digits than 2^MAX_POWER_BITS, before int() reads it, and a sum,
+    difference or product of more than MAX_POWER_BITS bits.
     """
 
     def __init__(self, text: str, variables: dict[str, int]):
@@ -114,14 +118,17 @@ class _ExprParser:
             op = self.text[self.pos]
             self.pos += 1
             rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
+            if op == "+":
+                value = _bounded(value + rhs, "sum")
+            else:
+                value = _bounded(value - rhs, "difference")
         return value
 
     def _term(self) -> int:
         value = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            value *= self._factor()
+            value = _bounded(value * self._factor(), "product")
         return value
 
     def _factor(self) -> int:
@@ -156,6 +163,12 @@ class _ExprParser:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
+            digits = self.pos - start
+            if digits > _MAX_LITERAL_DIGITS:
+                raise WorkBudgetExceeded(
+                    f"a literal of {digits} digits has more than "
+                    f"{MAX_POWER_BITS} bits, the budget for a value"
+                )
             return int(self.text[start : self.pos])
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -168,6 +181,16 @@ class _ExprParser:
                 return self.vars[name]
             self._fail(f"unknown name {name!r}")
         self._fail("expected a number, p, q, or '('")
+
+
+def _bounded(value: int, what: str) -> int:
+    bits = abs(value).bit_length()
+    if bits > MAX_POWER_BITS:
+        raise WorkBudgetExceeded(
+            f"a {what} of {bits} bits has more than {MAX_POWER_BITS} bits, "
+            f"the budget for a value"
+        )
+    return value
 
 
 def eval_expr(value, ctx: PrimeContext) -> int:

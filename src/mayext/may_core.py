@@ -418,6 +418,8 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     The cutoff exists because the table grows with t; below it the table
     is several times faster than the memoised search, so it is a memory
     bound, not a tuning option.  Both tests fill the same factor tuples.
+    The search recurses only into a generator it takes, never past one it
+    skips, so its depth is at most s.
     """
     if s < 0 or t < 0:
         return []
@@ -502,26 +504,36 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
         def reachable(k: int, s_rem: int, t_rem: int) -> bool:
             if s_rem <= closing:
                 return any(first >= k for first, _ in closings(s_rem, t_rem))
-            key = (k, s_rem, t_rem)
-            hit = memo.get(key)
-            if hit is None:
-                hit = False
-                # an a has t = 1 mod q and an h or b t = 0 mod q, so the
-                # c <= s_rem a-units still to come satisfy c = t_rem mod q
-                if (
-                    k < n
-                    and s_rem * min_rate[k] <= 2 * t_rem <= s_rem * max_rate[k]
-                    and t_rem % q <= (s_rem if a_left[k] else 0)
-                ):
-                    ds, dt = degrees[k]
-                    for e in range(min(e_top[k], s_rem // ds, t_rem // dt) + 1):
-                        if reachable(k + 1, s_rem - e * ds, t_rem - e * dt):
+            # (k, s_rem, t_rem) is reachable when gens[k] taken e >= 0 times
+            # leaves a reachable (k + 1, ...).  Skip generators (e = 0) down
+            # to a memo entry or a pruned one, then try e >= 1 on the way
+            # back up, in the order of a recursion on e = 0 but without a
+            # stack frame per skipped generator (wide t has over a thousand).
+            # An a has t = 1 mod q and an h or b t = 0 mod q, so the
+            # c <= s_rem a-units still to come satisfy c = t_rem mod q.
+            k0 = k
+            hit = memo.get((k, s_rem, t_rem))
+            while hit is None and (
+                k < n
+                and s_rem * min_rate[k] <= 2 * t_rem <= s_rem * max_rate[k]
+                and t_rem % q <= (s_rem if a_left[k] else 0)
+            ):
+                k += 1
+                hit = memo.get((k, s_rem, t_rem))
+            # gens[k0:k] were skipped; a pruned k (hit None) is recorded too
+            top = k if hit is None else k - 1
+            hit = bool(hit)
+            for j in range(top, k0 - 1, -1):
+                if not hit and j < k:
+                    ds, dt = degrees[j]
+                    for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
+                        if reachable(j + 1, s_rem - e * ds, t_rem - e * dt):
                             hit = True
                             break
                 if len(memo) >= _REACH_MEMO_ENTRIES:
                     memo.clear()
                     closed.clear()
-                memo[key] = hit
+                memo[(j, s_rem, t_rem)] = hit
             return hit
 
     found: list[Factors] = []
@@ -535,13 +547,18 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
                 if first >= k:
                     found.append(prefix + tail)
             return
-        g, (ds, dt) = gens[k], degrees[k]
-        for e in range(min(e_top[k], s_rem // ds, t_rem // dt) + 1):
-            if reachable(k + 1, s_rem - e * ds, t_rem - e * dt):
-                if e:
+        # skip gens[k], gens[k+1], ... while that stays reachable, then take
+        # each skipped generator e >= 1 times, last first: the order of a
+        # recursion on e = 0, without a stack frame per skipped generator
+        top = k
+        while reachable(top + 1, s_rem, t_rem):
+            top += 1
+        for j in range(top, k - 1, -1):
+            g, (ds, dt) = gens[j], degrees[j]
+            for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
+                if reachable(j + 1, s_rem - e * ds, t_rem - e * dt):
                     stack.append((g, e))
-                fill(k + 1, s_rem - e * ds, t_rem - e * dt)
-                if e:
+                    fill(j + 1, s_rem - e * ds, t_rem - e * dt)
                     stack.pop()
 
     if reachable(0, s, t):

@@ -17,10 +17,11 @@ cell_homology reads the bases of (s-1, t), (s, t) and (s+1, t) from the
 caller's memo of weight-grouped bases and enumerates only the ones it
 lacks, so a session (Session.report) enumerates each cell once.
 
-All linear algebra is dense Gaussian elimination over F_p with exact
-integer arithmetic and first-nonzero pivoting in canonical column order,
-so every run of the same query produces identical matrices, kernels, and
-representatives.
+All linear algebra is over F_p on sparse rows {column: coefficient}, in
+the canonical column order of each weight block.  echelon returns the
+reduced row echelon form, unique for a row space, so no output depends
+on the order of rows or of elimination.  A block's representatives are
+the cycle echelon rows whose pivot is not a boundary pivot.
 """
 
 from __future__ import annotations
@@ -101,50 +102,58 @@ def d1(x: MulOperand, ctx: PrimeContext) -> Element:
     return out
 
 
-def echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((k for k in range(r, len(mat)) if mat[k][col] % p), None)
-        if pivot is None:
+Row = dict[int, int]
+
+
+def _add_multiple(x: Row, c: int, y: Row, p: int) -> None:
+    """x += c * y over F_p, in place; c and the entries of y are nonzero."""
+    for col, v in y.items():
+        w = (x.get(col, 0) + c * v) % p
+        if w:
+            x[col] = w
+        else:
+            del x[col]
+
+
+def reduce_vector(vec: Row, by_pivot: dict[int, Row], p: int) -> Row:
+    """vec mod p, reduced by the rows of an echelon form keyed by pivot;
+    a row clears its pivot and touches no other pivot column."""
+    out = {col: v % p for col, v in vec.items() if v % p}
+    for col in [col for col in out if col in by_pivot]:
+        _add_multiple(out, p - out[col], by_pivot[col], p)
+    return out
+
+
+def echelon(rows: list[Row], p: int) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form over F_p; returns (rows, pivot columns) in
+    ascending pivot order.  Each row, reduced by the rows kept so far,
+    pivots on its smallest column and clears that column from them, so
+    the kept rows stay reduced."""
+    by_pivot: dict[int, Row] = {}
+    for row in rows:
+        r = reduce_vector(row, by_pivot, p)
+        if not r:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][col], p - 2, p)
-        mat[r] = [v * inv % p for v in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col] % p:
-                c = mat[k][col] % p
-                mat[k] = [(v - c * w) % p for v, w in zip(mat[k], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
+        col = min(r)
+        inv = pow(r[col], p - 2, p)
+        r = {c: v * inv % p for c, v in r.items()}
+        for other in by_pivot.values():
+            c = other.get(col)
+            if c:
+                _add_multiple(other, p - c, r, p)
+        by_pivot[col] = r
+    pivots = sorted(by_pivot)
+    return [by_pivot[col] for col in pivots], pivots
 
 
-def reduce_vector(
-    vec: list[int], ech: list[list[int]], pivots: list[int], p: int
-) -> list[int]:
-    out = [v % p for v in vec]
-    for row, col in zip(ech, pivots):
-        c = out[col]
-        if c:
-            out = [(v - c * w) % p for v, w in zip(out, row)]
-    return out
-
-
-def kernel(rows: list[list[int]], p: int, dim: int) -> list[list[int]]:
-    """Basis of {v : sum_i v_i rows_i = 0} for `dim` rows, echelonized."""
-    if dim == 0:
-        return []
-    width = len(rows[0]) if rows and rows[0] else 0
-    aug = [list(rows[i]) + [1 if k == i else 0 for k in range(dim)] for i in range(dim)]
-    ech, pivots = echelon(aug, p)
-    out = [row[width:] for row, col in zip(ech, pivots) if col >= width]
-    return out
+def kernel(rows: list[Row], p: int, dim: int) -> list[Row]:
+    """Basis of {v : sum_i v_i rows_i = 0} for `dim` rows, echelonized:
+    row i gets an identity entry in a column past every column of the
+    rows, and the echelon rows that pivot there are the kernel."""
+    width = 1 + max((max(r) for r in rows[:dim] if r), default=-1)
+    ech, pivots = echelon([{**rows[i], width + i: 1} for i in range(dim)], p)
+    rank = sum(c < width for c in pivots)
+    return [{c - width: v for c, v in row.items()} for row in ech[rank:]]
 
 
 @dataclass
@@ -153,9 +162,9 @@ class WeightBlock:
 
     A block computed by cell_homology also carries what reduction mod
     boundaries needs: `index`, the column of each basis monomial (its
-    factors, in canonical order), and the echelon form and pivots of the
-    boundary space.  A block rebuilt from a serialized report has None
-    in all three until reduce_mod_boundaries replaces it.
+    factors, in canonical order), and `boundary`, the echelon rows of the
+    boundary space keyed by pivot.  A block rebuilt from a serialized
+    report has None in both until reduce_mod_boundaries replaces it.
     """
 
     u: int
@@ -165,8 +174,7 @@ class WeightBlock:
     e2_dim: int
     representatives: list[Element]
     index: dict[Factors, int] | None = None
-    boundary_ech: list[list[int]] | None = None
-    boundary_pivots: list[int] | None = None
+    boundary: dict[int, Row] | None = None
 
 
 @dataclass
@@ -237,20 +245,17 @@ def _group_by_weight(ctx, monomials):
     return groups
 
 
-def _vector(elem: Element, index: dict, where: str) -> list[int]:
-    vec = [0] * len(index)
+def _vector(elem: Element, index: dict, where: str) -> Row:
     try:
-        for key, c in elem._terms.items():
-            vec[index[key]] = c
+        return {index[key]: c for key, c in elem._terms.items()}
     except KeyError:
         key = min(k for k in elem._terms if k not in index)
         term = Monomial(key, elem._terms[key]).text()
         raise AssertionError(f"term {term} missing from basis of {where}") from None
-    return vec
 
 
-def _block_element(index: dict, vec: list[int], p: int) -> Element:
-    return Element(p, {key: c for key, c in zip(index, vec) if c})
+def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
+    return Element(p, {keys[col]: c for col, c in sorted(vec.items())})
 
 
 def _basis_by_weight(ctx: PrimeContext, s: int, t: int, bases: dict):
@@ -284,32 +289,26 @@ def cell_homology(
 
     weights = {}
     for u, monos in sorted(groups0.items()):
-        index = {m.factors: k for k, m in enumerate(monos)}
-
-        target = groups1.get(u - 1, [])
-        target_index = {m.factors: k for k, m in enumerate(target)}
-        out_rows = [
-            _vector(d1(m, ctx), target_index, f"({s+1},{t},{u-1})") for m in monos
-        ]
+        keys = [m.factors for m in monos]
+        index = {key: k for k, key in enumerate(keys)}
+        target = {m.factors: k for k, m in enumerate(groups1.get(u - 1, []))}
+        out_rows = [_vector(d1(m, ctx), target, f"({s+1},{t},{u-1})") for m in monos]
         cycles = kernel(out_rows, p, len(monos))
 
-        boundary_rows = []
-        for m in groups_below.get(u + 1, []):
-            img = d1(m, ctx)
-            if not img.is_zero:
-                boundary_rows.append(_vector(img, index, f"({s},{t},{u})"))
-        b_ech, b_piv = echelon(boundary_rows, p)
+        where = f"({s},{t},{u})"
+        below = groups_below.get(u + 1, [])
+        b_ech, b_piv = echelon([_vector(d1(m, ctx), index, where) for m in below], p)
+        boundary = dict(zip(b_piv, b_ech))
 
-        reduced = [reduce_vector(v, b_ech, b_piv, p) for v in cycles]
-        rep_vecs, _ = echelon([v for v in reduced if any(v)], p)
-        if len(rep_vecs) != len(cycles) - len(b_ech):
-            raise AssertionError(
-                f"boundary space escapes the cycle space at ({s},{t},{u})"
-            )
-        reps = [_block_element(index, v, p) for v in rep_vecs]
+        # boundaries lie among the cycles, so every boundary pivot is a
+        # cycle pivot, and the cycle rows pivoting elsewhere are the reduced
+        # row echelon form of cycles mod boundaries
+        cyc = {min(z): z for z in cycles}
+        if any(reduce_vector(row, cyc, p) for row in b_ech):
+            raise AssertionError(f"boundary space escapes the cycle space at {where}")
+        reps = [_block_element(keys, z, p) for c, z in cyc.items() if c not in boundary]
         weights[u] = WeightBlock(
-            u, len(monos), len(cycles), len(b_ech), len(reps), reps,
-            index=index, boundary_ech=b_ech, boundary_pivots=b_piv,
+            u, len(monos), len(cycles), len(boundary), len(reps), reps, index, boundary
         )
     return E2Report(s, t, p, weights)
 
@@ -335,6 +334,6 @@ def reduce_mod_boundaries(
         if blk is None:
             raise AssertionError(f"term {monos[0].text()} has no block at {where}")
         vec = _vector(Element.from_monomials(ctx, monos), blk.index, where)
-        vec = reduce_vector(vec, blk.boundary_ech, blk.boundary_pivots, ctx.p)
-        out = out + _block_element(blk.index, vec, ctx.p)
+        vec = reduce_vector(vec, blk.boundary, ctx.p)
+        out = out + _block_element(list(blk.index), vec, ctx.p)
     return out

@@ -55,6 +55,15 @@ def runner():
     return CliRunner()
 
 
+def run_module(args):
+    """`python -m mayext ARGS` in a fresh interpreter, stopped after 10 s."""
+    return subprocess.run(
+        [sys.executable, "-m", "mayext", *args],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(mayext.__file__).parents[1])},
+    )
+
+
 class TestEvalExpr:
     def test_precedence(self):
         assert eval_expr("2+3*4", C5) == 14
@@ -93,6 +102,25 @@ class TestEvalExpr:
         with pytest.raises(WorkBudgetExceeded) as err:
             eval_expr("2^1024", C5)
         assert str(err.value) == "2^1024 has more than 1024 bits, the budget for '^'"
+
+    def test_value_budget(self):
+        # literals, sums, differences and products of more than
+        # MAX_POWER_BITS bits are refused; a literal before int() reads it
+        assert eval_expr("2^1023 + (2^1023 - 1)", C5) == 2**1024 - 1
+        assert eval_expr("1 - 2^1023 - 2^1023", C5) == 1 - 2**1024
+        assert eval_expr("9" * 308, C5) == 10**308 - 1
+        cases = {
+            "2^1023 + 2^1023": "a sum of 1025 bits",
+            "-2^1023 - 2^1023": "a difference of 1025 bits",
+            "2^1023 * 2": "a product of 1025 bits",
+            "3^1023 + 0": "a sum of 1622 bits",
+            "1" * 5000: "a literal of 5000 digits",
+            "1" * 310: "a literal of 310 digits",
+        }
+        for text, what in cases.items():
+            with pytest.raises(WorkBudgetExceeded) as err:
+                eval_expr(text, C5)
+            assert str(err.value) == f"{what} has more than 1024 bits, the budget for a value"
 
     @pytest.mark.parametrize("bad", ["", "2+", "(2", "2^-1", "p q", "3..2", True, None, 2.5])
     def test_rejects(self, bad):
@@ -819,14 +847,36 @@ class TestErrorSurface:
                 ["-p", "7", "window", "2", "100", "--r-max", "100000"],
                 "window r_min=2, r_max=100000 has 99999 rows, budget is 500",
             ),
+            (
+                ["e2", "1", " * ".join(["(2^1000)"] * 16)],
+                "a product of 2001 bits has more than 1024 bits, the budget for a value",
+            ),
+            # these two once ended in a ValueError traceback
+            (
+                ["basis", "1", "1" * 5000],
+                "a literal of 5000 digits has more than 1024 bits, the budget for a value",
+            ),
+            (
+                ["basis", "1", "2^(" + " * ".join(["(2^1000)"] * 16) + ")"],
+                "a product of 2001 bits has more than 1024 bits, the budget for a value",
+            ),
         ],
     )
     def test_work_budget_exits_one(self, args, message):
-        res = subprocess.run(
-            [sys.executable, "-m", "mayext", *args],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(Path(mayext.__file__).parents[1])},
-        )
+        res = run_module(args)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr == f"Error: {message}\n"
+
+    def test_wide_t_answers_or_fails_typed(self):
+        # 1,407 generators lie below t = 2^60 at p = 3; the basis search
+        # once recursed through each and ended in a RecursionError traceback
+        res = run_module(["-p", "3", "e2", "2", "2^60"])
+        if res.returncode == 0:
+            assert res.stdout == (
+                "(2,1152921504606846976): first-term dim 0, second-term dim 0\n"
+            )
+        else:
+            assert res.returncode == 1
+            assert res.stderr.startswith("Error: ")
+        assert "Traceback" not in res.stderr

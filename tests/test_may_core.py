@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,21 @@ class TestEnumerateBasis:
         for m in enumerate_basis(C5, 4, 100):
             d = m.tridegree(C5)
             assert (d.s, d.t) == (4, 100)
+
+    def test_wide_t_search_depth_is_bounded_by_s(self, reversed_generators):
+        # at p = 3 this t (about 2^55) has more generators below it than the
+        # interpreter's recursion limit; a search that recursed once per
+        # skipped generator overflowed the stack here
+        factors = (h(14, 6), h(16, 18), h(19, 14))
+        t = _t(C3, *factors)
+        assert len(generators_bounded(C3, t)) > sys.getrecursionlimit()
+        fwd = [m.factors for m in enumerate_basis(C3, 3, t)]
+        with reversed_generators() as calls:
+            rev = [m.factors for m in enumerate_basis(C3, 3, t)]
+        assert calls
+        assert fwd == rev
+        assert len(fwd) == 6
+        assert Monomial.build([(g, 1) for g in factors]).factors in fwd
 
     def test_reverse_order_gives_same_set(self, reversed_generators):
         # (5, 6, 156) is narrow; the p=7 cell needs the memoised search
