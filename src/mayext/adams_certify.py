@@ -68,9 +68,6 @@ class Certificate:
     s: int
     t: int
     verdict: str
-    dim: int
-    e1_total: int
-    e2_total: int
     report: E2Report
 
     @property
@@ -80,6 +77,18 @@ class Certificate:
     @property
     def certified_exact(self) -> bool:
         return self.certified_zero or self.verdict == DIM_CERTIFIED
+
+    @property
+    def dim(self) -> int:
+        return 0 if self.certified_zero else self.report.e2_total
+
+    @property
+    def e1_total(self) -> int:
+        return self.report.e1_total
+
+    @property
+    def e2_total(self) -> int:
+        return self.report.e2_total
 
     def serialize(self) -> dict:
         out = {
@@ -91,37 +100,32 @@ class Certificate:
             "e2": self.e2_total,
         }
         if self.e2_total:
-            out["basis"] = [
-                rep.text()
-                for blk in self.report.weights.values()
-                for rep in blk.representatives
-            ]
+            out["basis"] = [rep.text() for rep in self.report.representatives]
         return out
+
+
+def _zero_verdict(report: E2Report) -> str | None:
+    if report.e1_total == 0:
+        return E1_EMPTY
+    return E2_ZERO if report.e2_total == 0 else None
 
 
 def certify_ext_vanishing(reports: ReportSource, s: int, t: int) -> Certificate:
     """Certificate for the cohomology group at (s, t), zero side only."""
     report = reports(s, t)
-    if report.e1_total == 0:
-        return Certificate(s, t, E1_EMPTY, 0, 0, 0, report)
-    if report.e2_total == 0:
-        return Certificate(s, t, E2_ZERO, 0, report.e1_total, 0, report)
-    return Certificate(
-        s, t, UPPER_BOUND, report.e2_total, report.e1_total, report.e2_total, report
-    )
+    return Certificate(s, t, _zero_verdict(report) or UPPER_BOUND, report)
 
 
 def certify_ext_dim(reports: ReportSource, s: int, t: int) -> Certificate:
     """Like certify_ext_vanishing, upgrading to an exact dimension when
     both neighbor bidegrees die at the second term."""
-    cert = certify_ext_vanishing(reports, s, t)
-    if cert.certified_zero or cert.e2_total == 0:
-        return cert
-    above = reports(s + 1, t).e2_total
-    below = reports(s - 1, t).e2_total if s >= 1 else 0
-    if above == 0 and below == 0:
-        cert.verdict = DIM_CERTIFIED
-    return cert
+    report = reports(s, t)
+    verdict = _zero_verdict(report)
+    if verdict is None:
+        above = reports(s + 1, t).e2_total
+        below = reports(s - 1, t).e2_total if s >= 1 else 0
+        verdict = DIM_CERTIFIED if above == 0 and below == 0 else UPPER_BOUND
+    return Certificate(s, t, verdict, report)
 
 
 @dataclass
@@ -421,16 +425,11 @@ def product_nonzero_at_e2(
     prod = product([cls.rep for cls in classes], ctx)
     expected = (sum(cls.s for cls in classes), sum(cls.t for cls in classes))
     conjectural = any(cls.conjectural for cls in classes)
-    if prod.is_zero:
-        return {
-            "nonzero": False,
-            "bidegree": expected,
-            "reduced": prod,
-            "conjectural": conjectural,
-        }
     if not d1(prod, ctx).is_zero:
         raise AssertionError("product of cocycles failed to be a cocycle")
-    reduced = reduce_mod_boundaries(ctx, reports(*expected), prod)
+    reduced = prod
+    if not prod.is_zero:
+        reduced = reduce_mod_boundaries(ctx, reports(*expected), prod)
     return {
         "nonzero": not reduced.is_zero,
         "bidegree": expected,

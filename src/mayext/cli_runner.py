@@ -281,8 +281,7 @@ class Session:
 
     def report(self, s: int, t: int) -> E2Report:
         """The record of (s, t) from the memo, else from disk, else computed
-        by cell_homology and written to disk.  A record rebuilt from disk
-        gets its boundary data on its first reduction mod boundaries."""
+        by cell_homology and written to disk."""
         hit = self.memo.get((s, t))
         if hit is not None:
             return hit
@@ -589,24 +588,18 @@ def chart_data(session: Session, s_max: int, t_max: int) -> dict:
     cells = []
     for s in range(s_max + 1):
         for t in range(s, t_max + 1):
-            report = session.report(s, t)
-            if report.e2_total == 0:
-                continue
             cert = certify_ext_dim(session.report, s, t)
-            reps = [
-                rep.text()
-                for u in sorted(report.weights)
-                for rep in report.weights[u].representatives
-            ]
+            if cert.e2_total == 0:
+                continue
             cells.append(
                 {
                     "s": s,
                     "t": t,
                     "stem": t - s,
-                    "e1": report.e1_total,
-                    "e2": report.e2_total,
+                    "e1": cert.e1_total,
+                    "e2": cert.e2_total,
                     "verdict": cert.verdict,
-                    "reps": reps,
+                    "reps": [rep.text() for rep in cert.report.representatives],
                 }
             )
     return {
@@ -802,10 +795,7 @@ def e2(session, s, t, as_json):
         return
     click.echo(f"({s_val},{t_val}): first-term dim {report.e1_total}, "
                f"second-term dim {report.e2_total}")
-    for u in sorted(report.weights):
-        blk = report.weights[u]
-        if blk.e1_dim == 0:
-            continue
+    for u, blk in report.weights.items():
         line = (
             f"  u={u}: e1={blk.e1_dim} cycles={blk.cycle_dim} "
             f"boundaries={blk.boundary_dim} e2={blk.e2_dim}"

@@ -42,14 +42,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adams_certify import Certificate, ReportSource, certify_ext_dim
-from .may_core import InvalidParams, MayextError, PrimeContext, a, h, multiply
-from .may_diff import _vector, echelon, reduce_mod_boundaries
+from .may_core import (
+    InvalidParams, MayextError, PrimeContext, WorkBudgetExceeded, a, h, multiply
+)
+from .may_diff import e2_rank
 
 # Most sphere cells one table may certify.
 MAX_CELLS = 20000
 
 
-class WindowTooLarge(MayextError):
+class WindowTooLarge(WorkBudgetExceeded):
     """The requested table would exceed the cell budget."""
 
 
@@ -134,24 +136,8 @@ def _witness_rank(
     ctx: PrimeContext, reports: ReportSource, cell: SphereCell, gen, t_shift: int
 ) -> int:
     """E2 rank of multiplication by gen out of cell into (s+1, t+t_shift)."""
-    tgt = reports(cell.s + 1, cell.t + t_shift)
-    if tgt.e1_total == 0:
-        return 0
-    total = 0
-    gen_u = gen.tridegree(ctx).u
-    for u, weight in cell.cert.report.weights.items():
-        if not weight.representatives or u + gen_u not in tgt.weights:
-            continue
-        reduced = [
-            reduce_mod_boundaries(ctx, tgt, multiply(rep, gen, ctx))
-            for rep in weight.representatives
-        ]
-        # read after reducing: a record rebuilt from disk gets its index then
-        tgt_blk = tgt.weights[u + gen_u]
-        where = f"({tgt.s},{tgt.t},{tgt_blk.u})"
-        rows = [_vector(r, tgt_blk.index, where) for r in reduced]
-        total += len(echelon(rows, ctx.p)[1])
-    return total
+    products = [multiply(rep, gen, ctx) for rep in cell.cert.report.representatives]
+    return e2_rank(ctx, reports(cell.s + 1, cell.t + t_shift), products)
 
 
 def sphere_table(
@@ -174,10 +160,9 @@ def sphere_table(
     for s in range(s_min, s_max + 1):
         for t in range(t_min, t_max + 1):
             cert = certify_ext_dim(reports, s, t)
-            hi = 0 if cert.certified_zero else cert.e2_total
-            lo = hi if cert.certified_exact else 0
-            cell = SphereCell(s, t, cert, DimInterval(lo, hi, cert.verdict))
-            if hi:
+            lo = cert.dim if cert.certified_exact else 0
+            cell = SphereCell(s, t, cert, DimInterval(lo, cert.dim, cert.verdict))
+            if cert.dim:
                 cell.a0_rank_lower = _witness_rank(ctx, reports, cell, a(0), 1)
                 cell.h0_rank_lower = _witness_rank(ctx, reports, cell, h(1, 0), ctx.q)
             table.cells[(s, t)] = cell

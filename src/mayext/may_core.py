@@ -391,6 +391,9 @@ def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
 # the memo is cleared: a cell too hard for it then costs time, not memory.
 _REACH_TABLE_BITS = 1 << 25
 _REACH_MEMO_ENTRIES = 1 << 15
+# Search steps one enumerate_basis call may take: the corpus needs 46k, p = 3
+# (40,400) 0.9M, p = 5 (5,5^14) 2.6M, and a step took 0.2-3 us on a Xeon.
+MAX_ENUMERATION_STEPS = 3 * 10**6
 
 
 def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
@@ -419,7 +422,8 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     is several times faster than the memoised search, so it is a memory
     bound, not a tuning option.  Both tests fill the same factor tuples.
     The search recurses only into a generator it takes, never past one it
-    skips, so its depth is at most s.
+    skips, so its depth is at most s.  Raises WorkBudgetExceeded, naming
+    (s, t), once it has taken more than MAX_ENUMERATION_STEPS steps.
     """
     if s < 0 or t < 0:
         return []
@@ -439,6 +443,16 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     for k, (ds, dt) in enumerate(degrees):
         (unit if ds == 1 else double)[dt] = k
     closed: dict[tuple[int, int], list[tuple[int, Factors]]] = {}
+    steps = 0
+
+    def spend(n: int) -> None:
+        nonlocal steps
+        steps += n
+        if steps > MAX_ENUMERATION_STEPS:
+            raise WorkBudgetExceeded(
+                f"basis of ({s},{t}) needs more than {MAX_ENUMERATION_STEPS} "
+                "search steps, the budget for enumeration"
+            )
 
     def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors]]:
         """(first index, factors) of each way to make up the last s_rem <= 2
@@ -458,6 +472,7 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
                 k = double.get(t_rem)
                 if k is not None:
                     ways.append((k, ((gens[k], 1),)))
+                spend(len(unit))
                 for dt, k in unit.items():
                     k2 = unit.get(t_rem - dt)
                     if k2 is None or dt > t_rem - dt:
@@ -520,6 +535,7 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
             ):
                 k += 1
                 hit = memo.get((k, s_rem, t_rem))
+            spend(k - k0 + 1)
             # gens[k0:k] were skipped; a pruned k (hit None) is recorded too
             top = k if hit is None else k - 1
             hit = bool(hit)
@@ -542,6 +558,7 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     def fill(k: int, s_rem: int, t_rem: int) -> None:
         # (k, s_rem, t_rem) is reachable
         if s_rem <= closing:
+            spend(1)
             prefix = tuple(stack)
             for first, tail in closings(s_rem, t_rem):
                 if first >= k:
@@ -553,6 +570,7 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
         top = k
         while reachable(top + 1, s_rem, t_rem):
             top += 1
+        spend(top - k + 1)
         for j in range(top, k - 1, -1):
             g, (ds, dt) = gens[j], degrees[j]
             for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):

@@ -22,11 +22,15 @@ the canonical column order of each weight block.  echelon returns the
 reduced row echelon form, unique for a row space, so no output depends
 on the order of rows or of elimination.  A block's representatives are
 the cycle echelon rows whose pivot is not a boundary pivot.
+
+A record (E2Report) is plain data, what serialize writes.  Reduction
+modulo boundaries, for products (reduce_mod_boundaries) and les witness
+ranks (e2_rank), reads a private slot of the record through _reduce.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .may_core import (
     Element,
@@ -158,14 +162,7 @@ def kernel(rows: list[Row], p: int, dim: int) -> list[Row]:
 
 @dataclass
 class WeightBlock:
-    """Second-term data of one weight u inside a bidegree.
-
-    A block computed by cell_homology also carries what reduction mod
-    boundaries needs: `index`, the column of each basis monomial (its
-    factors, in canonical order), and `boundary`, the echelon rows of the
-    boundary space keyed by pivot.  A block rebuilt from a serialized
-    report has None in both until reduce_mod_boundaries replaces it.
-    """
+    """One weight u of a bidegree: the fields E2Report.serialize writes."""
 
     u: int
     e1_dim: int
@@ -173,8 +170,6 @@ class WeightBlock:
     boundary_dim: int
     e2_dim: int
     representatives: list[Element]
-    index: dict[Factors, int] | None = None
-    boundary: dict[int, Row] | None = None
 
 
 @dataclass
@@ -185,6 +180,9 @@ class E2Report:
     t: int
     p: int
     weights: dict[int, WeightBlock]
+    # not part of the record: per weight, the column of each basis monomial
+    # and the boundary echelon rows keyed by pivot (see _reduce)
+    _boundaries: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def e1_total(self) -> int:
@@ -195,10 +193,8 @@ class E2Report:
         return sum(w.e2_dim for w in self.weights.values())
 
     @property
-    def reducible(self) -> bool:
-        """Whether every block carries its boundary data: false for a record
-        rebuilt from disk until its first reduction mod boundaries."""
-        return all(w.index is not None for w in self.weights.values())
+    def representatives(self) -> list[Element]:
+        return [r for w in self.weights.values() for r in w.representatives]
 
     def serialize(self) -> dict:
         return {
@@ -225,17 +221,12 @@ class E2Report:
 def summary_to_report(ctx: PrimeContext, data: dict) -> E2Report:
     """Rebuild a report from its serialized form, reparsing representatives."""
     weights = {}
-    for entry in data["weights"]:
-        reps = [parse_element(txt, ctx) for txt in entry["reps"]]
-        weights[entry["u"]] = WeightBlock(
-            u=entry["u"],
-            e1_dim=entry["e1"],
-            cycle_dim=entry["cycles"],
-            boundary_dim=entry["boundaries"],
-            e2_dim=entry["e2"],
-            representatives=reps,
+    for e in data["weights"]:
+        reps = [parse_element(txt, ctx) for txt in e["reps"]]
+        weights[e["u"]] = WeightBlock(
+            e["u"], e["e1"], e["cycles"], e["boundaries"], e["e2"], reps
         )
-    return E2Report(s=data["s"], t=data["t"], p=data["p"], weights=weights)
+    return E2Report(data["s"], data["t"], data["p"], weights)
 
 
 def _group_by_weight(ctx, monomials):
@@ -270,8 +261,9 @@ def _basis_by_weight(ctx: PrimeContext, s: int, t: int, bases: dict):
 def cell_homology(
     ctx: PrimeContext, s: int, t: int, bases: dict | None = None
 ) -> E2Report:
-    """The second-term record of (s, t): per weight, the dimensions, the
-    representatives and the boundary data that reduce_mod_boundaries needs.
+    """The second-term record of (s, t): per weight, the dimensions and the
+    representatives, with the boundary data that reduction needs in the
+    record's private slot.
 
     The bases of (s, t), (s+1, t) and (s-1, t), grouped by weight, come
     from `bases`, the caller's memo keyed by (s, t), and what is missing
@@ -288,6 +280,7 @@ def cell_homology(
     groups_below = _basis_by_weight(ctx, s - 1, t, bases)
 
     weights = {}
+    boundaries = {}
     for u, monos in sorted(groups0.items()):
         keys = [m.factors for m in monos]
         index = {key: k for k, key in enumerate(keys)}
@@ -308,32 +301,46 @@ def cell_homology(
             raise AssertionError(f"boundary space escapes the cycle space at {where}")
         reps = [_block_element(keys, z, p) for c, z in cyc.items() if c not in boundary]
         weights[u] = WeightBlock(
-            u, len(monos), len(cycles), len(boundary), len(reps), reps, index, boundary
+            u, len(monos), len(cycles), len(boundary), len(reps), reps
         )
-    return E2Report(s, t, p, weights)
+        boundaries[u] = (index, boundary)
+    report = E2Report(s, t, p, weights)
+    report._boundaries = boundaries
+    return report
 
 
-def reduce_mod_boundaries(
-    ctx: PrimeContext, report: E2Report, elem: Element
-) -> Element:
-    """elem, an element of bidegree (report.s, report.t), reduced modulo the
-    d1 boundaries of each weight block it meets; zero iff elem is a boundary.
-
-    A report rebuilt from disk has no boundary data; on its first reduction
-    it takes the weight blocks of cell_homology in place, so the caller's
-    copy (a memo entry, say) holds the full record from then on.  Raises
-    AssertionError when a term of elem has no block or no basis monomial
-    in the cell.
-    """
-    if not report.reducible:
-        report.weights = cell_homology(ctx, report.s, report.t).weights
-    out = Element.zero(ctx)
+def _reduce(ctx: PrimeContext, report: E2Report, elem: Element) -> dict[int, Row]:
+    """elem's weight components as block rows reduced modulo the boundaries,
+    whose data a record rebuilt from disk takes from one cell_homology call
+    first.  Raises AssertionError on a term with no block or basis monomial."""
+    rows = {}
     for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
+        if report._boundaries is None:
+            report._boundaries = cell_homology(ctx, report.s, report.t)._boundaries
         where = f"({report.s},{report.t},{u})"
-        blk = report.weights.get(u)
-        if blk is None:
+        if u not in report._boundaries:
             raise AssertionError(f"term {monos[0].text()} has no block at {where}")
-        vec = _vector(Element.from_monomials(ctx, monos), blk.index, where)
-        vec = reduce_vector(vec, blk.boundary, ctx.p)
-        out = out + _block_element(list(blk.index), vec, ctx.p)
+        index, boundary = report._boundaries[u]
+        vec = _vector(Element.from_monomials(ctx, monos), index, where)
+        rows[u] = reduce_vector(vec, boundary, ctx.p)
+    return rows
+
+
+def reduce_mod_boundaries(ctx: PrimeContext, report: E2Report, elem: Element) -> Element:
+    """elem, an element of bidegree (report.s, report.t), reduced modulo the
+    d1 boundaries of each weight block it meets; zero iff elem is a boundary."""
+    out = Element.zero(ctx)
+    for u, vec in _reduce(ctx, report, elem).items():
+        out = out + _block_element(list(report._boundaries[u][0]), vec, ctx.p)
     return out
+
+
+def e2_rank(ctx: PrimeContext, report: E2Report, elems: list[Element]) -> int:
+    """Dimension of the span of the weight components of elems, elements of
+    bidegree (report.s, report.t), modulo the d1 boundaries: for cycles of
+    one weight each, the rank of their span in the second term."""
+    by_weight: dict[int, list[Row]] = {}
+    for elem in elems:
+        for u, vec in _reduce(ctx, report, elem).items():
+            by_weight.setdefault(u, []).append(vec)
+    return sum(len(echelon(rows, ctx.p)[1]) for rows in by_weight.values())

@@ -27,6 +27,7 @@ from mayext.may_core import (
 from mayext.may_diff import (
     SCHEMA_VERSION,
     cell_homology,
+    e2_rank,
     reduce_mod_boundaries,
     summary_to_report,
 )
@@ -203,20 +204,22 @@ class TestSession:
         monkeypatch.setattr(cli_runner, "cell_homology", counting)
         session = Session(C7, cache_dir=tmp_path)
         loaded = session.report(6, 6168)
-        assert not loaded.reducible
         assert calls == []
         text = loaded.serialize()
         # g0 h[3] gamma_tilde[3] is a nonzero d1 boundary in (6, 6168)
         boundary = product([cls.rep for cls in PRODUCT_CLASSES], C7)
         assert not boundary.is_zero
         assert reduce_mod_boundaries(C7, loaded, boundary).is_zero
-        # the record took its boundary data in place and stays the memo's
-        assert loaded.reducible
+        # the record is still what was written, and stays the memo's
         assert loaded.serialize() == text
         assert session.report(6, 6168) is loaded
-        for blk in loaded.weights.values():
-            for rep in blk.representatives:
-                assert reduce_mod_boundaries(C7, loaded, rep) == rep
+        for rep in loaded.representatives:
+            assert reduce_mod_boundaries(C7, loaded, rep) == rep
+        assert calls == [(6, 6168)]
+        # the boundary data built by the first reduction serves the next
+        assert e2_rank(C7, loaded, loaded.representatives + [boundary]) == 1
+        assert loaded.e2_total == 1
+        assert e2_rank(C7, loaded, [boundary]) == 0
         assert calls == [(6, 6168)]
 
     def test_les_and_products_read_a_warm_cache(self, tmp_path):
@@ -585,6 +588,15 @@ class TestRunClaims:
         }
         assert sum(r.claim["kind"] == "les_dim" for r in results) == 80
 
+    def test_shipped_corpus_with_conjectures(self):
+        # the six conjectural claims run too; the one product among them,
+        # h0hb[4,2] at p=7, is reduced modulo the boundaries of its cell
+        results = run_claims(load_claims(), include_conjectures=True)
+        assert Counter(r.status for r in results) == {"pass": 307}
+        conjectural = [r for r in results if r.claim.get("conjectural")]
+        assert [r.claim["kind"] for r in conjectural] == ["product_nonzero"] + ["stem"] * 5
+        assert conjectural[0].claim["classes"] == [{"name": "h0hb", "params": {"n": 4, "m": 2}}]
+
     @pytest.mark.parametrize(
         "claim",
         [
@@ -859,6 +871,17 @@ class TestErrorSurface:
             (
                 ["basis", "1", "2^(" + " * ".join(["(2^1000)"] * 16) + ")"],
                 "a product of 2001 bits has more than 1024 bits, the budget for a value",
+            ),
+            # these two once ran until killed, in the basis search
+            (
+                ["-p", "3", "e2", "100", "1000000"],
+                "basis of (100,1000000) needs more than 3000000 search steps, "
+                "the budget for enumeration",
+            ),
+            (
+                ["-p", "7", "basis", "20", "10000000"],
+                "basis of (20,10000000) needs more than 3000000 search steps, "
+                "the budget for enumeration",
             ),
         ],
     )

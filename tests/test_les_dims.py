@@ -6,7 +6,7 @@ import pytest
 
 from mayext import les_dims
 from mayext.cli_runner import Session
-from mayext.may_core import InvalidParams, PrimeContext
+from mayext.may_core import InvalidParams, PrimeContext, WorkBudgetExceeded
 from mayext.les_dims import (
     _SPECTRA,
     DimInterval,
@@ -65,8 +65,10 @@ class TestSphereTable:
         assert table.dim(3, 2).lo == 0
 
     def test_cell_budget(self):
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(WindowTooLarge) as err:
             sphere_table(C5, (0, 10), (0, 10000), Session(C5).report)
+        assert isinstance(err.value, WorkBudgetExceeded)
+        assert str(err.value) == "110011 cells requested, budget is 20000"
 
     def test_bad_window(self):
         with pytest.raises(InvalidParams):

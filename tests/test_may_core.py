@@ -20,6 +20,7 @@ from mayext.may_core import (
     Monomial,
     ParseError,
     PrimeContext,
+    WorkBudgetExceeded,
     a,
     b,
     enumerate_basis,
@@ -346,6 +347,24 @@ class TestEnumerateBasis:
         assert fwd == rev
         assert len(fwd) == 6
         assert Monomial.build([(g, 1) for g in factors]).factors in fwd
+
+    @pytest.mark.parametrize("table_bits", [None, 0], ids=["table", "memoised"])
+    def test_step_budget(self, table_bits, monkeypatch):
+        # both searches count their steps and stop past the budget, naming
+        # the cell; each call starts from zero
+        if table_bits is not None:
+            monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
+        want = enumerate_basis(C3, 6, 55)
+        assert len(want) == 9
+        monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", 10)
+        for _ in range(2):
+            with pytest.raises(WorkBudgetExceeded) as err:
+                enumerate_basis(C3, 6, 55)
+            assert str(err.value) == (
+                "basis of (6,55) needs more than 10 search steps, the budget for enumeration"
+            )
+        monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", 10**6)
+        assert enumerate_basis(C3, 6, 55) == want
 
     def test_reverse_order_gives_same_set(self, reversed_generators):
         # (5, 6, 156) is narrow; the p=7 cell needs the memoised search

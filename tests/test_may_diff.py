@@ -1,5 +1,6 @@
 """First differential, linear algebra mod p, and second-term dimensions."""
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -28,6 +29,7 @@ from mayext.may_diff import (
     cell_homology,
     d1,
     d1_generator,
+    e2_rank,
     echelon,
     kernel,
     reduce_mod_boundaries,
@@ -138,6 +140,50 @@ def test_pivot_filter_is_cycles_mod_boundaries(p, data):
     want, _ = dense_echelon([v for v in reduced if any(v)], p)
     assert [dense(z, width) for z in filtered] == want
     assert len(filtered) == len(z_ech) - len(b_ech)
+
+
+C3 = PrimeContext(3)
+# p=3 cells of at most 9 monomials with boundaries in two or more weights
+E2_RANK_CELLS = [(5, 55), (6, 29), (6, 52), (6, 55), (6, 57)]
+
+
+@functools.cache
+def rank_cell(s, t):
+    """The record of a p=3 cell; its columns, per weight the basis factors
+    in canonical order; the d1 images of the cell below; and the elements
+    to draw from: basis monomials, representatives and those images."""
+    report = cell_homology(C3, s, t)
+    basis = enumerate_basis(C3, s, t)
+    columns = {}
+    for m in basis:
+        columns.setdefault(m.tridegree(C3).u, []).append(m.factors)
+    images = [d1(m, C3) for m in enumerate_basis(C3, s - 1, t)]
+    pool = [Element.from_monomials(C3, [m]) for m in basis] + report.representatives + images
+    return report, columns, images, pool
+
+
+def dense_rank_mod(elems, boundaries, columns, p):
+    """Per weight, rank(boundaries + elems) - rank(boundaries) on dense rows."""
+    total = 0
+    for keys in columns.values():
+        b = [[x._terms.get(k, 0) for k in keys] for x in boundaries]
+        e = [[x._terms.get(k, 0) for k in keys] for x in elems]
+        total += len(dense_echelon(b + e, p)[1]) - len(dense_echelon(b, p)[1])
+    return total
+
+
+@given(st.sampled_from(E2_RANK_CELLS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_e2_rank_is_the_dense_rank_mod_boundaries(cell, data):
+    report, columns, images, pool = rank_cell(*cell)
+    terms = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 2))
+    elems = []
+    for combo in data.draw(st.lists(st.lists(terms, min_size=1, max_size=3), max_size=5)):
+        x = Element.zero(C3)
+        for i, c in combo:
+            x = x + pool[i].scaled(c)
+        elems.append(x)
+    assert e2_rank(C3, report, elems) == dense_rank_mod(elems, images, columns, 3)
 
 
 class TestLinearAlgebra:
@@ -251,11 +297,12 @@ class TestCellHomology:
             cell_homology(C7, -1, 10)
 
     def test_weight_blocks_partition_basis(self):
-        cell = cell_homology(C5, 3, 60)
-        assert cell.e1_total == len(enumerate_basis(C5, 3, 60))
+        cell = cell_homology(C3, 6, 55)
+        basis = enumerate_basis(C3, 6, 55)
+        assert cell.e1_total == len(basis) > 0
         assert list(cell.weights) == sorted(cell.weights)
-        for blk in cell.weights.values():
-            assert blk.e1_dim == len(blk.index)
+        by_u = Counter(m.tridegree(C3).u for m in basis)
+        assert {u: blk.e1_dim for u, blk in cell.weights.items()} == by_u
 
     def test_term_outside_the_basis_is_named(self):
         # h[1,1] and h[1,2] share the weight of (1,8) but not its t; the
