@@ -385,93 +385,108 @@ def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
     return sorted(gens)
 
 
-# Memory bounds of enumerate_basis: the largest reachability table, in
+# Memory bounds of enumerate_bases: the largest reachability table, in
 # bits (4 MiB), and the most entries the wide search memoises at a time
 # (a few MiB; a cell of the corpus needs at most 12k).  Past the second
 # the memo is cleared: a cell too hard for it then costs time, not memory.
 _REACH_TABLE_BITS = 1 << 25
 _REACH_MEMO_ENTRIES = 1 << 15
-# Search steps one enumerate_basis call may take: the corpus needs 46k, p = 3
-# (40,400) 0.9M, p = 5 (5,5^14) 2.6M, and a step took 0.2-3 us on a Xeon.
+# Search steps the enumeration of one cell may take: the corpus needs 46k,
+# p = 3 (40,400) 0.9M, p = 5 (5,5^14) 2.6M, and a step took 0.2-3 us on a Xeon.
 MAX_ENUMERATION_STEPS = 3 * 10**6
 
 
-def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
-    """All canonical basis monomials of bidegree (s, t), any weight.
+def enumerate_bases(
+    ctx: PrimeContext, t: int, ss: Iterable[int]
+) -> dict[int, dict[int, list[Monomial]]]:
+    """The canonical basis monomials of (s, t) for each s in ss, grouped by
+    weight: {s: {u: [Monomial sorted by factors]}}, weights ascending and
+    empty weights absent, so an empty cell maps to {}.
 
-    Exponent multisets are found by depth-first search over the bounded
-    generator list.  The search is output-sensitive: it enters a branch
-    (generator k with exponent e) only when the generators after k can
-    still make up the remaining filtration and internal degree exactly,
-    so every branch it enters ends in a monomial.  The reachability test
-    is one of two, chosen by the size of the table it would need:
+    One call serves a column of cells at internal degree t: the generator
+    list, its degrees and the reachability test are built once, then the
+    cells are filled in the order of ss.  Exponent multisets are found by
+    depth-first search over the bounded generator list.  The search is
+    output-sensitive: it enters a branch (generator k with exponent e)
+    only when the generators after k can still make up the remaining
+    filtration and internal degree exactly, so every branch it enters ends
+    in a monomial.  It carries the weight of the factors taken so far, so
+    monomials are grouped by weight as they are found.  The reachability
+    test of a cell is one of two, chosen by the size of the table it would
+    need:
 
     * Narrow t, where (t + 1)(s + 1) len(gens) <= _REACH_TABLE_BITS:
       reach[k][r] is a Python-int bitset of the internal degrees up to t
-      that gens[k:] reach with filtration exactly r, built once per call.
+      that gens[k:] reach with filtration exactly r.  It is built once,
+      for the largest such s asked for, and serves every smaller one.
     * Wide t (up to p^12 q, about 1.4e10 at p = 7, where a table t bits
       wide cannot be built): a search memoised on (k, s_rem, t_rem),
       pruned by the least and the largest internal degree per filtration
       unit of gens[k:] and by the number of a's left mod q.  It closes the
       last one or two filtration units by a dict lookup on internal degree
       (one a or h; one b, a square of an a, or a pair of distinct degree-1
-      generators) instead of looping over the generators.  The memo holds
-      at most _REACH_MEMO_ENTRIES entries.
+      generators) instead of looping over the generators.  Neither key
+      depends on s, so a later cell of the column starts from the memo and
+      the closings the earlier ones left.  The memo holds at most
+      _REACH_MEMO_ENTRIES entries.
 
     The cutoff exists because the table grows with t; below it the table
     is several times faster than the memoised search, so it is a memory
     bound, not a tuning option.  Both tests fill the same factor tuples.
     The search recurses only into a generator it takes, never past one it
-    skips, so its depth is at most s.  Raises WorkBudgetExceeded, naming
-    (s, t), once it has taken more than MAX_ENUMERATION_STEPS steps.
+    skips, so its depth is at most s.  Each cell counts its own steps and
+    raises WorkBudgetExceeded, naming (s, t), once it has taken more than
+    MAX_ENUMERATION_STEPS of them.
     """
-    if s < 0 or t < 0:
-        return []
-    if s == 0:
-        return [Monomial.one()] if t == 0 else []
-    if t < s:
-        return []
+    out: dict[int, dict[int, list[Monomial]]] = {s: {} for s in ss}
+    if t == 0 and 0 in out:
+        out[0] = {0: [Monomial.one()]}
+    cells = [s for s in out if 0 < s <= t]
+    if not cells:
+        return out
     gens = generators_bounded(ctx, t)
     n = len(gens)
-    degrees = [ctx.degree(g)[:2] for g in gens]  # (s_g, t_g)
-    e_top = [1 if g.is_odd else s for g in gens]  # exterior h's appear at most once
+    degrees = [ctx.degree(g) for g in gens]  # (s_g, t_g, u_g)
+    # exterior h's appear at most once, the others at most s times
+    e_top = [1 if g.is_odd else max(cells) for g in gens]
 
     # unit[t_g] / double[t_g]: index of the generator of filtration 1 / 2
     # with internal degree t_g (unique within each filtration)
     unit: dict[int, int] = {}
     double: dict[int, int] = {}
-    for k, (ds, dt) in enumerate(degrees):
+    for k, (ds, dt, _) in enumerate(degrees):
         (unit if ds == 1 else double)[dt] = k
-    closed: dict[tuple[int, int], list[tuple[int, Factors]]] = {}
-    steps = 0
+    closed: dict[tuple[int, int], list[tuple[int, Factors, int]]] = {}
+    cell = steps = 0
 
     def spend(n: int) -> None:
         nonlocal steps
         steps += n
         if steps > MAX_ENUMERATION_STEPS:
             raise WorkBudgetExceeded(
-                f"basis of ({s},{t}) needs more than {MAX_ENUMERATION_STEPS} "
+                f"basis of ({cell},{t}) needs more than {MAX_ENUMERATION_STEPS} "
                 "search steps, the budget for enumeration"
             )
 
-    def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors]]:
-        """(first index, factors) of each way to make up the last s_rem <= 2
-        filtration units and t_rem internal degrees, by degree lookup."""
+    def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors, int]]:
+        """(first index, factors, weight) of each way to make up the last
+        s_rem <= 2 filtration units and t_rem internal degrees, by degree
+        lookup."""
         key = (s_rem, t_rem)
         ways = closed.get(key)
         if ways is None:
             ways = []
             if s_rem == 0:
                 if t_rem == 0:
-                    ways.append((n, ()))
+                    ways.append((n, (), 0))
             elif s_rem == 1:
                 k = unit.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),)))
+                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
             else:
                 k = double.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),)))
+                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
                 spend(len(unit))
                 for dt, k in unit.items():
                     k2 = unit.get(t_rem - dt)
@@ -479,46 +494,49 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
                         continue
                     if k2 == k:
                         if not gens[k].is_odd:
-                            ways.append((k, ((gens[k], 2),)))
+                            ways.append((k, ((gens[k], 2),), 2 * degrees[k][2]))
                     else:
                         lo, hi = min(k, k2), max(k, k2)
-                        ways.append((lo, ((gens[lo], 1), (gens[hi], 1))))
+                        u = degrees[lo][2] + degrees[hi][2]
+                        ways.append((lo, ((gens[lo], 1), (gens[hi], 1)), u))
             closed[key] = ways
         return ways
 
-    if (t + 1) * (s + 1) * n <= _REACH_TABLE_BITS:
-        closing = 0
+    # the table serves the cells up to the largest one whose table fits
+    # (the condition is monotone in s), the memoised search the others
+    fits = [s for s in cells if (t + 1) * (s + 1) * n <= _REACH_TABLE_BITS]
+    s_table = max(fits, default=0)
+    if s_table:
         mask = (1 << (t + 1)) - 1
-        reach = [[1] + [0] * s]
+        reach = [[1] + [0] * s_table]
         for k in range(n - 1, -1, -1):
             below = reach[-1]
             row = list(below)
-            ds, dt = degrees[k]
+            ds, dt, _ = degrees[k]
             # knapsack step: an exterior h is taken at most once, an a or b
             # any number of times (ascending r reuses the updated row)
             source = below if gens[k].is_odd else row
-            for r in range(ds, s + 1):
+            for r in range(ds, s_table + 1):
                 row[r] = (row[r] | source[r - ds] << dt) & mask
             reach.append(row)
         reach.reverse()
 
-        def reachable(k: int, s_rem: int, t_rem: int) -> int:
+        def reach_table(k: int, s_rem: int, t_rem: int) -> int:
             return reach[k][s_rem] >> t_rem & 1
 
-    else:
-        closing = 2
+    if s_table < max(cells):
         # min_rate[k] / max_rate[k]: min / max over gens[k:] of 2 t_g / s_g,
         # exact since s_g is 1 or 2; a_left[k]: whether gens[k:] holds an a
-        rates = [2 * dt // ds for ds, dt in degrees][::-1]
+        rates = [2 * dt // ds for ds, dt, _ in degrees][::-1]
         min_rate = list(accumulate(rates, min))[::-1]
         max_rate = list(accumulate(rates, max))[::-1]
         a_left = list(accumulate([g.kind == KIND_A for g in reversed(gens)], max))[::-1]
         q = ctx.q
         memo: dict[tuple[int, int, int], bool] = {}
 
-        def reachable(k: int, s_rem: int, t_rem: int) -> bool:
-            if s_rem <= closing:
-                return any(first >= k for first, _ in closings(s_rem, t_rem))
+        def reach_memo(k: int, s_rem: int, t_rem: int) -> bool:
+            if s_rem <= 2:
+                return any(first >= k for first, _, _ in closings(s_rem, t_rem))
             # (k, s_rem, t_rem) is reachable when gens[k] taken e >= 0 times
             # leaves a reachable (k + 1, ...).  Skip generators (e = 0) down
             # to a memo entry or a pruned one, then try e >= 1 on the way
@@ -541,9 +559,9 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
             hit = bool(hit)
             for j in range(top, k0 - 1, -1):
                 if not hit and j < k:
-                    ds, dt = degrees[j]
+                    ds, dt, _ = degrees[j]
                     for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
-                        if reachable(j + 1, s_rem - e * ds, t_rem - e * dt):
+                        if reach_memo(j + 1, s_rem - e * ds, t_rem - e * dt):
                             hit = True
                             break
                 if len(memo) >= _REACH_MEMO_ENTRIES:
@@ -552,17 +570,17 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
                 memo[(j, s_rem, t_rem)] = hit
             return hit
 
-    found: list[Factors] = []
     stack: list[tuple[Generator, int]] = []
 
-    def fill(k: int, s_rem: int, t_rem: int) -> None:
-        # (k, s_rem, t_rem) is reachable
+    def fill(k: int, s_rem: int, t_rem: int, u: int) -> None:
+        # (k, s_rem, t_rem) is reachable, and the factors on the stack
+        # have weight u
         if s_rem <= closing:
             spend(1)
             prefix = tuple(stack)
-            for first, tail in closings(s_rem, t_rem):
+            for first, tail, tail_u in closings(s_rem, t_rem):
                 if first >= k:
-                    found.append(prefix + tail)
+                    found.setdefault(u + tail_u, []).append(prefix + tail)
             return
         # skip gens[k], gens[k+1], ... while that stays reachable, then take
         # each skipped generator e >= 1 times, last first: the order of a
@@ -572,20 +590,34 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
             top += 1
         spend(top - k + 1)
         for j in range(top, k - 1, -1):
-            g, (ds, dt) = gens[j], degrees[j]
+            g, (ds, dt, du) = gens[j], degrees[j]
             for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
                 if reachable(j + 1, s_rem - e * ds, t_rem - e * dt):
                     stack.append((g, e))
-                    fill(j + 1, s_rem - e * ds, t_rem - e * dt)
+                    fill(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du)
                     stack.pop()
 
-    if reachable(0, s, t):
-        fill(0, s, t)
-    # canonical already when gens is in canonical order; sorting keeps
-    # the result canonical for any order of the generator list
-    monomials = [Monomial(tuple(sorted(fs, key=_first))) for fs in found]
-    monomials.sort(key=lambda m: m.factors)
-    return monomials
+    # fill reads the cell's reachability test, closing depth and groups
+    for cell in cells:
+        steps = 0
+        reachable, closing = (reach_table, 0) if cell <= s_table else (reach_memo, 2)
+        found: dict[int, list[Factors]] = {}
+        if reachable(0, cell, t):
+            fill(0, cell, t, 0)
+        # canonical already when gens is in canonical order; sorting keeps
+        # the result canonical for any order of the generator list
+        out[cell] = {
+            u: [Monomial(fs) for fs in sorted(tuple(sorted(fs, key=_first)) for fs in group)]
+            for u, group in sorted(found.items())
+        }
+    return out
+
+
+def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
+    """All canonical basis monomials of bidegree (s, t), any weight, sorted
+    by factors: the one cell of enumerate_bases(ctx, t, [s]), ungrouped."""
+    groups = enumerate_bases(ctx, t, [s])[s]
+    return sorted((m for monos in groups.values() for m in monos), key=lambda m: m.factors)
 
 
 _TOKEN = re.compile(

@@ -14,8 +14,9 @@ sign rule.  Because d1 preserves the internal degree and shifts the
 weight by exactly -1, the second-term computation splits into
 independent blocks, one per weight, inside each bidegree (s, t).
 cell_homology reads the bases of (s-1, t), (s, t) and (s+1, t) from the
-caller's memo of weight-grouped bases and enumerates only the ones it
-lacks, so a session (Session.report) enumerates each cell once.
+caller's memo of weight-grouped bases and enumerates the ones it lacks in
+one column call (may_core.enumerate_bases), so a session (Session.report)
+enumerates each cell once.
 
 All linear algebra is over F_p on sparse rows {column: coefficient}, in
 the canonical column order of each weight block.  echelon returns the
@@ -26,6 +27,10 @@ the cycle echelon rows whose pivot is not a boundary pivot.
 A record (E2Report) is plain data, what serialize writes.  Reduction
 modulo boundaries, for products (reduce_mod_boundaries) and les witness
 ranks (e2_rank), reads a private slot of the record through _reduce.
+A record rebuilt from disk fills that slot on its first reduction with
+the boundary data alone (_boundary_blocks, shared with cell_homology):
+the bases of its cell and of the one below, and the echelon form of the
+d1 images between them.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .may_core import (
     PrimeContext,
     _as_element,
     a,
-    enumerate_basis,
+    enumerate_bases,
     h,
     multiply_factors,
     parse_element,
@@ -249,13 +254,21 @@ def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
     return Element(p, {keys[col]: c for col, c in sorted(vec.items())})
 
 
-def _basis_by_weight(ctx: PrimeContext, s: int, t: int, bases: dict):
-    """The basis of (s, t) grouped by weight: bases[(s, t)], enumerated
-    into it when absent."""
-    groups = bases.get((s, t))
-    if groups is None:
-        groups = bases[(s, t)] = _group_by_weight(ctx, enumerate_basis(ctx, s, t))
-    return groups
+def _boundary_blocks(
+    ctx: PrimeContext, s: int, t: int, groups: dict, groups_below: dict
+) -> dict[int, tuple[dict[Factors, int], dict[int, Row]]]:
+    """Per weight u of `groups`, the weight-grouped basis of (s, t): the
+    column of each basis monomial, and the echelon rows of the d1 images
+    of block u + 1 of `groups_below`, the basis of (s - 1, t), keyed by
+    pivot.  The boundary data of cell_homology and of _reduce."""
+    out = {}
+    for u, monos in groups.items():
+        index = {m.factors: k for k, m in enumerate(monos)}
+        below = groups_below.get(u + 1, [])
+        rows = [_vector(d1(m, ctx), index, f"({s},{t},{u})") for m in below]
+        b_ech, b_piv = echelon(rows, ctx.p)
+        out[u] = (index, dict(zip(b_piv, b_ech)))
+    return out
 
 
 def cell_homology(
@@ -266,58 +279,58 @@ def cell_homology(
     record's private slot.
 
     The bases of (s, t), (s+1, t) and (s-1, t), grouped by weight, come
-    from `bases`, the caller's memo keyed by (s, t), and what is missing
-    is enumerated into it; without one the call uses a fresh dict.
-    Records are not memoised here: Session.report keeps them, and passes
-    its own memo of bases."""
+    from `bases`, the caller's memo keyed by (s, t); those it lacks are
+    enumerated into it in one column call (enumerate_bases).  Without a
+    memo the call uses a fresh dict.  Records are not memoised here:
+    Session.report keeps them, and passes its own memo of bases."""
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
     if bases is None:
         bases = {}
+    missing = [x for x in (s, s + 1, s - 1) if (x, t) not in bases]
+    for x, groups in enumerate_bases(ctx, t, missing).items():
+        bases[(x, t)] = groups
     p = ctx.p
-    groups0 = _basis_by_weight(ctx, s, t, bases)
-    groups1 = _basis_by_weight(ctx, s + 1, t, bases)
-    groups_below = _basis_by_weight(ctx, s - 1, t, bases)
+    groups0 = bases[(s, t)]
+    groups1 = bases[(s + 1, t)]
+    boundaries = _boundary_blocks(ctx, s, t, groups0, bases[(s - 1, t)])
 
     weights = {}
-    boundaries = {}
     for u, monos in sorted(groups0.items()):
-        keys = [m.factors for m in monos]
-        index = {key: k for k, key in enumerate(keys)}
+        index, boundary = boundaries[u]
         target = {m.factors: k for k, m in enumerate(groups1.get(u - 1, []))}
         out_rows = [_vector(d1(m, ctx), target, f"({s+1},{t},{u-1})") for m in monos]
         cycles = kernel(out_rows, p, len(monos))
-
-        where = f"({s},{t},{u})"
-        below = groups_below.get(u + 1, [])
-        b_ech, b_piv = echelon([_vector(d1(m, ctx), index, where) for m in below], p)
-        boundary = dict(zip(b_piv, b_ech))
 
         # boundaries lie among the cycles, so every boundary pivot is a
         # cycle pivot, and the cycle rows pivoting elsewhere are the reduced
         # row echelon form of cycles mod boundaries
         cyc = {min(z): z for z in cycles}
-        if any(reduce_vector(row, cyc, p) for row in b_ech):
+        if any(reduce_vector(row, cyc, p) for row in boundary.values()):
+            where = f"({s},{t},{u})"
             raise AssertionError(f"boundary space escapes the cycle space at {where}")
+        keys = list(index)
         reps = [_block_element(keys, z, p) for c, z in cyc.items() if c not in boundary]
         weights[u] = WeightBlock(
             u, len(monos), len(cycles), len(boundary), len(reps), reps
         )
-        boundaries[u] = (index, boundary)
     report = E2Report(s, t, p, weights)
     report._boundaries = boundaries
     return report
 
 
 def _reduce(ctx: PrimeContext, report: E2Report, elem: Element) -> dict[int, Row]:
-    """elem's weight components as block rows reduced modulo the boundaries,
-    whose data a record rebuilt from disk takes from one cell_homology call
-    first.  Raises AssertionError on a term with no block or basis monomial."""
+    """elem's weight components as block rows reduced modulo the boundaries.
+    A record rebuilt from disk builds that data first, from the bases of
+    its cell and of the one below.  Raises AssertionError on a term with no
+    block or basis monomial."""
+    s, t = report.s, report.t
     rows = {}
     for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
         if report._boundaries is None:
-            report._boundaries = cell_homology(ctx, report.s, report.t)._boundaries
-        where = f"({report.s},{report.t},{u})"
+            bases = enumerate_bases(ctx, t, [s, s - 1])
+            report._boundaries = _boundary_blocks(ctx, s, t, bases[s], bases[s - 1])
+        where = f"({s},{t},{u})"
         if u not in report._boundaries:
             raise AssertionError(f"term {monos[0].text()} has no block at {where}")
         index, boundary = report._boundaries[u]

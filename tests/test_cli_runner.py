@@ -193,18 +193,23 @@ class TestSession:
 
     def test_disk_record_is_recomputed_for_reduction(self, tmp_path, monkeypatch):
         Session(C7, cache_dir=tmp_path).report(6, 6168)
-        calls = []
-        real = cell_homology
+        built, cells = [], []
+        real_boundaries, real_cell = may_diff._boundary_blocks, cell_homology
 
-        def counting(ctx, s, t):
-            calls.append((s, t))
-            return real(ctx, s, t)
+        def counting_boundaries(ctx, s, t, groups, groups_below):
+            built.append((s, t))
+            return real_boundaries(ctx, s, t, groups, groups_below)
 
-        monkeypatch.setattr(may_diff, "cell_homology", counting)
-        monkeypatch.setattr(cli_runner, "cell_homology", counting)
+        def counting_cell(ctx, s, t, bases=None):
+            cells.append((s, t))
+            return real_cell(ctx, s, t, bases)
+
+        monkeypatch.setattr(may_diff, "_boundary_blocks", counting_boundaries)
+        monkeypatch.setattr(may_diff, "cell_homology", counting_cell)
+        monkeypatch.setattr(cli_runner, "cell_homology", counting_cell)
         session = Session(C7, cache_dir=tmp_path)
         loaded = session.report(6, 6168)
-        assert calls == []
+        assert built == []
         text = loaded.serialize()
         # g0 h[3] gamma_tilde[3] is a nonzero d1 boundary in (6, 6168)
         boundary = product([cls.rep for cls in PRODUCT_CLASSES], C7)
@@ -215,12 +220,14 @@ class TestSession:
         assert session.report(6, 6168) is loaded
         for rep in loaded.representatives:
             assert reduce_mod_boundaries(C7, loaded, rep) == rep
-        assert calls == [(6, 6168)]
+        # only the boundary data is built, once, and no whole cell
+        assert built == [(6, 6168)]
+        assert cells == []
         # the boundary data built by the first reduction serves the next
         assert e2_rank(C7, loaded, loaded.representatives + [boundary]) == 1
         assert loaded.e2_total == 1
         assert e2_rank(C7, loaded, [boundary]) == 0
-        assert calls == [(6, 6168)]
+        assert built == [(6, 6168)]
 
     def test_les_and_products_read_a_warm_cache(self, tmp_path):
         queries = [("S", 1, 200), ("M", 2, 201), ("L", 2, 208), ("K2", 3, 207)]

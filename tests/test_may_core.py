@@ -23,6 +23,7 @@ from mayext.may_core import (
     WorkBudgetExceeded,
     a,
     b,
+    enumerate_bases,
     enumerate_basis,
     generators_bounded,
     h,
@@ -376,6 +377,90 @@ class TestEnumerateBasis:
             assert calls
             assert len(fwd) >= 2
             assert fwd == rev, (ctx.p, s, t)
+
+
+def check_column(ctx, t, ss):
+    """enumerate_bases(ctx, t, ss) against the brute-force oracle, cell by
+    cell, with each group of the weight it is filed under and in order."""
+    bases = enumerate_bases(ctx, t, ss)
+    assert list(bases) == list(dict.fromkeys(ss)), (ctx.p, t)
+    for s, groups in bases.items():
+        assert list(groups) == sorted(groups), (ctx.p, s, t)
+        found = []
+        for u, monos in groups.items():
+            keys = [m.factors for m in monos]
+            assert keys and keys == sorted(keys), (ctx.p, s, t, u)
+            assert {m.tridegree(ctx) for m in monos} == {(s, t, u)}, (ctx.p, s, t, u)
+            found += keys
+        assert sorted(found) == brute_force_basis(ctx, s, t), (ctx.p, s, t)
+    return bases
+
+
+class TestEnumerateBases:
+    # duplicate, negative and zero filtrations, and cells with t < s
+    SS = [3, -1, 0, 5, 1, 3, 2, 4]
+    TS = [0, 1, 2, 4, 9, 13, *range(21, 100, 13)]
+
+    @pytest.mark.parametrize(
+        "table_bits, memo_entries",
+        [(None, None), (0, None), (0, 8)],
+        ids=["table", "memoised", "memo-cleared"],
+    )
+    def test_column_matches_brute_force(self, table_bits, memo_entries, monkeypatch):
+        # table_bits 0 sends every cell to the memoised search, whose memo
+        # and closings a later cell of the column starts from; a tiny memo
+        # bound clears them again and again
+        if table_bits is not None:
+            monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
+        if memo_entries is not None:
+            monkeypatch.setattr(may_core, "_REACH_MEMO_ENTRIES", memo_entries)
+        for ctx in (C3, C5):
+            for t in self.TS:
+                check_column(ctx, t, self.SS)
+        for ctx, s, t in WIDE_CELLS:
+            assert check_column(ctx, t, [s, s - 1])[s], (ctx.p, s, t)
+
+    def test_column_under_generator_reversal(self, reversed_generators, monkeypatch):
+        # the p = 7 column is too wide for a table; the p = 5 one is narrow,
+        # and is then run again through the memoised search
+        wide = _t(C7, a(0), h(1, 0), h(1, 11))
+        columns = [(C5, 156, [6, 5, 7]), (C7, wide, [3, 2, 4])]
+        want = [enumerate_bases(ctx, t, ss) for ctx, t, ss in columns]
+        check_column(*columns[0])
+        assert sum(map(len, want[1][3].values())) >= 2
+        for table_bits in (None, 0):
+            if table_bits is not None:
+                monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
+            with reversed_generators() as calls:
+                got = [enumerate_bases(ctx, t, ss) for ctx, t, ss in columns]
+            assert calls == [156, wide]
+            assert got == want
+
+    @pytest.mark.parametrize("table_bits, steps", [(None, 82), (0, 341)], ids=["table", "memoised"])
+    def test_step_budget_is_per_cell(self, table_bits, steps, monkeypatch):
+        # in the column [5, 6] at p = 3, t = 55, (6,55) takes `steps` steps,
+        # more than (5,55): a budget of `steps` lets both answer, which a
+        # counter shared by the column would not, and one step less refuses,
+        # naming (6,55)
+        if table_bits is not None:
+            monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
+        want = enumerate_bases(C3, 55, [5, 6])
+        monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", steps)
+        assert enumerate_bases(C3, 55, [5, 6]) == want
+        monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", steps - 1)
+        assert enumerate_bases(C3, 55, [5]) == {5: want[5]}
+        with pytest.raises(WorkBudgetExceeded) as err:
+            enumerate_bases(C3, 55, [5, 6])
+        assert str(err.value) == (
+            f"basis of (6,55) needs more than {steps - 1} search steps, "
+            "the budget for enumeration"
+        )
+        if table_bits == 0:
+            # alone, (6,55) takes 441 steps: in the column it starts from
+            # the memo that (5,55) left
+            monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", 440)
+            with pytest.raises(WorkBudgetExceeded):
+                enumerate_bases(C3, 55, [6])
 
 
 def generator_pool(p):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mayext import may_diff
+from mayext import may_core, may_diff
 from mayext.cli_runner import Session
 from mayext.may_core import (
     Element,
@@ -319,15 +319,17 @@ class TestCellHomology:
 class TestBasisMemo:
     @pytest.fixture()
     def enumerated(self, monkeypatch):
-        calls = []
-        real = may_diff.enumerate_basis
+        # the cells that enumeration returns, one entry per cell
+        cells = []
+        real = may_diff.enumerate_bases
 
-        def counting(ctx, s, t):
-            calls.append((s, t))
-            return real(ctx, s, t)
+        def counting(ctx, t, ss):
+            bases = real(ctx, t, ss)
+            cells.extend((s, t) for s in bases)
+            return bases
 
-        monkeypatch.setattr(may_diff, "enumerate_basis", counting)
-        return calls
+        monkeypatch.setattr(may_diff, "enumerate_bases", counting)
+        return cells
 
     def test_session_enumerates_each_cell_once(self, enumerated):
         session = Session(C5)
@@ -342,6 +344,25 @@ class TestBasisMemo:
         cell_homology(C5, 3, 60)
         cell_homology(C5, 3, 60)
         assert Counter(enumerated) == {(s, 60): 2 for s in (2, 3, 4)}
+
+    def test_one_generator_list_per_column(self, enumerated, monkeypatch):
+        # the three cells of a record share one generator list; a record
+        # whose cells are all in the memo builds none
+        calls = []
+        real = may_core.generators_bounded
+
+        def counting(ctx, t_max):
+            calls.append(t_max)
+            return real(ctx, t_max)
+
+        monkeypatch.setattr(may_core, "generators_bounded", counting)
+        session = Session(C3)
+        session.report(6, 55)
+        assert calls == [55]
+        assert Counter(enumerated) == {(s, 55): 1 for s in (5, 6, 7)}
+        session.memo.clear()
+        session.report(6, 55)
+        assert calls == [55]
 
 
 class TestE2At:
