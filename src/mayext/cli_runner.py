@@ -54,7 +54,7 @@ from .greek_bp import (
     stem_of,
     thom_image,
 )
-from .les_dims import _SPECTRA, ext_dims
+from .les_dims import _SPECTRA, MAX_CELLS, WindowTooLarge, ext_dims
 from .may_core import (
     InvalidParams,
     MayextError,
@@ -582,9 +582,17 @@ def load_claims(path=None) -> list:
 
 
 def chart_data(session: Session, s_max: int, t_max: int) -> dict:
-    """Every nonzero second-term cell with 0 <= s <= s_max, s <= t <= t_max."""
+    """Every nonzero second-term cell with 0 <= s <= s_max, s <= t <= t_max.
+
+    Raises WindowTooLarge, before reading any cell, when the window holds
+    more than MAX_CELLS cells, the budget of a sphere table."""
     if s_max < 0 or t_max < 0:
         raise InvalidParams(f"bad chart window s_max={s_max}, t_max={t_max}")
+    # the rows s = 0 .. rows - 1 hold t_max + 1 - s cells each
+    rows = min(s_max, t_max) + 1
+    count = rows * (t_max + 1) - rows * (rows - 1) // 2
+    if count > MAX_CELLS:
+        raise WindowTooLarge(f"chart window has more than {MAX_CELLS} cells, the budget")
     cells = []
     for s in range(s_max + 1):
         for t in range(s, t_max + 1):

@@ -13,10 +13,18 @@ with tridegrees (filtration s, internal degree t, weight u)
 Monomials keep their factors in a fixed canonical order: a's by index,
 then h's lexicographically, then b's lexicographically.  Commutation
 signs use stem parity ((t - s) mod 2): the h's are odd, the a's and b's
-even; multiply_factors applies that rule to every product, d1's
-included.  Filtration parity would make the a's odd as well, and that
-convention is not compatible with the degree-(1,0,-1) differential
-squaring to zero, so it is not used anywhere.
+even; multiply_factors applies that rule to every product of factor
+tuples, and may_diff builds d1 on generators with it.  Filtration parity
+would make the a's odd as well, and that convention is not compatible
+with the degree-(1,0,-1) differential squaring to zero, so it is not
+used anywhere.
+
+Basis enumeration works a column (one internal degree t) at a time
+(enumerate_column) and codes each monomial it finds as an integer: a
+Coding ranks the generators below t canonically and packs one exponent
+digit per rank, so an h's one-bit digit makes the h part of a code its
+h bitmask.  may_diff forms d1 on these codes; in that form the sign rule
+is a popcount parity over the h bitmask.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ class PrimeContext:
 
     p: int
     q: int = field(init=False)
-    # per-generator tables filled on first use: tridegrees by degree(),
+    # per-generator tables filled on first use: (s, t, u) by degree(),
     # d1 by may_diff.d1_generator.  They hold only the generators some
     # computation reached.
     degree_table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -77,11 +85,11 @@ class PrimeContext:
             raise InvalidParams(f"p must be an odd prime, got {self.p!r}")
         object.__setattr__(self, "q", 2 * (self.p - 1))
 
-    def degree(self, g: "Generator") -> "TriDegree":
-        """g.tridegree(self), tabulated per generator."""
+    def degree(self, g: "Generator") -> tuple[int, int, int]:
+        """The (s, t, u) of g, a plain tuple, tabulated per generator."""
         d = self.degree_table.get(g)
         if d is None:
-            d = self.degree_table[g] = g.tridegree(self)
+            d = self.degree_table[g] = _degree(g, self.p)
         return d
 
 
@@ -135,17 +143,23 @@ class Generator(tuple):
         return self.kind == KIND_H
 
     def tridegree(self, ctx: PrimeContext) -> TriDegree:
-        p = ctx.p
-        if self.kind == KIND_A:
-            return TriDegree(1, 2 * p**self.i - 1, 2 * self.i + 1)
-        if self.kind == KIND_H:
-            return TriDegree(1, 2 * (p**self.i - 1) * p**self.j, 2 * self.i - 1)
-        return TriDegree(2, 2 * (p**self.i - 1) * p ** (self.j + 1), p * (2 * self.i - 1))
+        return TriDegree(*_degree(self, ctx.p))
 
     def text(self) -> str:
         if self.kind == KIND_A:
             return f"a{self.i}"
         return f"{_KIND_LETTER[self.kind]}[{self.i},{self.j}]"
+
+
+def _degree(g: tuple, p: int) -> tuple[int, int, int]:
+    """(s, t, u) of the generator (kind, i, j): the one home of the
+    degree formulas."""
+    kind, i, j = g
+    if kind == KIND_A:
+        return 1, 2 * p**i - 1, 2 * i + 1
+    if kind == KIND_H:
+        return 1, 2 * (p**i - 1) * p**j, 2 * i - 1
+    return 2, 2 * (p**i - 1) * p ** (j + 1), p * (2 * i - 1)
 
 
 def a(i: int) -> Generator:
@@ -367,25 +381,97 @@ def product(factors: Iterable[MulOperand], ctx: PrimeContext) -> Element:
 
 
 def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
-    """All generators of internal degree <= t_max, in canonical order."""
-    p = ctx.p
+    """All generators of internal degree <= t_max, in canonical order.
+
+    Every (kind, i, j) built here is valid, so the list skips Generator's
+    argument checks.  Internal degree grows with i and with j, so a kind
+    ends at the first i whose j = 0 generator is past t_max, and each i
+    at its first j past it.  The degrees read stay in ctx's table for the
+    caller."""
+    p, table, new = ctx.p, ctx.degree_table, tuple.__new__
     gens: list[Generator] = []
-    i = 0
-    while 2 * p**i - 1 <= t_max:
-        gens.append(a(i))
-        i += 1
-    for kind, shift in ((KIND_H, 0), (KIND_B, 1)):
-        i = 1
-        while 2 * (p**i - 1) * p**shift <= t_max:
-            j = 0
-            while 2 * (p**i - 1) * p ** (j + shift) <= t_max:
-                gens.append(Generator(kind, i, j))
-                j += 1
-            i += 1
-    return sorted(gens)
+    for kind in (KIND_A, KIND_H, KIND_B):
+        i, j = (0 if kind == KIND_A else 1), 0
+        while True:
+            g = new(Generator, (kind, i, j))
+            d = table.get(g) or _degree(g, p)
+            if d[1] <= t_max:
+                table[g] = d
+                gens.append(g)
+                if kind != KIND_A:
+                    j += 1
+                    continue
+            elif not j:
+                break
+            i, j = i + 1, 0
+    return gens
 
 
-# Memory bounds of enumerate_bases: the largest reachability table, in
+class Coding:
+    """Packed exponent codes of the monomials over an alphabet of generators.
+
+    The alphabet is ranked in canonical order, and each generator owns a
+    digit of width[g] bits at offset[g], above the digits of the lower
+    ranks.  A monomial's code is the sum of e << offset[g] over its
+    factors g^e.  An exterior h's digit is one bit wide, so the h digits
+    of a code (hmask) are the monomial's h bitmask, in canonical order.
+    While no digit overflows, the code of a product is the sum of the
+    codes: multiplying by a monomial is an addition.
+
+    The coding of a column (enumerate_column) is a function of the context
+    and the internal degree alone, so cells of one column enumerated by
+    separate calls have the same codes.  d1_terms holds the per-generator
+    d1 term tables that may_diff builds on first use.
+    """
+
+    __slots__ = ("gens", "offset", "width", "hmask", "d1_terms")
+
+    def __init__(self, widths: dict[Generator, int]):
+        self.gens = sorted(widths)
+        self.width = widths
+        self.offset: dict[Generator, int] = {}
+        self.hmask = bit = 0
+        for g in self.gens:
+            self.offset[g] = bit
+            if g[0] == KIND_H:
+                self.hmask |= 1 << bit
+            bit += widths[g]
+        self.d1_terms: dict[Generator, list] = {}
+
+    def encode(self, factors: Factors) -> int:
+        offset = self.offset
+        return sum(e << offset[g] for g, e in factors)
+
+    def decode(self, code: int) -> Factors:
+        offset, width = self.offset, self.width
+        return tuple(
+            (g, e) for g in self.gens if (e := code >> offset[g] & (1 << width[g]) - 1)
+        )
+
+
+class Block:
+    """The monomials of one weight of a cell: canonical factor tuples,
+    sorted, and their codes in the column's coding."""
+
+    __slots__ = ("keys", "codes")
+
+    def __init__(self, keys: list[Factors], codes: list[int]):
+        self.keys = keys
+        self.codes = codes
+
+
+class Cell:
+    """A cell's basis as enumerate_column returns it: the column's coding
+    and one Block per weight, weights ascending."""
+
+    __slots__ = ("coding", "blocks")
+
+    def __init__(self, coding: Coding, blocks: dict[int, Block]):
+        self.coding = coding
+        self.blocks = blocks
+
+
+# Memory bounds of enumerate_column: the largest reachability table, in
 # bits (4 MiB), and the most entries the wide search memoises at a time
 # (a few MiB; a cell of the corpus needs at most 12k).  Past the second
 # the memo is cleared: a cell too hard for it then costs time, not memory.
@@ -396,29 +482,29 @@ _REACH_MEMO_ENTRIES = 1 << 15
 MAX_ENUMERATION_STEPS = 3 * 10**6
 
 
-def enumerate_bases(
-    ctx: PrimeContext, t: int, ss: Iterable[int]
-) -> dict[int, dict[int, list[Monomial]]]:
+def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, Cell]:
     """The canonical basis monomials of (s, t) for each s in ss, grouped by
-    weight: {s: {u: [Monomial sorted by factors]}}, weights ascending and
-    empty weights absent, so an empty cell maps to {}.
+    weight and coded: {s: Cell}, and an empty cell has no blocks.
 
     One call serves a column of cells at internal degree t: the generator
-    list, its degrees and the reachability test are built once, then the
-    cells are filled in the order of ss.  Exponent multisets are found by
-    depth-first search over the bounded generator list.  The search is
-    output-sensitive: it enters a branch (generator k with exponent e)
-    only when the generators after k can still make up the remaining
-    filtration and internal degree exactly, so every branch it enters ends
-    in a monomial.  It carries the weight of the factors taken so far, so
-    monomials are grouped by weight as they are found.  The reachability
-    test of a cell is one of two, chosen by the size of the table it would
-    need:
+    list, its degrees, its coding and the reachability test are built
+    once, then the cells are filled in the order of ss.  Exponent
+    multisets are found by depth-first search over the bounded generator
+    list.  The search is output-sensitive: it enters a branch (generator k
+    with exponent e) only when the generators after k can still make up
+    the remaining filtration and internal degree exactly, so every branch
+    it enters ends in a monomial.  It carries the weight and the code of
+    the factors taken so far, so monomials are grouped by weight, and
+    coded, as they are found.  The reachability test of a cell is one of
+    two, chosen by the size of the table it would need:
 
     * Narrow t, where (t + 1)(s + 1) len(gens) <= _REACH_TABLE_BITS:
       reach[k][r] is a Python-int bitset of the internal degrees up to t
       that gens[k:] reach with filtration exactly r.  It is built once,
       for the largest such s asked for, and serves every smaller one.
+      Its search reads the table inline, and closes the last filtration
+      unit by a lookup of the unit generator of the degree left, counting
+      the steps the search would have taken there.
     * Wide t (up to p^12 q, about 1.4e10 at p = 7, where a table t bits
       wide cannot be built): a search memoised on (k, s_rem, t_rem),
       pruned by the least and the largest internal degree per filtration
@@ -432,23 +518,35 @@ def enumerate_bases(
 
     The cutoff exists because the table grows with t; below it the table
     is several times faster than the memoised search, so it is a memory
-    bound, not a tuning option.  Both tests fill the same factor tuples.
-    The search recurses only into a generator it takes, never past one it
-    skips, so its depth is at most s.  Each cell counts its own steps and
-    raises WorkBudgetExceeded, naming (s, t), once it has taken more than
-    MAX_ENUMERATION_STEPS of them.
+    bound, not a tuning option.  Both searches fill the same factor
+    tuples.  They recurse only into a generator they take, never past one
+    they skip, so their depth is at most s.  Each cell counts its own
+    steps and raises WorkBudgetExceeded, naming (s, t), once it has taken
+    more than MAX_ENUMERATION_STEPS of them.  Codes rank the generators
+    canonically, whatever the order of the list the search walks.
     """
-    out: dict[int, dict[int, list[Monomial]]] = {s: {} for s in ss}
-    if t == 0 and 0 in out:
-        out[0] = {0: [Monomial.one()]}
-    cells = [s for s in out if 0 < s <= t]
+    ss = list(dict.fromkeys(ss))
+    cells = [s for s in ss if 0 < s <= t]
     if not cells:
-        return out
+        # no cell holds a generator: an empty alphabet codes them all
+        empty = Coding({})
+        return {s: Cell(empty, {0: Block([()], [0])} if s == t == 0 else {}) for s in ss}
     gens = generators_bounded(ctx, t)
     n = len(gens)
-    degrees = [ctx.degree(g) for g in gens]  # (s_g, t_g, u_g)
+    degrees = list(map(ctx.degree, gens))  # (s_g, t_g, u_g)
+    # g^e has internal degree e t_g <= t, so a digit of the bit length of
+    # t // t_g holds every exponent g takes in the column; an h's, one bit
+    coding = Coding({
+        g: 1 if g[0] == KIND_H else (t // dt).bit_length()
+        for g, (_, dt, _) in zip(gens, degrees)
+    })
+    digit = [1 << coding.offset[g] for g in gens]
     # exterior h's appear at most once, the others at most s times
-    e_top = [1 if g.is_odd else max(cells) for g in gens]
+    e_top = [1 if g[0] == KIND_H else max(cells) for g in gens]
+    # the factor tuples come out in the order of gens: canonical unless a
+    # caller reordered the list
+    canonical = gens == coding.gens
+    out = {s: Cell(coding, {}) for s in ss}
 
     # unit[t_g] / double[t_g]: index of the generator of filtration 1 / 2
     # with internal degree t_g (unique within each filtration)
@@ -456,7 +554,7 @@ def enumerate_bases(
     double: dict[int, int] = {}
     for k, (ds, dt, _) in enumerate(degrees):
         (unit if ds == 1 else double)[dt] = k
-    closed: dict[tuple[int, int], list[tuple[int, Factors, int]]] = {}
+    closed: dict[tuple[int, int], list[tuple[int, Factors, int, int]]] = {}
     cell = steps = 0
 
     def spend(n: int) -> None:
@@ -468,39 +566,44 @@ def enumerate_bases(
                 "search steps, the budget for enumeration"
             )
 
-    def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors, int]]:
-        """(first index, factors, weight) of each way to make up the last
-        s_rem <= 2 filtration units and t_rem internal degrees, by degree
-        lookup."""
+    def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors, int, int]]:
+        """(first index, factors, weight, code) of each way to make up the
+        last s_rem <= 2 filtration units and t_rem internal degrees, by
+        degree lookup."""
         key = (s_rem, t_rem)
         ways = closed.get(key)
         if ways is None:
             ways = []
             if s_rem == 0:
                 if t_rem == 0:
-                    ways.append((n, (), 0))
+                    ways.append((n, (), 0, 0))
             elif s_rem == 1:
                 k = unit.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
+                    ways.append((k, ((gens[k], 1),), degrees[k][2], digit[k]))
             else:
                 k = double.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
+                    ways.append((k, ((gens[k], 1),), degrees[k][2], digit[k]))
                 spend(len(unit))
                 for dt, k in unit.items():
                     k2 = unit.get(t_rem - dt)
                     if k2 is None or dt > t_rem - dt:
                         continue
                     if k2 == k:
-                        if not gens[k].is_odd:
-                            ways.append((k, ((gens[k], 2),), 2 * degrees[k][2]))
+                        if gens[k][0] != KIND_H:
+                            ways.append(
+                                (k, ((gens[k], 2),), 2 * degrees[k][2], 2 * digit[k])
+                            )
                     else:
                         lo, hi = min(k, k2), max(k, k2)
                         u = degrees[lo][2] + degrees[hi][2]
-                        ways.append((lo, ((gens[lo], 1), (gens[hi], 1)), u))
+                        tail = ((gens[lo], 1), (gens[hi], 1))
+                        ways.append((lo, tail, u, digit[lo] + digit[hi]))
             closed[key] = ways
         return ways
+
+    stack: list[tuple[Generator, int]] = []
 
     # the table serves the cells up to the largest one whose table fits
     # (the condition is monotone in s), the memoised search the others
@@ -515,14 +618,49 @@ def enumerate_bases(
             ds, dt, _ = degrees[k]
             # knapsack step: an exterior h is taken at most once, an a or b
             # any number of times (ascending r reuses the updated row)
-            source = below if gens[k].is_odd else row
+            source = below if gens[k][0] == KIND_H else row
             for r in range(ds, s_table + 1):
                 row[r] = (row[r] | source[r - ds] << dt) & mask
             reach.append(row)
         reach.reverse()
+        # the same table by filtration: by_s[r][k] = reach[k][r]
+        by_s = list(zip(*reach))
 
-        def reach_table(k: int, s_rem: int, t_rem: int) -> int:
-            return reach[k][s_rem] >> t_rem & 1
+        def fill_table(k: int, s_rem: int, t_rem: int, u: int, code: int) -> None:
+            # s_rem > 0, (k, s_rem, t_rem) is reachable (by_s[s_rem][k] has
+            # bit t_rem), and the factors on the stack have weight u and
+            # code `code`.  Skip gens[k], gens[k+1], ... while that stays
+            # reachable, then take each skipped generator e >= 1 times, last
+            # first: the order of a recursion on e = 0, without a frame per
+            # skip
+            col = by_s[s_rem]
+            top = k
+            while col[top + 1] >> t_rem & 1:
+                top += 1
+            spend(top - k + 1)
+            for j in range(top, k - 1, -1):
+                ds, dt, du = degrees[j]
+                e, s2, t2 = 1, s_rem - ds, t_rem - dt
+                while s2 >= 0 and t2 >= 0 and e <= e_top[j]:
+                    if by_s[s2][j + 1] >> t2 & 1:
+                        stack.append((gens[j], e))
+                        if s2 > 1:
+                            fill_table(j + 1, s2, t2, u + e * du, code + e * digit[j])
+                        else:
+                            # close here.  With no unit left (so t2 = 0 too)
+                            # that is one step.  One unit left only gens[j2],
+                            # the unit generator of degree t2, makes up: the
+                            # call on (j + 1, 1, t2) would skip to it in
+                            # j2 - j steps and then close
+                            key, w, v = tuple(stack), u + e * du, code + e * digit[j]
+                            if s2:
+                                j2 = unit[t2]
+                                key += ((gens[j2], 1),)
+                                w, v = w + degrees[j2][2], v + digit[j2]
+                            spend(j2 - j + 1 if s2 else 1)
+                            found.setdefault(w, []).append((key, v))
+                        stack.pop()
+                    e, s2, t2 = e + 1, s2 - ds, t2 - dt
 
     if s_table < max(cells):
         # min_rate[k] / max_rate[k]: min / max over gens[k:] of 2 t_g / s_g,
@@ -530,13 +668,13 @@ def enumerate_bases(
         rates = [2 * dt // ds for ds, dt, _ in degrees][::-1]
         min_rate = list(accumulate(rates, min))[::-1]
         max_rate = list(accumulate(rates, max))[::-1]
-        a_left = list(accumulate([g.kind == KIND_A for g in reversed(gens)], max))[::-1]
+        a_left = list(accumulate([g[0] == KIND_A for g in reversed(gens)], max))[::-1]
         q = ctx.q
         memo: dict[tuple[int, int, int], bool] = {}
 
         def reach_memo(k: int, s_rem: int, t_rem: int) -> bool:
             if s_rem <= 2:
-                return any(first >= k for first, _, _ in closings(s_rem, t_rem))
+                return any(way[0] >= k for way in closings(s_rem, t_rem))
             # (k, s_rem, t_rem) is reachable when gens[k] taken e >= 0 times
             # leaves a reachable (k + 1, ...).  Skip generators (e = 0) down
             # to a memo entry or a pruned one, then try e >= 1 on the way
@@ -570,47 +708,63 @@ def enumerate_bases(
                 memo[(j, s_rem, t_rem)] = hit
             return hit
 
-    stack: list[tuple[Generator, int]] = []
+        def fill_memo(k: int, s_rem: int, t_rem: int, u: int, code: int) -> None:
+            # (k, s_rem, t_rem) is reachable, and the factors on the stack
+            # have weight u and code `code`
+            if s_rem <= 2:
+                spend(1)
+                prefix = tuple(stack)
+                for first, tail, tail_u, tail_code in closings(s_rem, t_rem):
+                    if first >= k:
+                        found.setdefault(u + tail_u, []).append(
+                            (prefix + tail, code + tail_code)
+                        )
+                return
+            # the skip-then-take order of fill_table
+            top = k
+            while reach_memo(top + 1, s_rem, t_rem):
+                top += 1
+            spend(top - k + 1)
+            for j in range(top, k - 1, -1):
+                g, (ds, dt, du) = gens[j], degrees[j]
+                for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
+                    if reach_memo(j + 1, s_rem - e * ds, t_rem - e * dt):
+                        stack.append((g, e))
+                        fill_memo(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du,
+                                  code + e * digit[j])
+                        stack.pop()
 
-    def fill(k: int, s_rem: int, t_rem: int, u: int) -> None:
-        # (k, s_rem, t_rem) is reachable, and the factors on the stack
-        # have weight u
-        if s_rem <= closing:
-            spend(1)
-            prefix = tuple(stack)
-            for first, tail, tail_u in closings(s_rem, t_rem):
-                if first >= k:
-                    found.setdefault(u + tail_u, []).append(prefix + tail)
-            return
-        # skip gens[k], gens[k+1], ... while that stays reachable, then take
-        # each skipped generator e >= 1 times, last first: the order of a
-        # recursion on e = 0, without a stack frame per skipped generator
-        top = k
-        while reachable(top + 1, s_rem, t_rem):
-            top += 1
-        spend(top - k + 1)
-        for j in range(top, k - 1, -1):
-            g, (ds, dt, du) = gens[j], degrees[j]
-            for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
-                if reachable(j + 1, s_rem - e * ds, t_rem - e * dt):
-                    stack.append((g, e))
-                    fill(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du)
-                    stack.pop()
-
-    # fill reads the cell's reachability test, closing depth and groups
+    # the fills read the cell and its groups
     for cell in cells:
         steps = 0
-        reachable, closing = (reach_table, 0) if cell <= s_table else (reach_memo, 2)
-        found: dict[int, list[Factors]] = {}
-        if reachable(0, cell, t):
-            fill(0, cell, t, 0)
-        # canonical already when gens is in canonical order; sorting keeps
-        # the result canonical for any order of the generator list
-        out[cell] = {
-            u: [Monomial(fs) for fs in sorted(tuple(sorted(fs, key=_first)) for fs in group)]
-            for u, group in sorted(found.items())
-        }
+        found: dict[int, list[tuple[Factors, int]]] = {}
+        if cell <= s_table:
+            if by_s[cell][0] >> t & 1:
+                fill_table(0, cell, t, 0, 0)
+        elif reach_memo(0, cell, t):
+            fill_memo(0, cell, t, 0, 0)
+        blocks = {}
+        for u, group in sorted(found.items()):
+            if not canonical:
+                group = [(tuple(sorted(key)), code) for key, code in group]
+            # keys are distinct, so the sort never compares codes
+            group.sort()
+            blocks[u] = Block([key for key, _ in group], [code for _, code in group])
+        out[cell] = Cell(coding, blocks)
     return out
+
+
+def enumerate_bases(
+    ctx: PrimeContext, t: int, ss: Iterable[int]
+) -> dict[int, dict[int, list[Monomial]]]:
+    """The canonical basis monomials of (s, t) for each s in ss, grouped by
+    weight: {s: {u: [Monomial sorted by factors]}}, weights ascending and
+    empty weights absent, so an empty cell maps to {}.  The monomials of
+    enumerate_column(ctx, t, ss), which documents the search."""
+    return {
+        s: {u: [Monomial(key) for key in blk.keys] for u, blk in cell.blocks.items()}
+        for s, cell in enumerate_column(ctx, t, ss).items()
+    }
 
 
 def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:

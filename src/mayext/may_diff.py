@@ -7,16 +7,23 @@ d1 has tridegree (1, 0, -1) and is determined by
     d1(b[i,j]) = 0
 
 extended as a derivation with the stem-parity Leibniz sign.  d1 on a
-generator is computed once per PrimeContext and tabulated (d1_generator);
-d1 on a monomial forms each Leibniz term left * term * right directly on
-factor tuples through may_core.multiply_factors, the one home of the
-sign rule.  Because d1 preserves the internal degree and shifts the
-weight by exactly -1, the second-term computation splits into
-independent blocks, one per weight, inside each bidegree (s, t).
-cell_homology reads the bases of (s-1, t), (s, t) and (s+1, t) from the
-caller's memo of weight-grouped bases and enumerates the ones it lacks in
-one column call (may_core.enumerate_bases), so a session (Session.report)
-enumerates each cell once.
+generator is built with may_core.multiply_factors, the sign rule of
+products, and tabulated once per PrimeContext (d1_generator).  d1 on
+monomials is formed on packed exponent codes (may_core.Coding) in one
+place, _d1_image, from per-generator term tables (_term_table): a
+Leibniz term is one AND (a repeated h), one addition (its target code)
+and one popcount parity (its sign).  Weight blocks are assembled on the
+codes that enumeration gave their monomials (_d1_rows); d1 on an element
+codes its terms, applies _d1_image and decodes the image.
+
+Because d1 preserves the internal degree and shifts the weight by
+exactly -1, the second-term computation splits into independent blocks,
+one per weight, inside each bidegree (s, t).  cell_homology reads the
+coded bases of (s-1, t), (s, t) and (s+1, t) from the caller's memo and
+enumerates the ones it lacks in one column call
+(may_core.enumerate_column), so a session (Session.report) enumerates
+each cell once.  A column's coding depends only on the context and t,
+so cells of one column from separate calls share their codes.
 
 All linear algebra is over F_p on sparse rows {column: coefficient}, in
 the canonical column order of each weight block.  echelon returns the
@@ -38,6 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .may_core import (
+    Block,
+    Cell,
+    Coding,
     Element,
     Factors,
     Generator,
@@ -49,7 +59,7 @@ from .may_core import (
     PrimeContext,
     _as_element,
     a,
-    enumerate_bases,
+    enumerate_column,
     h,
     multiply_factors,
     parse_element,
@@ -79,36 +89,84 @@ def d1_generator(g: Generator, ctx: PrimeContext) -> Element:
     return dg
 
 
+def _term_table(coding: Coding, g: Generator, ctx: PrimeContext) -> list:
+    """The terms of d1(g) in the coding: (code delta, clash mask, sign
+    mask, coefficient) for each, which _d1_image reads.
+
+    For g^e in a monomial m, the Leibniz term of a term T of d1(g) is
+    e * left * T * right, with left the factors of m before g and right
+    g^(e-1) and the factors after g.  T adds its code and g loses one:
+    the delta.  T's h's and m's h's meet when (m & clash) is nonzero,
+    and the term vanishes.  Otherwise its sign is (-1) to the number of
+    odd factors d1 passes (the h's of left) plus the transpositions that
+    sorting left, T, right takes (an h of left above an h of T, an h of T
+    above an h of right).  Each count is the popcount of m's h's under a
+    mask, so the sign is the parity of m & (the xor of those masks)."""
+    offset, hmask = coding.offset, coding.hmask
+
+    def h_digits(lo: int, hi: int) -> int:
+        # the h digits of a code at bits lo <= b < hi
+        return hmask & ~((1 << lo) - 1) & ((1 << hi) - 1)
+
+    low, high = offset[g], offset[g] + coding.width[g]
+    out = []
+    for term, c in d1_generator(g, ctx)._terms.items():
+        hs = [offset[x] for x, _ in term if x[0] == KIND_H]
+        signs = h_digits(0, low)
+        for y in hs:
+            signs ^= h_digits(y + 1, low) ^ h_digits(high, y)
+        clash = sum(1 << y for y in hs)
+        out.append((coding.encode(term) - (1 << low), clash, signs, c))
+    return out
+
+
+def _d1_image(
+    ctx: PrimeContext, coding: Coding, key: Factors, code: int, coeff: int, out: dict
+) -> None:
+    """Add d1 of coeff times the monomial (key, code) to out, {code:
+    coefficient}, coefficients not reduced mod p.  The one home of d1 on
+    monomials: a repeated h is one AND, the sign one popcount and the
+    target one addition (see _term_table)."""
+    tables = coding.d1_terms
+    for g, e in key:
+        table = tables.get(g)
+        if table is None:
+            table = tables[g] = _term_table(coding, g, ctx)
+        for delta, clash, signs, c in table:
+            if not code & clash:
+                target = code + delta
+                v = coeff * e * c
+                if (code & signs).bit_count() & 1:
+                    v = -v
+                out[target] = out.get(target, 0) + v
+
+
 def d1(x: MulOperand, ctx: PrimeContext) -> Element:
     """Apply the differential to a generator, monomial, or element.
 
-    Leibniz rule on factor tuples: for the factor g^e at position idx of
-    a monomial and each term of d1(g), the term is left * d1(g)-term *
-    right, with left the factors before idx and right g^(e-1) and the
-    factors after it, times e and the sign of d1 passing the odd factors
-    of left."""
-    if isinstance(x, Monomial):
-        terms = ((x.factors, x.coeff),)
-    else:
-        terms = _as_element(x, ctx)._terms.items()
-    out = Element.zero(ctx)
-    for factors, coeff in terms:
-        odd_before = 0
-        for idx, (g, e) in enumerate(factors):
-            dg = d1_generator(g, ctx)._terms
-            if dg:
-                c = -coeff * e if odd_before & 1 else coeff * e
-                left = factors[:idx]
-                right = factors[idx + 1 :]
-                if e > 1:
-                    right = ((g, e - 1),) + right
-                for term, tc in dg.items():
-                    prod = multiply_factors(left, term, right)
-                    if prod is not None:
-                        out._add_term(prod[0], c * tc * prod[1])
-            if g.kind == KIND_H:
-                odd_before += 1
-    return out
+    The terms of x are coded over the generators they hold and those of
+    their d1 terms, with digits wide enough for one more of each, and
+    _d1_image forms the image on the codes."""
+    terms = _as_element(x, ctx)._terms
+    # the largest exponent of each generator in x, and in the d1 terms of
+    # the generators of x
+    top: dict[Generator, int] = {}
+    extra: dict[Generator, int] = {}
+    for key in terms:
+        for g, e in key:
+            top[g] = max(top.get(g, 0), e)
+    for g in top:
+        for term in d1_generator(g, ctx)._terms:
+            for y, e in term:
+                extra[y] = max(extra.get(y, 0), e)
+    coding = Coding({
+        g: 1 if g[0] == KIND_H else (top.get(g, 0) + extra.get(g, 0)).bit_length()
+        for g in top.keys() | extra.keys()
+    })
+    out: dict[int, int] = {}
+    for key, coeff in terms.items():
+        _d1_image(ctx, coding, key, coding.encode(key), coeff, out)
+    return Element(ctx.p, {coding.decode(code): c for code, c in out.items()})
 
 
 Row = dict[int, int]
@@ -241,13 +299,38 @@ def _group_by_weight(ctx, monomials):
     return groups
 
 
-def _vector(elem: Element, index: dict, where: str) -> Row:
+def _vector(terms: dict, index: dict, where: str, decode=None) -> Row:
+    """terms, {key: coefficient}, as a row over the columns of index.
+    Raises AssertionError naming the first term in canonical order that
+    index lacks, with its coefficient; decode maps a key to its factors
+    when the keys are codes."""
     try:
-        return {index[key]: c for key, c in elem._terms.items()}
+        return {index[key]: c for key, c in terms.items()}
     except KeyError:
-        key = min(k for k in elem._terms if k not in index)
-        term = Monomial(key, elem._terms[key]).text()
+        missing = {
+            decode(key) if decode else key: c for key, c in terms.items() if key not in index
+        }
+        key = min(missing)
+        term = Monomial(key, missing[key]).text()
         raise AssertionError(f"term {term} missing from basis of {where}") from None
+
+
+def _d1_rows(
+    ctx: PrimeContext, coding: Coding, source: Block | None, target: Block | None, where: str
+) -> list[Row]:
+    """The d1 image of each monomial of the block `source` as a row over
+    the columns of the block `target`, formed on codes."""
+    if source is None:
+        return []
+    p = ctx.p
+    index = {code: k for k, code in enumerate(target.codes)} if target else {}
+    rows = []
+    for key, code in zip(source.keys, source.codes):
+        image: dict[int, int] = {}
+        _d1_image(ctx, coding, key, code, 1, image)
+        image = {c: v % p for c, v in image.items() if v % p}
+        rows.append(_vector(image, index, where, coding.decode))
+    return rows
 
 
 def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
@@ -255,17 +338,17 @@ def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
 
 
 def _boundary_blocks(
-    ctx: PrimeContext, s: int, t: int, groups: dict, groups_below: dict
+    ctx: PrimeContext, s: int, t: int, cell: Cell, cell_below: Cell
 ) -> dict[int, tuple[dict[Factors, int], dict[int, Row]]]:
-    """Per weight u of `groups`, the weight-grouped basis of (s, t): the
-    column of each basis monomial, and the echelon rows of the d1 images
-    of block u + 1 of `groups_below`, the basis of (s - 1, t), keyed by
-    pivot.  The boundary data of cell_homology and of _reduce."""
+    """Per weight u of `cell`, the basis of (s, t): the column of each
+    basis monomial, and the echelon rows of the d1 images of block u + 1
+    of `cell_below`, the basis of (s - 1, t), keyed by pivot.  The
+    boundary data of cell_homology and of _reduce."""
     out = {}
-    for u, monos in groups.items():
-        index = {m.factors: k for k, m in enumerate(monos)}
-        below = groups_below.get(u + 1, [])
-        rows = [_vector(d1(m, ctx), index, f"({s},{t},{u})") for m in below]
+    for u, block in cell.blocks.items():
+        index = {key: k for k, key in enumerate(block.keys)}
+        below = cell_below.blocks.get(u + 1)
+        rows = _d1_rows(ctx, cell.coding, below, block, f"({s},{t},{u})")
         b_ech, b_piv = echelon(rows, ctx.p)
         out[u] = (index, dict(zip(b_piv, b_ech)))
     return out
@@ -278,9 +361,9 @@ def cell_homology(
     representatives, with the boundary data that reduction needs in the
     record's private slot.
 
-    The bases of (s, t), (s+1, t) and (s-1, t), grouped by weight, come
-    from `bases`, the caller's memo keyed by (s, t); those it lacks are
-    enumerated into it in one column call (enumerate_bases).  Without a
+    The coded bases of (s, t), (s+1, t) and (s-1, t) come from `bases`,
+    the caller's memo of Cells keyed by (s, t); those it lacks are
+    enumerated into it in one column call (enumerate_column).  Without a
     memo the call uses a fresh dict.  Records are not memoised here:
     Session.report keeps them, and passes its own memo of bases."""
     if s < 0 or t < 0:
@@ -288,19 +371,18 @@ def cell_homology(
     if bases is None:
         bases = {}
     missing = [x for x in (s, s + 1, s - 1) if (x, t) not in bases]
-    for x, groups in enumerate_bases(ctx, t, missing).items():
-        bases[(x, t)] = groups
+    for x, cell in enumerate_column(ctx, t, missing).items():
+        bases[(x, t)] = cell
     p = ctx.p
-    groups0 = bases[(s, t)]
-    groups1 = bases[(s + 1, t)]
-    boundaries = _boundary_blocks(ctx, s, t, groups0, bases[(s - 1, t)])
+    here, above = bases[(s, t)], bases[(s + 1, t)]
+    boundaries = _boundary_blocks(ctx, s, t, here, bases[(s - 1, t)])
 
     weights = {}
-    for u, monos in sorted(groups0.items()):
+    for u, block in here.blocks.items():
         index, boundary = boundaries[u]
-        target = {m.factors: k for k, m in enumerate(groups1.get(u - 1, []))}
-        out_rows = [_vector(d1(m, ctx), target, f"({s+1},{t},{u-1})") for m in monos]
-        cycles = kernel(out_rows, p, len(monos))
+        where = f"({s+1},{t},{u-1})"
+        out_rows = _d1_rows(ctx, here.coding, block, above.blocks.get(u - 1), where)
+        cycles = kernel(out_rows, p, len(block.keys))
 
         # boundaries lie among the cycles, so every boundary pivot is a
         # cycle pivot, and the cycle rows pivoting elsewhere are the reduced
@@ -309,10 +391,9 @@ def cell_homology(
         if any(reduce_vector(row, cyc, p) for row in boundary.values()):
             where = f"({s},{t},{u})"
             raise AssertionError(f"boundary space escapes the cycle space at {where}")
-        keys = list(index)
-        reps = [_block_element(keys, z, p) for c, z in cyc.items() if c not in boundary]
+        reps = [_block_element(block.keys, z, p) for c, z in cyc.items() if c not in boundary]
         weights[u] = WeightBlock(
-            u, len(monos), len(cycles), len(boundary), len(reps), reps
+            u, len(block.keys), len(cycles), len(boundary), len(reps), reps
         )
     report = E2Report(s, t, p, weights)
     report._boundaries = boundaries
@@ -328,13 +409,13 @@ def _reduce(ctx: PrimeContext, report: E2Report, elem: Element) -> dict[int, Row
     rows = {}
     for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
         if report._boundaries is None:
-            bases = enumerate_bases(ctx, t, [s, s - 1])
-            report._boundaries = _boundary_blocks(ctx, s, t, bases[s], bases[s - 1])
+            cells = enumerate_column(ctx, t, [s, s - 1])
+            report._boundaries = _boundary_blocks(ctx, s, t, cells[s], cells[s - 1])
         where = f"({s},{t},{u})"
         if u not in report._boundaries:
             raise AssertionError(f"term {monos[0].text()} has no block at {where}")
         index, boundary = report._boundaries[u]
-        vec = _vector(Element.from_monomials(ctx, monos), index, where)
+        vec = _vector(Element.from_monomials(ctx, monos)._terms, index, where)
         rows[u] = reduce_vector(vec, boundary, ctx.p)
     return rows
 

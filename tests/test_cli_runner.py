@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import mayext
 from mayext import cli_runner, may_diff
 from mayext.adams_certify import product_nonzero_at_e2, resolve_named
-from mayext.les_dims import ext_dims
+from mayext.les_dims import WindowTooLarge, ext_dims
 from mayext.may_core import (
     InvalidParams,
     ParseError,
@@ -34,6 +34,7 @@ from mayext.may_diff import (
 from mayext.cli_runner import (
     DiskCache,
     Session,
+    chart_data,
     eval_expr,
     load_claims,
     main,
@@ -544,6 +545,24 @@ class TestChart:
         res = runner.invoke(main, ["chart", "--s-max", "-1", "--t-max", "10"])
         assert res.exit_code == 1
 
+    def test_cell_budget(self, monkeypatch):
+        # the budget counts the cells s <= t of the window, before any is read
+        def unread(s, t):
+            raise AssertionError(f"read ({s},{t})")
+
+        session = Session(C5)
+        monkeypatch.setattr(session, "report", unread)
+        # 20001, 20100 and 20015 cells
+        for s_max, t_max in [(0, 20000), (199, 199), (9, 2005)]:
+            with pytest.raises(WindowTooLarge) as err:
+                chart_data(session, s_max, t_max)
+            assert isinstance(err.value, WorkBudgetExceeded)
+        monkeypatch.setattr(cli_runner, "MAX_CELLS", 20015)
+        with pytest.raises(AssertionError, match=r"read \(0,0\)"):
+            chart_data(session, 9, 2005)
+        with pytest.raises(WindowTooLarge):
+            chart_data(session, 9, 2006)
+
 
 SMALL_CLAIMS = {
     "claims": [
@@ -889,6 +908,11 @@ class TestErrorSurface:
                 ["-p", "7", "basis", "20", "10000000"],
                 "basis of (20,10000000) needs more than 3000000 search steps, "
                 "the budget for enumeration",
+            ),
+            # this one once ran until killed, one cell after another
+            (
+                ["-p", "3", "chart", "--s-max", "0", "--t-max", "2^1000", "--format", "tsv"],
+                "chart window has more than 20000 cells, the budget",
             ),
         ],
     )

@@ -99,6 +99,24 @@ class TestGenerator:
         assert gens == by_fields
         assert sorted(gens[::-1]) == by_fields
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_list_is_every_generator_up_to_t(self, p):
+        # against validated generators over a box of indices, at every t
+        # where the list grows and one below it; the degrees it tabulates
+        # are the generators' own
+        ctx = PrimeContext(p)
+        box = [Generator(KIND_A, i) for i in range(12)] + [
+            Generator(kind, i, j) for kind in (KIND_H, KIND_B)
+            for i in range(1, 12) for j in range(12)
+        ]
+        t_max = 2 * p**6
+        edges = sorted({g.tridegree(ctx).t for g in box if g.tridegree(ctx).t <= t_max})
+        for t in [0] + [e + d for e in edges for d in (-1, 0)]:
+            gens = generators_bounded(ctx, t)
+            assert gens == sorted(g for g in box if g.tridegree(ctx).t <= t)
+            assert all(type(g) is Generator for g in gens)
+            assert all(ctx.degree(g) == tuple(g.tridegree(ctx)) for g in gens)
+
     @pytest.mark.parametrize(
         "args, message",
         [

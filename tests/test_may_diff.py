@@ -14,6 +14,7 @@ from mayext.cli_runner import Session
 from mayext.may_core import (
     Element,
     InvalidParams,
+    Monomial,
     PrimeContext,
     a,
     b,
@@ -321,14 +322,14 @@ class TestBasisMemo:
     def enumerated(self, monkeypatch):
         # the cells that enumeration returns, one entry per cell
         cells = []
-        real = may_diff.enumerate_bases
+        real = may_diff.enumerate_column
 
         def counting(ctx, t, ss):
             bases = real(ctx, t, ss)
             cells.extend((s, t) for s in bases)
             return bases
 
-        monkeypatch.setattr(may_diff, "enumerate_bases", counting)
+        monkeypatch.setattr(may_diff, "enumerate_column", counting)
         return cells
 
     def test_session_enumerates_each_cell_once(self, enumerated):
@@ -407,6 +408,25 @@ class TestE2At:
                 u: w.e2_dim for u, w in rev.weights.items()
             }
 
+    @pytest.mark.parametrize(
+        "p, s_max, t_max, digest",
+        [
+            (3, 12, 120, "81728f5df15c830e34fb1beeb0211ab6857d4eca99c929f66a576bbe91bbce00"),
+            (5, 6, 420, "3c1b1f26fceb57ff852ad918f2d88fbd20dd919e9c8ec29b43dadebd86ab3e69"),
+            (7, 4, 700, "fc192f0ebd4f98470c2e8f42651b731ac08bd4d1ec890313716c35abea35f148"),
+        ],
+    )
+    def test_grid_records_pinned(self, p, s_max, t_max, digest):
+        # sha256 over every record of the grid, s then t ascending, read
+        # through one session: pinned before d1 was formed on codes
+        session = Session(PrimeContext(p))
+        blob = hashlib.sha256()
+        for s in range(s_max + 1):
+            for t in range(t_max + 1):
+                data = session.report(s, t).serialize()
+                blob.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+        assert blob.hexdigest() == digest
+
     def test_representatives_are_cycles(self):
         rep = cell_homology(C5, 3, 60)
         for blk in rep.weights.values():
@@ -474,3 +494,106 @@ def test_weight_blocks_match_the_e1_count(p, s_max, t_max):
             assert got == want, f"p={p}, ({s},{t})"
             inhabited += bool(want)
     assert inhabited > 400
+
+
+def block_rows_by_d1(ctx, cell, target, u):
+    """The d1 rows of block u of `cell` over block u - 1 of `target`, from
+    the public d1 and the target's factor tuples."""
+    keys = target.blocks[u - 1].keys if u - 1 in target.blocks else []
+    index = {key: k for k, key in enumerate(keys)}
+    return [
+        {index[k]: c for k, c in d1(Monomial(key), ctx)._terms.items()}
+        for key in cell.blocks[u].keys
+    ]
+
+
+class TestCodedKernel:
+    """d1 rows formed on the packed exponent codes of a column."""
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_rows_match_d1_at_high_exponents(self, s):
+        # p=3 cells from a0^s at (s, s) on, whose targets hold a0^(s+1) at
+        # (s+1, s+1) and powers of a0 next to a1, h[1,0] and b[1,0]: the
+        # rows on codes equal the public d1 on factor tuples
+        for t in range(s, s + 13):
+            cells = may_core.enumerate_column(C3, t, [s, s + 1])
+            here, above = cells[s], cells[s + 1]
+            for u, block in here.blocks.items():
+                rows = may_diff._d1_rows(C3, here.coding, block, above.blocks.get(u - 1), "")
+                assert rows == block_rows_by_d1(C3, here, above, u), (s, t, u)
+        (block,) = may_core.enumerate_column(C3, s, [s])[s].blocks.values()
+        assert block.keys == [((a(0), s),)]
+        assert block.codes == [s]
+
+    def test_full_digit(self):
+        # the digit of a0 at t = 7 is 3 bits wide, and a0^7 fills it
+        coding = may_core.enumerate_column(C3, 7, [7])[7].coding
+        assert coding.offset[a(0)] == 0 and coding.width[a(0)] == 3
+        assert coding.encode(((a(0), 7),)) == 0b111
+        assert coding.decode(0b111) == ((a(0), 7),)
+        # the next digit starts above it
+        assert coding.offset[coding.gens[1]] == 3
+
+    def test_exterior_zero_terms_with_absent_generators(self):
+        # d1 h[4,0] = -h[2,2] h[2,0] - h[3,0] h[1,3] - ...  on h[1,3] h[2,0]
+        # h[4,0] at p=5 (3,2296): the first two terms repeat an h, and their
+        # h[2,2] and h[3,0] occur in no monomial of (4,2296).  A coding built
+        # from the generators of the bases alone cannot code them
+        cells = may_core.enumerate_column(C5, 2296, [3, 4])
+        (block,) = cells[3].blocks.values()
+        assert [Monomial(key).text() for key in block.keys] == ["h[1,3] h[2,0] h[4,0]"]
+        occurring = {g for blk in cells[4].blocks.values() for key in blk.keys for g, _ in key}
+        assert h(2, 2) not in occurring and h(3, 0) not in occurring
+        terms = d1_generator(h(4, 0), C5)._terms
+        assert ((h(2, 0), 1), (h(2, 2), 1)) in terms
+        assert ((h(1, 3), 1), (h(3, 0), 1)) in terms
+        data = cell_homology(C5, 3, 2296).serialize()
+        assert (data["e1"], data["e2"]) == (1, 0)
+        blob = json.dumps(data, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "297edd073f9893a82c9188df1d9a52ed3de9e74e2abe8a45b6eb7e0a5889a200"
+        )
+
+    @pytest.mark.parametrize(
+        "p, s, t", [(3, 8, 56), (3, 12, 96), (5, 3, 2296), (5, 4, 100), (7, 3, 4128)]
+    )
+    def test_codes_under_generator_reversal(self, reversed_generators, p, s, t):
+        # ranks are canonical positions, not positions in the list the
+        # search walks, so a reversed list gives the same codes and records
+        ctx = PrimeContext(p)
+        fwd = may_core.enumerate_column(ctx, t, [s, s + 1, s - 1])
+        record = cell_homology(ctx, s, t).serialize()
+        with reversed_generators() as calls:
+            rev = may_core.enumerate_column(ctx, t, [s, s + 1, s - 1])
+            assert cell_homology(ctx, s, t).serialize() == record
+        assert calls == [t, t]
+        for x in fwd:
+            assert rev[x].coding.gens == fwd[x].coding.gens
+            assert rev[x].coding.offset == fwd[x].coding.offset
+            assert {u: (blk.keys, blk.codes) for u, blk in rev[x].blocks.items()} == {
+                u: (blk.keys, blk.codes) for u, blk in fwd[x].blocks.items()
+            }
+        assert any(fwd[x].blocks for x in fwd)
+
+    def test_missing_d1_term_is_named(self):
+        # a target block that lacks terms of a d1 image: the row names the
+        # first of them in canonical order, with its coefficient
+        bases = {}
+        cell_homology(C3, 6, 55, bases)
+        here, above = bases[(6, 55)], bases[(7, 55)]
+        u, first = next(
+            (u, blk.keys[0]) for u, blk in here.blocks.items()
+            if len(d1(Monomial(blk.keys[0]), C3)._terms) >= 2
+        )
+        image = d1(Monomial(first), C3)._terms
+        dropped = sorted(image)[-2:]
+        target = above.blocks[u - 1]
+        kept = [(k, c) for k, c in zip(target.keys, target.codes) if k not in dropped]
+        bases[(7, 55)] = may_core.Cell(above.coding, {
+            **above.blocks,
+            u - 1: may_core.Block([k for k, _ in kept], [c for _, c in kept]),
+        })
+        with pytest.raises(AssertionError) as err:
+            cell_homology(C3, 6, 55, bases)
+        named = Monomial(dropped[0], image[dropped[0]]).text()
+        assert str(err.value) == f"term {named} missing from basis of (7,55,{u - 1})"
