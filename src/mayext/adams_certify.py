@@ -24,6 +24,7 @@ from .may_core import (
     MayextError,
     PrimeContext,
     WorkBudgetExceeded,
+    power,
     product,
     tridegree,
     a,
@@ -170,6 +171,11 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
     """Bidegree, representative, and metadata for a standing class name."""
     p, q = ctx.p, ctx.q
     params = dict(params or {})
+    # n and m are exponents of p, in degrees up to p^(n+1) and p^(m+1):
+    # the power budget refuses them before any degree is formed
+    for key in ("n", "m"):
+        if isinstance(params.get(key), int):
+            power(p, params[key] + 1)
 
     if name == "a0":
         return NamedClass(name, {}, 1, 1, product((a(0),), ctx))

@@ -56,6 +56,7 @@ from .greek_bp import (
 )
 from .les_dims import _SPECTRA, MAX_CELLS, WindowTooLarge, ext_dims
 from .may_core import (
+    MAX_POWER_BITS,
     InvalidParams,
     MayextError,
     ParseError,
@@ -64,6 +65,8 @@ from .may_core import (
     enumerate_basis,
     parse_element,
     parse_monomial,
+    power,
+    read_literal,
 )
 from .may_diff import SCHEMA_VERSION, E2Report, cell_homology, d1, summary_to_report
 
@@ -73,11 +76,9 @@ logger = logging.getLogger("mayext")
 # ---------------------------------------------------------------------------
 # expression evaluation
 
-# the largest '^' in the README, the claim corpus and the benchmark inputs
-# is p^12, 34 bits at p = 7, and the largest value 48 bits
-MAX_POWER_BITS = 1024
-# a literal with more digits than 2^MAX_POWER_BITS is over the budget
-_MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS))
+# the most factors one inside another (a '(', '^' or unary '-' opens one,
+# in at most four stack frames); the README and the corpus nest 3 deep
+MAX_NESTING = 100
 
 
 class _ExprParser:
@@ -86,16 +87,17 @@ class _ExprParser:
     expr := term (('+'|'-') term)*;  term := factor ('*' factor)*;
     factor := atom ('^' factor)?  with right-associative '^'.
 
-    A power b^e with |b| >= 2 is refused with WorkBudgetExceeded, before it
-    is computed, when (bits(|b|) - 1) * e >= MAX_POWER_BITS: its result
-    would then have more than MAX_POWER_BITS bits.  So is a literal of more
-    digits than 2^MAX_POWER_BITS, before int() reads it, and a sum,
-    difference or product of more than MAX_POWER_BITS bits.
+    A power b^e past the power budget is refused with WorkBudgetExceeded
+    before it is computed (power), and so is a literal of more digits than
+    2^MAX_POWER_BITS (read_literal) and a sum, difference or product of
+    more than MAX_POWER_BITS bits.  Numbers are ASCII digits; factors nested
+    more than MAX_NESTING deep are a ParseError.
     """
 
     def __init__(self, text: str, variables: dict[str, int]):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.vars = variables
 
     def parse(self) -> int:
@@ -132,23 +134,23 @@ class _ExprParser:
         return value
 
     def _factor(self) -> int:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._fail(f"more than {MAX_NESTING} nested factors")
         # unary minus binds looser than '^', so -p^2 means -(p^2)
         if self._peek() == "-":
             self.pos += 1
-            return -self._factor()
-        base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            exp = self._factor()
-            if exp < 0:
-                self._fail("negative exponent")
-            if (abs(base).bit_length() - 1) * exp >= MAX_POWER_BITS:
-                raise WorkBudgetExceeded(
-                    f"{base}^{exp} has more than {MAX_POWER_BITS} bits, "
-                    f"the budget for '^'"
-                )
-            return base**exp
-        return base
+            value = -self._factor()
+        else:
+            value = self._atom()
+            if self._peek() == "^":
+                self.pos += 1
+                exp = self._factor()
+                if exp < 0:
+                    self._fail("negative exponent")
+                value = power(value, exp)
+        self.depth -= 1
+        return value
 
     def _atom(self) -> int:
         ch = self._peek()
@@ -159,17 +161,11 @@ class _ExprParser:
                 self._fail("expected ')'")
             self.pos += 1
             return value
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
-            digits = self.pos - start
-            if digits > _MAX_LITERAL_DIGITS:
-                raise WorkBudgetExceeded(
-                    f"a literal of {digits} digits has more than "
-                    f"{MAX_POWER_BITS} bits, the budget for a value"
-                )
-            return int(self.text[start : self.pos])
+            return read_literal(self.text[start : self.pos])
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (

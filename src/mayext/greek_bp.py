@@ -4,6 +4,9 @@ Indexes are solved against internal-degree equations with exact integer
 arithmetic; nothing here touches the trigraded complex except through
 the named-class table, which the dictionary lookups and stem_of read.
 
+A power of p by an index field or a parameter is formed by may_core.power,
+which refuses one past the power budget before computing it.
+
 Beta admissibility for beta[a,s,b,c] (the class beta_{ap^s/b,c+1} of
 internal degree a p^s (p+1) q - b q) requires b >= 1, c >= 0, a >= 1
 prime to p, and
@@ -30,6 +33,8 @@ from .may_core import (
     ParseError,
     PrimeContext,
     WorkBudgetExceeded,
+    power,
+    read_literal,
 )
 
 
@@ -64,7 +69,7 @@ class BetaIndex:
 
     def degree(self, ctx: PrimeContext) -> int:
         p, q = ctx.p, ctx.q
-        return self.a * p**self.s * (p + 1) * q - self.b * q
+        return self.a * power(p, self.s) * (p + 1) * q - self.b * q
 
     def text(self) -> str:
         return f"beta[{self.a},{self.s},{self.b},{self.c}]"
@@ -102,7 +107,7 @@ class AlphaIndex:
         return self.n + 1
 
     def degree(self, ctx: PrimeContext) -> int:
-        return self.t * ctx.p**self.n * ctx.q
+        return self.t * power(ctx.p, self.n) * ctx.q
 
     def text(self) -> str:
         return f"alpha[{self.t},{self.n}]"
@@ -118,19 +123,14 @@ def _bound(p: int, k: int) -> int:
 
 def beta_admissible(ctx: PrimeContext, idx: BetaIndex, strict: bool = False) -> bool:
     p = ctx.p
-    if idx.a % p == 0:
-        return False
-    if idx.a == 1:
-        cap = idx.s if strict else p**idx.s
-        if idx.b > cap:
-            return False
-    if idx.b % p**idx.c:
-        return False
-    if idx.b > _bound(p, idx.s - idx.c):
-        return False
-    if idx.b % p ** (idx.c + 1) == 0 and idx.b <= _bound(p, idx.s - idx.c - 1):
-        return False
-    return True
+    ps, pc = power(p, idx.s), power(p, idx.c)
+    return not (
+        idx.a % p == 0
+        or idx.a == 1 and idx.b > (idx.s if strict else ps)
+        or idx.b % pc
+        or idx.b > _bound(p, idx.s - idx.c)
+        or idx.b % (pc * p) == 0 and idx.b <= _bound(p, idx.s - idx.c - 1)
+    )
 
 
 def enumerate_beta(
@@ -214,14 +214,6 @@ class BPGen:
         return f"c2[{self.a},{self.s}]"
 
 
-def _q1(p: int, a: int, s: int) -> int:
-    if a == 1:
-        return p**s
-    if s >= 1:
-        return p**s + p ** (s - 1) - 1
-    return 1
-
-
 def enumerate_ext0_KR(ctx: PrimeContext, n: int, t: int) -> list[BPGen]:
     """Generators of the Ext^0 column in internal degree t p^n (p+1) q.
 
@@ -235,15 +227,16 @@ def enumerate_ext0_KR(ctx: PrimeContext, n: int, t: int) -> list[BPGen]:
     p = ctx.p
     if n < 1 or t < 1 or t % p == 0:
         raise InvalidParams(f"need n >= 1 and t >= 1 prime to p, got n={n}, t={t}")
-    candidates = (p**n - 1) // (p + 1)
+    pn = power(p, n)
+    candidates = (pn - 1) // (p + 1)
     if candidates > MAX_EXT0_CANDIDATES:
         raise ColumnTooLarge(
             f"ext0 at n={n}, t={t} has {candidates} v1 exponents to try, "
             f"budget is {MAX_EXT0_CANDIDATES}"
         )
-    out = [BPGen("v2", e=t * p**n)]
+    out = [BPGen("v2", e=t * pn)]
     for d in range(1, candidates + 1):
-        val = t * p**n - d
+        val = t * pn - d
         s = 0
         while val % p == 0:
             val //= p
@@ -252,8 +245,9 @@ def enumerate_ext0_KR(ctx: PrimeContext, n: int, t: int) -> list[BPGen]:
         b = d * (p + 1)
         if b % p**s:
             raise AssertionError("v1 exponent lost p-divisibility")
-        lb = p**n - 1 - _q1(p, a, s) if t == 1 else p**n - _q1(p, a, s)
-        if max(lb, 1) <= b <= p**n - 1:
+        # the lower end p^n - q1, one less at t = 1
+        lb = pn - (p**s if a == 1 else _bound(p, s)) - (t == 1)
+        if max(lb, 1) <= b <= pn - 1:
             out.append(BPGen("v1c1", v1exp=b, a=a, s=s))
     return out
 
@@ -264,17 +258,16 @@ def enumerate_ext1_BPK(ctx: PrimeContext, n: int) -> list[BPGen]:
     p, q = ctx.p, ctx.q
     if n < 2:
         raise InvalidParams(f"need n >= 2, got n={n}")
+    pn = power(p, n)
     out = []
-    k = 0
-    while n - 2 * k >= 0:
+    for k in range(n // 2 + 1):
         e = (p ** (2 * k) - 1) // (p + 1) * p ** (n - 2 * k)
         gen = BPGen("v2h", e=e, i=n - 2 * k)
-        if gen.degree(ctx) != p**n * q:
+        if gen.degree(ctx) != pn * q:
             raise AssertionError(f"{gen.text()} misses degree p^{n}q")
         out.append(gen)
-        k += 1
     c2 = BPGen("c2", a=1, s=n - 2)
-    if c2.degree(ctx) != p**n * q:
+    if c2.degree(ctx) != pn * q:
         raise AssertionError("torsion generator misses degree p^nq")
     out.append(c2)
     return out
@@ -295,12 +288,13 @@ def thom_image(ctx: PrimeContext, idx) -> NamedClass:
     matches a dictionary pattern; degree equality is re-checked."""
     p = ctx.p
     if isinstance(idx, BetaIndex):
+        ps = power(p, idx.s)
         if idx.c == 0 and idx.a == 1 and idx.s >= 1:
-            if idx.b == p**idx.s - 1:
+            if idx.b == ps - 1:
                 cls = resolve_named("h0h", {"n": idx.s + 1}, ctx)
                 _check_degrees(ctx, idx, cls)
                 return cls
-            if idx.b == p**idx.s:
+            if idx.b == ps:
                 cls = resolve_named("b", {"n": idx.s}, ctx)
                 _check_degrees(ctx, idx, cls)
                 return cls
@@ -364,7 +358,7 @@ def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
         n, s = need("n", "s")
         if n < 0:
             raise InvalidParams(f"gamma[n,s] needs n >= 0, got n={n}")
-        return GammaIndex(ctx.p**n, s).degree(ctx) - 3
+        return GammaIndex(power(ctx.p, n), s).degree(ctx) - 3
     if family == "alpha":
         return AlphaIndex(*need("t", "n")).degree(ctx) - 1
     try:
@@ -384,7 +378,7 @@ def parse_index(text: str):
         raise ParseError(f"bad index syntax: {text!r}")
     name = m.group(1)
     try:
-        nums = [int(x) for x in m.group(2).split(",")]
+        nums = [read_literal(x.strip()) for x in m.group(2).split(",")]
     except ValueError as exc:
         raise ParseError(f"bad index numbers in {text!r}") from exc
     shapes = {"beta": 4, "gamma": 3, "alpha": 2}

@@ -20,11 +20,11 @@ with the degree-(1,0,-1) differential squaring to zero, so it is not
 used anywhere.
 
 Basis enumeration works a column (one internal degree t) at a time
-(enumerate_column) and codes each monomial it finds as an integer: a
-Coding ranks the generators below t canonically and packs one exponent
-digit per rank, so an h's one-bit digit makes the h part of a code its
-h bitmask.  may_diff forms d1 on these codes; in that form the sign rule
-is a popcount parity over the h bitmask.
+(enumerate_column).  Its search finds factor tuples, and the column's
+Coding, the one home of the code layout, codes each finished block: it
+ranks the generators below t canonically and packs one exponent digit per
+rank, so an h's one-bit digit makes the h part of a code its h bitmask.
+may_diff forms d1 on these codes, where the sign rule is a popcount parity.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -57,15 +58,38 @@ class ParseError(MayextError):
         self.column = column
 
 
+# The power and literal budget (power, read_literal).  The largest '^' in
+# the README, the claim corpus and the benchmark inputs is p^12, 34 bits at
+# p = 7, and the largest value 48 bits.
+MAX_POWER_BITS = 1024
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS))
+
+
+def power(base: int, exp: int) -> int:
+    """base^exp, exp >= 0, the one guard of powers by a user's exponent: it
+    raises WorkBudgetExceeded, before computing, when (bits(|base|) - 1) exp
+    >= MAX_POWER_BITS, so that the power would have more than that many bits."""
+    if (abs(base).bit_length() - 1) * exp >= MAX_POWER_BITS:
+        raise WorkBudgetExceeded(
+            f"{base}^{exp} has more than {MAX_POWER_BITS} bits, the budget for '^'"
+        )
+    return base**exp
+
+
+def read_literal(text: str) -> int:
+    """The integer an optional '-' and ASCII digits spell, refused with
+    WorkBudgetExceeded when it has more digits than 2^MAX_POWER_BITS."""
+    digits = len(text) - text.startswith("-")
+    if digits > _MAX_LITERAL_DIGITS:
+        raise WorkBudgetExceeded(
+            f"a literal of {digits} digits has more than {MAX_POWER_BITS} bits, "
+            "the budget for a value"
+        )
+    return int(text)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -320,16 +344,12 @@ def _as_element(x: MulOperand, ctx: PrimeContext) -> Element:
 
 def tridegree(x: MulOperand, ctx: PrimeContext) -> TriDegree:
     """Tridegree of a generator, monomial, or homogeneous element."""
-    if isinstance(x, Generator):
-        return x.tridegree(ctx)
-    if isinstance(x, Monomial):
-        return x.tridegree(ctx)
-    if isinstance(x, Element):
-        d = x.tridegree(ctx)
-        if d is None:
-            raise InvalidParams("element is not homogeneous")
-        return d
-    raise InvalidParams(f"cannot take the tridegree of {x!r}")
+    if not isinstance(x, (Generator, Monomial, Element)):
+        raise InvalidParams(f"cannot take the tridegree of {x!r}")
+    d = x.tridegree(ctx)
+    if d is None:
+        raise InvalidParams("element is not homogeneous")
+    return d
 
 
 _first = itemgetter(0)
@@ -420,8 +440,9 @@ class Coding:
 
     The coding of a column (enumerate_column) is a function of the context
     and the internal degree alone, so cells of one column enumerated by
-    separate calls have the same codes.  d1_terms holds the per-generator
-    d1 term tables that may_diff builds on first use.
+    separate calls have the same codes; it encodes each finished block
+    once.  d1_terms holds the per-generator d1 term tables that may_diff
+    builds on first use.
     """
 
     __slots__ = ("gens", "offset", "width", "hmask", "d1_terms")
@@ -440,7 +461,10 @@ class Coding:
 
     def encode(self, factors: Factors) -> int:
         offset = self.offset
-        return sum(e << offset[g] for g, e in factors)
+        code = 0
+        for g, e in factors:
+            code += e << offset[g]
+        return code
 
     def decode(self, code: int) -> Factors:
         offset, width = self.offset, self.width
@@ -493,10 +517,10 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
     list.  The search is output-sensitive: it enters a branch (generator k
     with exponent e) only when the generators after k can still make up
     the remaining filtration and internal degree exactly, so every branch
-    it enters ends in a monomial.  It carries the weight and the code of
-    the factors taken so far, so monomials are grouped by weight, and
-    coded, as they are found.  The reachability test of a cell is one of
-    two, chosen by the size of the table it would need:
+    it enters ends in a monomial.  It carries the weight of the factors
+    taken so far, so monomials are grouped by weight as they are found,
+    and coded a block at a time once the cell is complete.  The reachability
+    test of a cell is one of two, chosen by the size of the table it needs:
 
     * Narrow t, where (t + 1)(s + 1) len(gens) <= _REACH_TABLE_BITS:
       reach[k][r] is a Python-int bitset of the internal degrees up to t
@@ -540,7 +564,6 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
         g: 1 if g[0] == KIND_H else (t // dt).bit_length()
         for g, (_, dt, _) in zip(gens, degrees)
     })
-    digit = [1 << coding.offset[g] for g in gens]
     # exterior h's appear at most once, the others at most s times
     e_top = [1 if g[0] == KIND_H else max(cells) for g in gens]
     # the factor tuples come out in the order of gens: canonical unless a
@@ -554,7 +577,7 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
     double: dict[int, int] = {}
     for k, (ds, dt, _) in enumerate(degrees):
         (unit if ds == 1 else double)[dt] = k
-    closed: dict[tuple[int, int], list[tuple[int, Factors, int, int]]] = {}
+    closed: dict[tuple[int, int], list[tuple[int, Factors, int]]] = {}
     cell = steps = 0
 
     def spend(n: int) -> None:
@@ -566,25 +589,25 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
                 "search steps, the budget for enumeration"
             )
 
-    def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors, int, int]]:
-        """(first index, factors, weight, code) of each way to make up the
-        last s_rem <= 2 filtration units and t_rem internal degrees, by
-        degree lookup."""
+    def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors, int]]:
+        """(first index, factors, weight) of each way to make up the last
+        s_rem <= 2 filtration units and t_rem internal degrees, by degree
+        lookup."""
         key = (s_rem, t_rem)
         ways = closed.get(key)
         if ways is None:
             ways = []
             if s_rem == 0:
                 if t_rem == 0:
-                    ways.append((n, (), 0, 0))
+                    ways.append((n, (), 0))
             elif s_rem == 1:
                 k = unit.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),), degrees[k][2], digit[k]))
+                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
             else:
                 k = double.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),), degrees[k][2], digit[k]))
+                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
                 spend(len(unit))
                 for dt, k in unit.items():
                     k2 = unit.get(t_rem - dt)
@@ -592,14 +615,11 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
                         continue
                     if k2 == k:
                         if gens[k][0] != KIND_H:
-                            ways.append(
-                                (k, ((gens[k], 2),), 2 * degrees[k][2], 2 * digit[k])
-                            )
+                            ways.append((k, ((gens[k], 2),), 2 * degrees[k][2]))
                     else:
                         lo, hi = min(k, k2), max(k, k2)
                         u = degrees[lo][2] + degrees[hi][2]
-                        tail = ((gens[lo], 1), (gens[hi], 1))
-                        ways.append((lo, tail, u, digit[lo] + digit[hi]))
+                        ways.append((lo, ((gens[lo], 1), (gens[hi], 1)), u))
             closed[key] = ways
         return ways
 
@@ -626,13 +646,12 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
         # the same table by filtration: by_s[r][k] = reach[k][r]
         by_s = list(zip(*reach))
 
-        def fill_table(k: int, s_rem: int, t_rem: int, u: int, code: int) -> None:
+        def fill_table(k: int, s_rem: int, t_rem: int, u: int) -> None:
             # s_rem > 0, (k, s_rem, t_rem) is reachable (by_s[s_rem][k] has
-            # bit t_rem), and the factors on the stack have weight u and
-            # code `code`.  Skip gens[k], gens[k+1], ... while that stays
-            # reachable, then take each skipped generator e >= 1 times, last
-            # first: the order of a recursion on e = 0, without a frame per
-            # skip
+            # bit t_rem), and the factors on the stack have weight u.  Skip
+            # gens[k], gens[k+1], ... while that stays reachable, then take
+            # each skipped generator e >= 1 times, last first: the order of
+            # a recursion on e = 0, without a frame per skip
             col = by_s[s_rem]
             top = k
             while col[top + 1] >> t_rem & 1:
@@ -645,20 +664,20 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
                     if by_s[s2][j + 1] >> t2 & 1:
                         stack.append((gens[j], e))
                         if s2 > 1:
-                            fill_table(j + 1, s2, t2, u + e * du, code + e * digit[j])
+                            fill_table(j + 1, s2, t2, u + e * du)
                         else:
                             # close here.  With no unit left (so t2 = 0 too)
                             # that is one step.  One unit left only gens[j2],
                             # the unit generator of degree t2, makes up: the
                             # call on (j + 1, 1, t2) would skip to it in
                             # j2 - j steps and then close
-                            key, w, v = tuple(stack), u + e * du, code + e * digit[j]
+                            key, w = tuple(stack), u + e * du
                             if s2:
                                 j2 = unit[t2]
                                 key += ((gens[j2], 1),)
-                                w, v = w + degrees[j2][2], v + digit[j2]
+                                w += degrees[j2][2]
                             spend(j2 - j + 1 if s2 else 1)
-                            found.setdefault(w, []).append((key, v))
+                            found.setdefault(w, []).append(key)
                         stack.pop()
                     e, s2, t2 = e + 1, s2 - ds, t2 - dt
 
@@ -708,17 +727,15 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
                 memo[(j, s_rem, t_rem)] = hit
             return hit
 
-        def fill_memo(k: int, s_rem: int, t_rem: int, u: int, code: int) -> None:
+        def fill_memo(k: int, s_rem: int, t_rem: int, u: int) -> None:
             # (k, s_rem, t_rem) is reachable, and the factors on the stack
-            # have weight u and code `code`
+            # have weight u
             if s_rem <= 2:
                 spend(1)
                 prefix = tuple(stack)
-                for first, tail, tail_u, tail_code in closings(s_rem, t_rem):
+                for first, tail, tail_u in closings(s_rem, t_rem):
                     if first >= k:
-                        found.setdefault(u + tail_u, []).append(
-                            (prefix + tail, code + tail_code)
-                        )
+                        found.setdefault(u + tail_u, []).append(prefix + tail)
                 return
             # the skip-then-take order of fill_table
             top = k
@@ -730,82 +747,68 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
                 for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
                     if reach_memo(j + 1, s_rem - e * ds, t_rem - e * dt):
                         stack.append((g, e))
-                        fill_memo(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du,
-                                  code + e * digit[j])
+                        fill_memo(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du)
                         stack.pop()
 
     # the fills read the cell and its groups
     for cell in cells:
         steps = 0
-        found: dict[int, list[tuple[Factors, int]]] = {}
+        found: dict[int, list[Factors]] = {}
         if cell <= s_table:
             if by_s[cell][0] >> t & 1:
-                fill_table(0, cell, t, 0, 0)
+                fill_table(0, cell, t, 0)
         elif reach_memo(0, cell, t):
-            fill_memo(0, cell, t, 0, 0)
+            fill_memo(0, cell, t, 0)
         blocks = {}
-        for u, group in sorted(found.items()):
+        for u, keys in sorted(found.items()):
             if not canonical:
-                group = [(tuple(sorted(key)), code) for key, code in group]
-            # keys are distinct, so the sort never compares codes
-            group.sort()
-            blocks[u] = Block([key for key, _ in group], [code for _, code in group])
+                keys = [tuple(sorted(key)) for key in keys]
+            keys.sort()
+            blocks[u] = Block(keys, list(map(coding.encode, keys)))
         out[cell] = Cell(coding, blocks)
     return out
 
 
-def enumerate_bases(
-    ctx: PrimeContext, t: int, ss: Iterable[int]
-) -> dict[int, dict[int, list[Monomial]]]:
-    """The canonical basis monomials of (s, t) for each s in ss, grouped by
-    weight: {s: {u: [Monomial sorted by factors]}}, weights ascending and
-    empty weights absent, so an empty cell maps to {}.  The monomials of
-    enumerate_column(ctx, t, ss), which documents the search."""
-    return {
-        s: {u: [Monomial(key) for key in blk.keys] for u, blk in cell.blocks.items()}
-        for s, cell in enumerate_column(ctx, t, ss).items()
-    }
-
-
 def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
     """All canonical basis monomials of bidegree (s, t), any weight, sorted
-    by factors: the one cell of enumerate_bases(ctx, t, [s]), ungrouped."""
-    groups = enumerate_bases(ctx, t, [s])[s]
-    return sorted((m for monos in groups.values() for m in monos), key=lambda m: m.factors)
+    by factors: the one cell of enumerate_column(ctx, t, [s]), ungrouped."""
+    blocks = enumerate_column(ctx, t, [s])[s].blocks.values()
+    return [Monomial(key) for key in sorted(key for blk in blocks for key in blk.keys)]
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>-?\d+)"
-    r"|(?P<a>a(?P<ai>\d+))"
-    r"|(?P<hb>[hb])\[(?P<i>\d+),(?P<j>\d+)\])"
-    r"(?:\^(?P<exp>\d+))?\s*"
+    r"\s*(?:(?P<int>-?[0-9]+)"
+    r"|(?P<a>a(?P<ai>[0-9]+))"
+    r"|(?P<hb>[hb])\[(?P<i>[0-9]+),(?P<j>[0-9]+)\])"
+    r"(?:\^(?P<exp>[0-9]+))?\s*"
 )
 
 
 def parse_monomial(text: str, ctx: PrimeContext) -> Monomial:
-    """Parse the text form, e.g. ``2 a0^2 h[1,0] b[1,3]``."""
+    """Parse the text form, e.g. ``2 a0^2 h[1,0] b[1,3]``.  Numbers are
+    ASCII digits (read_literal), and a generator is refused when p^(i+j+1)
+    is past the power budget: its degree and its d1 could not be formed."""
     pos = 0
     coeff = 1
-    saw_coeff = False
     pairs: list[tuple[Generator, int]] = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"bad monomial syntax near {text[pos:pos+12]!r}", column=pos)
         if m.group("int") is not None:
-            if saw_coeff or pairs:
+            if pos:
                 raise ParseError("coefficient must come first", column=pos)
             if m.group("exp") is not None:
                 raise ParseError("coefficient cannot carry an exponent", column=pos)
-            coeff = int(m.group("int"))
-            saw_coeff = True
+            coeff = read_literal(m.group("int"))
         else:
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = read_literal(m.group("exp")) if m.group("exp") else 1
             if m.group("a"):
-                gen = a(int(m.group("ai")))
+                gen = a(read_literal(m.group("ai")))
             else:
                 kind = KIND_H if m.group("hb") == "h" else KIND_B
-                gen = Generator(kind, int(m.group("i")), int(m.group("j")))
+                gen = Generator(kind, read_literal(m.group("i")), read_literal(m.group("j")))
+            power(ctx.p, gen.i + gen.j + 1)
             pairs.append((gen, exp))
         pos = m.end()
     try:

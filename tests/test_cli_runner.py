@@ -3,8 +3,10 @@
 import json
 import logging
 import os
+import resource
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
@@ -57,12 +59,19 @@ def runner():
     return CliRunner()
 
 
-def run_module(args):
-    """`python -m mayext ARGS` in a fresh interpreter, stopped after 10 s."""
+def run_module(args, memory_mb=None):
+    """`python -m mayext ARGS` in a fresh interpreter, stopped after 10 s,
+    with its address space capped at memory_mb MiB when that is given."""
+
+    def cap():
+        limit = memory_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run(
         [sys.executable, "-m", "mayext", *args],
         capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": str(Path(mayext.__file__).parents[1])},
+        preexec_fn=cap if memory_mb else None,
     )
 
 
@@ -123,6 +132,24 @@ class TestEvalExpr:
             with pytest.raises(WorkBudgetExceeded) as err:
                 eval_expr(text, C5)
             assert str(err.value) == f"{what} has more than 1024 bits, the budget for a value"
+
+    def test_nesting_bound(self):
+        # MAX_NESTING factors one inside another answer, one more is refused
+        assert cli_runner.MAX_NESTING == 100
+        assert eval_expr("(" * 99 + "p" + ")" * 99, C5) == 5
+        assert eval_expr("-" * 99 + "2", C5) == -2
+        assert eval_expr("1^" * 99 + "2", C5) == 1
+        for text in ("(" * 100 + "p" + ")" * 100, "-" * 100 + "2", "1^" * 100 + "2"):
+            with pytest.raises(ParseError) as err:
+                eval_expr(text, C5)
+            assert str(err.value) == "more than 100 nested factors"
+
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0663", "1\u0663", "p + \uff11"])
+    def test_ascii_digits_only(self, text):
+        # a superscript two, an Arabic-Indic three and a fullwidth one are
+        # digits to str.isdigit, not to the grammar
+        with pytest.raises(ParseError):
+            eval_expr(text, C5)
 
     @pytest.mark.parametrize("bad", ["", "2+", "(2", "2^-1", "p q", "3..2", True, None, 2.5])
     def test_rejects(self, bad):
@@ -921,6 +948,107 @@ class TestErrorSurface:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr == f"Error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 10**4 + "1" + ")" * 10**4, "2^" * 10**4 + "1", "0+" + "-" * 10**4 + "1"],
+        ids=["parentheses", "powers", "minus-signs"],
+    )
+    def test_deep_nesting_exits_two(self, text):
+        # 300 parentheses once ended in a RecursionError traceback
+        res = run_module(["e2", "1", text])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.endswith("\nError: more than 100 nested factors\n")
+        assert "Traceback" not in res.stderr
+
+    def test_verify_reports_the_claim_after_a_nested_one(self, tmp_path):
+        nested = "(" * 3000 + "1" + ")" * 3000
+        doc = [dict(SMALL_CLAIMS["claims"][0], t=nested), SMALL_CLAIMS["claims"][0]]
+        res = run_module(["verify", "--json", write_claims(tmp_path, doc)])
+        assert res.returncode == 1
+        assert res.stderr == ""
+        results = json.loads(res.stdout)["results"]
+        assert [r["status"] for r in results] == ["error", "pass"]
+        assert results[0]["detail"] == "ParseError: more than 100 nested factors"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["e2", "1", "\u00b2"], "Error: expected a number, p, q, or '('\n"),
+            (["d1", "a\u0663"], "Error: bad monomial syntax near 'a\u0663'\n"),
+            (
+                ["d1", "a" + "1" * 5000],
+                "Error: a literal of 5000 digits has more than 1024 bits, "
+                "the budget for a value\n",
+            ),
+        ],
+        ids=["superscript-two", "arabic-indic-three", "5000-digit-index"],
+    )
+    def test_literals_that_are_not_ascii_or_not_budgeted(self, args, message):
+        # each once ended in a ValueError traceback
+        res = run_module(args)
+        assert res.returncode == (1 if "budget" in message else 2)
+        assert res.stdout == ""
+        assert res.stderr.endswith(message)
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, power",
+        [
+            # these four once ran until killed
+            (["stems", "h", "-P", "n=10^9"], "5^1000000001"),
+            (["stems", "gamma", "-P", "n=2^60", "-P", "s=1"], "5^1152921504606846976"),
+            (
+                ["greek", "beta-check", "beta[1," + "9" * 30 + ",1,0]"],
+                "5^" + "9" * 30,
+            ),
+            (["d1", "h[99999999999999999999,0]"], "5^100000000000000000000"),
+            # these two once ended in a ValueError traceback
+            (["greek", "ext1", "10000"], "5^10000"),
+            (["stems", "beta", "-P", "t=1", "-P", "n=100000", "-P", "s=1"], "5^100000"),
+        ],
+        ids=["stems-h", "stems-gamma", "beta-check", "d1-generator", "ext1", "stems-beta"],
+    )
+    def test_p_power_of_a_user_exponent_exits_one(self, args, power):
+        start = time.monotonic()
+        res = run_module(args)
+        assert time.monotonic() - start < 2
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == f"Error: {power} has more than 1024 bits, the budget for '^'\n"
+
+    @pytest.mark.parametrize(
+        "args, code, first_line",
+        [
+            (
+                ["-p", "5", "e2", "2", "2^400"],
+                0,
+                "(2," + str(2**400) + "): first-term dim 0, second-term dim 0",
+            ),
+            (
+                ["-p", "5", "e2", "3", "2^300"],
+                1,
+                "Error: basis of (4," + str(2**300) + ") needs more than 3000000 "
+                "search steps, the budget for enumeration",
+            ),
+            (
+                ["-p", "5", "e2", "2", "2*(p^300-1)+q"],
+                1,
+                "Error: basis of (3," + str(2 * (5**300 - 1) + 8) + ") needs more "
+                "than 3000000 search steps, the budget for enumeration",
+            ),
+        ],
+        ids=["answers", "refuses-a-neighbour", "refuses-the-column"],
+    )
+    def test_wide_columns_fit_in_512_mb(self, args, code, first_line):
+        # a wide column's set-up is linear in its code width: at t = 2^400
+        # (29,413 generators, 1,986,041-bit codes) a table of one shifted
+        # one per generator once took 2.3 GB
+        res = run_module(args, memory_mb=512)
+        assert res.returncode == code
+        assert (res.stdout or res.stderr).splitlines()[0] == first_line
+        assert "MemoryError" not in res.stderr
 
     def test_wide_t_answers_or_fails_typed(self):
         # 1,407 generators lie below t = 2^60 at p = 3; the basis search

@@ -424,3 +424,42 @@ class TestParseIndex:
     def test_errors(self, bad):
         with pytest.raises(ParseError):
             parse_index(bad)
+
+
+class TestPowerBudget:
+    """Every power of p by a user's exponent is formed by may_core.power
+    first: 5^512 is the least power of 5 it refuses, and 5^511 is formed."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda k: BetaIndex(1, k, 1).degree(C5),
+            lambda k: AlphaIndex(1, k).degree(C5),
+            lambda k: beta_admissible(C5, BetaIndex(1, k, 1)),
+            lambda k: beta_admissible(C5, BetaIndex(1, 1, 1, k)),
+            lambda k: enumerate_ext1_BPK(C5, k),
+            lambda k: stem_of(C5, "gamma", {"n": k, "s": 1}),
+            lambda k: resolve_named("h", {"n": k - 1}, C5),
+            lambda k: resolve_named("h0hh", {"n": k - 1, "m": 1}, C5),
+        ],
+    )
+    def test_refused_before_it_is_computed(self, call):
+        call(511)
+        with pytest.raises(WorkBudgetExceeded) as err:
+            call(512)
+        assert str(err.value) == "5^512 has more than 1024 bits, the budget for '^'"
+
+    def test_thom_image(self):
+        with pytest.raises(NoDictionaryEntry):
+            thom_image(C5, BetaIndex(1, 511, 1))
+        with pytest.raises(WorkBudgetExceeded):
+            thom_image(C5, BetaIndex(1, 512, 1))
+
+    def test_ext0_refuses_the_power_before_its_candidates(self):
+        with pytest.raises(WorkBudgetExceeded) as err:
+            enumerate_ext0_KR(C5, 10**9, 1)
+        assert str(err.value) == "5^1000000000 has more than 1024 bits, the budget for '^'"
+
+    def test_index_literal_budget(self):
+        with pytest.raises(WorkBudgetExceeded):
+            parse_index("alpha[" + "1" * 400 + ",0]")

@@ -23,8 +23,8 @@ from mayext.may_core import (
     WorkBudgetExceeded,
     a,
     b,
-    enumerate_bases,
     enumerate_basis,
+    enumerate_column,
     generators_bounded,
     h,
     multiply,
@@ -264,6 +264,30 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_monomial(bad, C7)
 
+    @pytest.mark.parametrize("bad", ["a\u0663", "h[\u00b9,0]", "\u0662 a0", "a0^\u0662"])
+    def test_digits_are_ascii(self, bad):
+        with pytest.raises(ParseError):
+            parse_monomial(bad, C7)
+
+    def test_literal_budget(self):
+        assert parse_monomial("a0^" + "9" * 300, C7).factors == ((a(0), 10**300 - 1),)
+        with pytest.raises(WorkBudgetExceeded) as err:
+            parse_monomial("1" * 310 + " a0", C7)
+        assert str(err.value) == (
+            "a literal of 310 digits has more than 1024 bits, the budget for a value"
+        )
+
+    def test_generator_power_budget(self):
+        # a generator is refused when p^(i+j+1) would pass MAX_POWER_BITS
+        # (3^(i+j+1) from i+j+1 = 1024 on): its degree and its d1 are too
+        # large to form
+        assert may_core.MAX_POWER_BITS == 1024
+        assert parse_monomial("h[1000,22]", C3).factors == ((h(1000, 22), 1),)
+        for text in ("h[1000,23]", "b[1023,0]", "a1023"):
+            with pytest.raises(WorkBudgetExceeded) as err:
+                parse_monomial(text, C3)
+            assert str(err.value) == "3^1024 has more than 1024 bits, the budget for '^'"
+
 
 class TestDegreeResidue:
     def test_values(self):
@@ -397,21 +421,33 @@ class TestEnumerateBasis:
             assert fwd == rev, (ctx.p, s, t)
 
 
+def column(ctx, t, ss):
+    """enumerate_column(ctx, t, ss) as plain data, {s: {u: (keys, codes)}},
+    which compares by value."""
+    return {
+        s: {u: (blk.keys, blk.codes) for u, blk in cell.blocks.items()}
+        for s, cell in enumerate_column(ctx, t, ss).items()
+    }
+
+
 def check_column(ctx, t, ss):
-    """enumerate_bases(ctx, t, ss) against the brute-force oracle, cell by
-    cell, with each group of the weight it is filed under and in order."""
-    bases = enumerate_bases(ctx, t, ss)
-    assert list(bases) == list(dict.fromkeys(ss)), (ctx.p, t)
-    for s, groups in bases.items():
-        assert list(groups) == sorted(groups), (ctx.p, s, t)
+    """The block keys of enumerate_column(ctx, t, ss) against the
+    brute-force oracle, cell by cell, with each block of the weight it is
+    filed under, in order, and its codes decoding to its keys."""
+    cells = enumerate_column(ctx, t, ss)
+    assert list(cells) == list(dict.fromkeys(ss)), (ctx.p, t)
+    for s, cell in cells.items():
+        assert list(cell.blocks) == sorted(cell.blocks), (ctx.p, s, t)
         found = []
-        for u, monos in groups.items():
-            keys = [m.factors for m in monos]
+        for u, blk in cell.blocks.items():
+            keys = blk.keys
             assert keys and keys == sorted(keys), (ctx.p, s, t, u)
-            assert {m.tridegree(ctx) for m in monos} == {(s, t, u)}, (ctx.p, s, t, u)
+            degrees = {Monomial(key).tridegree(ctx) for key in keys}
+            assert degrees == {(s, t, u)}, (ctx.p, s, t, u)
+            assert list(map(cell.coding.decode, blk.codes)) == keys, (ctx.p, s, t, u)
             found += keys
         assert sorted(found) == brute_force_basis(ctx, s, t), (ctx.p, s, t)
-    return bases
+    return cells
 
 
 class TestEnumerateBases:
@@ -436,21 +472,21 @@ class TestEnumerateBases:
             for t in self.TS:
                 check_column(ctx, t, self.SS)
         for ctx, s, t in WIDE_CELLS:
-            assert check_column(ctx, t, [s, s - 1])[s], (ctx.p, s, t)
+            assert check_column(ctx, t, [s, s - 1])[s].blocks, (ctx.p, s, t)
 
     def test_column_under_generator_reversal(self, reversed_generators, monkeypatch):
         # the p = 7 column is too wide for a table; the p = 5 one is narrow,
         # and is then run again through the memoised search
         wide = _t(C7, a(0), h(1, 0), h(1, 11))
         columns = [(C5, 156, [6, 5, 7]), (C7, wide, [3, 2, 4])]
-        want = [enumerate_bases(ctx, t, ss) for ctx, t, ss in columns]
+        want = [column(ctx, t, ss) for ctx, t, ss in columns]
         check_column(*columns[0])
-        assert sum(map(len, want[1][3].values())) >= 2
+        assert sum(len(keys) for keys, _ in want[1][3].values()) >= 2
         for table_bits in (None, 0):
             if table_bits is not None:
                 monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
             with reversed_generators() as calls:
-                got = [enumerate_bases(ctx, t, ss) for ctx, t, ss in columns]
+                got = [column(ctx, t, ss) for ctx, t, ss in columns]
             assert calls == [156, wide]
             assert got == want
 
@@ -462,13 +498,13 @@ class TestEnumerateBases:
         # naming (6,55)
         if table_bits is not None:
             monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
-        want = enumerate_bases(C3, 55, [5, 6])
+        want = column(C3, 55, [5, 6])
         monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", steps)
-        assert enumerate_bases(C3, 55, [5, 6]) == want
+        assert column(C3, 55, [5, 6]) == want
         monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", steps - 1)
-        assert enumerate_bases(C3, 55, [5]) == {5: want[5]}
+        assert column(C3, 55, [5]) == {5: want[5]}
         with pytest.raises(WorkBudgetExceeded) as err:
-            enumerate_bases(C3, 55, [5, 6])
+            column(C3, 55, [5, 6])
         assert str(err.value) == (
             f"basis of (6,55) needs more than {steps - 1} search steps, "
             "the budget for enumeration"
@@ -478,7 +514,7 @@ class TestEnumerateBases:
             # the memo that (5,55) left
             monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", 440)
             with pytest.raises(WorkBudgetExceeded):
-                enumerate_bases(C3, 55, [6])
+                column(C3, 55, [6])
 
 
 def generator_pool(p):
