@@ -39,7 +39,7 @@ DIM_CERTIFIED = "DimCertified"
 UPPER_BOUND = "UpperBound"
 
 # Where second-term records come from: reports(s, t), such as
-# Session.report.  Certificates, les intervals and products all read it.
+# Session.report.  Certificates and les intervals read it.
 ReportSource = Callable[[int, int], E2Report]
 
 # adams_dr_window certifies two cells per row, and cells grow with r: at
@@ -409,12 +409,9 @@ def adams_dr_window(
     return report
 
 
-def product_nonzero_at_e2(
-    ctx: PrimeContext, classes: list, reports: ReportSource
-) -> dict:
+def product_nonzero_at_e2(ctx: PrimeContext, classes: list, session) -> dict:
     """Multiply the representatives of NamedClasses and reduce mod the
-    boundaries of their bidegree, read from reports(s, t) (for example
-    Session.report).
+    boundaries of their bidegree, read from session.boundaries(s, t).
 
     A nonzero answer means the product survives to the second term; it is
     a statement about the second term, not yet about the abutment.
@@ -435,7 +432,7 @@ def product_nonzero_at_e2(
         raise AssertionError("product of cocycles failed to be a cocycle")
     reduced = prod
     if not prod.is_zero:
-        reduced = reduce_mod_boundaries(ctx, reports(*expected), prod)
+        reduced = reduce_mod_boundaries(ctx, session.boundaries(*expected), prod)
     return {
         "nonzero": not reduced.is_zero,
         "bidegree": expected,

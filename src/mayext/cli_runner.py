@@ -1,14 +1,14 @@
 """Command line front end: cached sessions, claim checking, and charts.
 
-A Session owns one prime and reuses work at two levels: an in-process
-memo of second-term records keyed by (s, t), and an optional on-disk
-cache of serialized second-term reports keyed by (module, p, s, t,
+A Session owns one prime and reuses work at two levels: in-process memos
+of second-term records and boundary data keyed by (s, t), and an optional
+on-disk cache of serialized records keyed by (module, p, s, t,
 schema_version).  Disk records embed their own key, so a corrupt file,
 a malformed value or a digest collision degrades to a recomputation
 with a warning, never to wrong data or a crash.  Warnings go to the
-"mayext" logger; the command line prints them on stderr.  Every
-certificate, les interval and product the CLI computes reads its
-records through Session.report.
+"mayext" logger; the command line prints them on stderr.  Certificates
+read records through Session.report; products and witness ranks
+reduce against Session.boundaries.
 
 Claims are JSON dicts with a "kind", a prime "p", kind-specific
 parameters, and an "expect" value.  Any numeric parameter may be an
@@ -68,7 +68,9 @@ from .may_core import (
     power,
     read_literal,
 )
-from .may_diff import SCHEMA_VERSION, E2Report, cell_homology, d1, summary_to_report
+from .may_diff import (
+    SCHEMA_VERSION, Boundaries, E2Report, boundary_data, cell_homology, d1, summary_to_report
+)
 
 logger = logging.getLogger("mayext")
 
@@ -256,13 +258,14 @@ class DiskCache:
 
 
 class Session:
-    """All computations for one prime: one memo of second-term records
-    and one of weight-grouped bases, both keyed by (s, t), and an optional
-    disk cache behind report, the one source of records."""
+    """All computations for one prime: memos of records, boundary data and
+    bases keyed by (s, t), and an optional disk cache behind report, the
+    one source of records."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
         self.ctx = ctx
         self.memo: dict[tuple[int, int], E2Report] = {}
+        self.boundary_memo: dict[tuple[int, int], Boundaries] = {}
         self.bases: dict[tuple[int, int], dict] = {}
         self.disk = DiskCache(cache_dir) if cache_dir else None
 
@@ -292,11 +295,18 @@ class Session:
                 else:
                     self.memo[(s, t)] = rep
                     return rep
-        rep = cell_homology(self.ctx, s, t, self.bases)
+        rep = cell_homology(self.ctx, s, t, self.bases, self.boundaries)
         self.memo[(s, t)] = rep
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
         return rep
+
+    def boundaries(self, s: int, t: int) -> Boundaries:
+        """The boundary data of (s, t), memoised, never from disk."""
+        data = self.boundary_memo.get((s, t))
+        if data is None:
+            data = self.boundary_memo[(s, t)] = boundary_data(self.ctx, s, t, self.bases)
+        return data
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +413,7 @@ def _check_les_dim(session: Session, ctx: PrimeContext, claim: dict):
     spectrum = claim["spectrum"]
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
-    res = ext_dims(ctx, spectrum, s, t, session.report)
+    res = ext_dims(ctx, spectrum, s, t, session)
     expect = claim["expect"]
     where = f"{spectrum}({s},{t})"
     if isinstance(expect, dict) and "min_lo" in expect:
@@ -476,7 +486,7 @@ def _check_product_nonzero(session: Session, ctx: PrimeContext, claim: dict):
         resolve_named(entry["name"], entry.get("params", {}), ctx)
         for entry in claim["classes"]
     ]
-    result = product_nonzero_at_e2(ctx, classes, session.report)
+    result = product_nonzero_at_e2(ctx, classes, session)
     want = bool(claim["expect"])
     names = " * ".join(cls.text() for cls in classes)
     note = " (conjectural factor)" if result["conjectural"] else ""
@@ -566,7 +576,10 @@ def load_claims(path=None) -> list:
         raw = resources.files("mayext").joinpath("data/corpus.json").read_text()
     else:
         raw = Path(path).read_text()
-    doc = json.loads(raw)
+    try:
+        doc = json.loads(raw)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"claims file is not valid JSON: {exc}") from None
     claims = doc.get("claims") if isinstance(doc, dict) else doc
     if not isinstance(claims, list):
         raise InvalidParams("claims file must be a list or an object with 'claims'")
@@ -752,6 +765,8 @@ def main(ctx, prime, cache_dir):
     """Second-term cohomology computations and degree bookkeeping."""
     try:
         prime_ctx = PrimeContext(prime)
+    except WorkBudgetExceeded as exc:
+        raise click.ClickException(str(exc)) from exc
     except InvalidParams as exc:
         raise click.UsageError(str(exc)) from exc
     ctx.obj = Session(prime_ctx, cache_dir)
@@ -864,7 +879,7 @@ def les(session, spectrum, s, t, as_json):
     """Propagated dimension interval for SPECTRUM at (S, T)."""
     ctx = session.ctx
     s_val, t_val = eval_expr(s, ctx), eval_expr(t, ctx)
-    res = ext_dims(ctx, spectrum, s_val, t_val, session.report)
+    res = ext_dims(ctx, spectrum, s_val, t_val, session)
     if as_json:
         out = {"spectrum": spectrum, "s": s_val, "t": t_val, **res.serialize()}
         click.echo(json.dumps(out, indent=2))
@@ -1010,8 +1025,6 @@ def verify(ctx_click, claims_file, include_conjectures, as_json):
     session = ctx_click.obj
     try:
         claims = load_claims(claims_file)
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"claims file is not valid JSON: {exc}") from exc
     except InvalidParams as exc:
         raise click.UsageError(str(exc)) from exc
     cache_dir = session.disk.root if session.disk else None

@@ -1,11 +1,11 @@
 """Dimension intervals for Moore-type spectra propagated from sphere cells.
 
 Every group dimension here is an interval [lo, hi].  Upper bounds come
-from second-term totals on the sphere; lower bounds come only from
-multiplication witnesses computed at the second term (rank of a_0- or
-h_0-multiplication on representatives after reduction mod boundaries).
-Long exact sequences then transport intervals through kernel/cokernel
-arithmetic
+from second-term totals on the sphere; lower bounds only from witnesses
+at the second term: the rank of a_0- or h_0-multiples of a cell's
+representatives modulo the target cell's boundary data, not its
+record.  Long exact sequences then transport intervals through
+kernel/cokernel arithmetic
 
     dim ker f in [dim src - rank_hi, dim src - rank_lo]
     dim cok f in [dim tgt - rank_hi, dim tgt - rank_lo]
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adams_certify import Certificate, ReportSource, certify_ext_dim
+from .adams_certify import Certificate, certify_ext_dim
 from .may_core import (
     InvalidParams, MayextError, PrimeContext, WorkBudgetExceeded, a, h, multiply
 )
@@ -132,22 +132,17 @@ class SphereTable:
         return cell.h0_rank_lower if op == "h0" else cell.a0_rank_lower
 
 
-def _witness_rank(
-    ctx: PrimeContext, reports: ReportSource, cell: SphereCell, gen, t_shift: int
-) -> int:
+def _witness_rank(ctx: PrimeContext, session, cell: SphereCell, gen, t_shift: int) -> int:
     """E2 rank of multiplication by gen out of cell into (s+1, t+t_shift)."""
     products = [multiply(rep, gen, ctx) for rep in cell.cert.report.representatives]
-    return e2_rank(ctx, reports(cell.s + 1, cell.t + t_shift), products)
+    return e2_rank(ctx, session.boundaries(cell.s + 1, cell.t + t_shift), products)
 
 
-def sphere_table(
-    ctx: PrimeContext, s_range, t_range, reports: ReportSource
-) -> SphereTable:
+def sphere_table(ctx: PrimeContext, s_range, t_range, session) -> SphereTable:
     """Certify every cell in the window and pin witness lower bounds.
 
-    Cells are read from reports(s, t), such as Session.report; a memoising
-    source lets repeated windows over the same prime reuse cell
-    computations.
+    Cells are certified from session.report and witness targets reduced
+    against session.boundaries (a cli_runner.Session), so windows reuse both.
     """
     s_min, s_max = s_range
     t_min, t_max = t_range
@@ -159,12 +154,12 @@ def sphere_table(
     table = SphereTable(ctx, s_range, t_range)
     for s in range(s_min, s_max + 1):
         for t in range(t_min, t_max + 1):
-            cert = certify_ext_dim(reports, s, t)
+            cert = certify_ext_dim(session.report, s, t)
             lo = cert.dim if cert.certified_exact else 0
             cell = SphereCell(s, t, cert, DimInterval(lo, cert.dim, cert.verdict))
             if cert.dim:
-                cell.a0_rank_lower = _witness_rank(ctx, reports, cell, a(0), 1)
-                cell.h0_rank_lower = _witness_rank(ctx, reports, cell, h(1, 0), ctx.q)
+                cell.a0_rank_lower = _witness_rank(ctx, session, cell, a(0), 1)
+                cell.h0_rank_lower = _witness_rank(ctx, session, cell, h(1, 0), ctx.q)
             table.cells[(s, t)] = cell
 
     for (s, t), cell in table.cells.items():
@@ -287,15 +282,13 @@ def _column(
     return cok + ker
 
 
-def ext_dims(
-    ctx: PrimeContext, spectrum: str, s: int, t: int, reports: ReportSource
-) -> DimInterval:
+def ext_dims(ctx: PrimeContext, spectrum: str, s: int, t: int, session) -> DimInterval:
     """Dimension interval of one column at (s, t), over the smallest sphere
-    table that serves it; reports is a source such as Session.report.
-    Every column is zero at a negative bidegree."""
+    table that serves it, read from session (see sphere_table).  Every
+    column is zero at a negative bidegree."""
     _first_variable(ctx, spectrum, t)  # an unknown spectrum raises first
     if s < 0 or t < 0:
         return DimInterval(0, 0, "out of range")
     s_range, t_range = _window(ctx, spectrum, s, t)
-    table = sphere_table(ctx, s_range, t_range, reports)
+    table = sphere_table(ctx, s_range, t_range, session)
     return _column(ctx, table, spectrum, s, t)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -88,8 +87,20 @@ def read_literal(text: str) -> int:
     return int(text)
 
 
+# Miller-Rabin on these bases is exact below 3.18e23 (Sorenson, Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_PRIME = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    if n < 2 or n in _WITNESSES:
+        return n in _WITNESSES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    for w in _WITNESSES:
+        x = pow(w, (n - 1) >> r, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(r)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,8 @@ class PrimeContext:
     d1_table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.p, int) and self.p >= MAX_PRIME:
+            raise WorkBudgetExceeded(f"p must be below 2^64, the budget, got {self.p}")
         if not isinstance(self.p, int) or self.p < 3 or not _is_prime(self.p):
             raise InvalidParams(f"p must be an odd prime, got {self.p!r}")
         object.__setattr__(self, "q", 2 * (self.p - 1))

@@ -18,12 +18,11 @@ codes its terms, applies _d1_image and decodes the image.
 
 Because d1 preserves the internal degree and shifts the weight by
 exactly -1, the second-term computation splits into independent blocks,
-one per weight, inside each bidegree (s, t).  cell_homology reads the
-coded bases of (s-1, t), (s, t) and (s+1, t) from the caller's memo and
-enumerates the ones it lacks in one column call
-(may_core.enumerate_column), so a session (Session.report) enumerates
-each cell once.  A column's coding depends only on the context and t,
-so cells of one column from separate calls share their codes.
+one per weight, inside each bidegree (s, t).  Coded bases come from the
+caller's memo, and those it lacks are enumerated in one column call
+(may_core.enumerate_column), so a session enumerates each cell once.
+A column's coding depends only on the context and t, so cells from
+separate calls share their codes.
 
 All linear algebra is over F_p on sparse rows {column: coefficient}, in
 the canonical column order of each weight block.  echelon returns the
@@ -31,37 +30,19 @@ reduced row echelon form, unique for a row space, so no output depends
 on the order of rows or of elimination.  A block's representatives are
 the cycle echelon rows whose pivot is not a boundary pivot.
 
-A record (E2Report) is plain data, what serialize writes.  Reduction
-modulo boundaries, for products (reduce_mod_boundaries) and les witness
-ranks (e2_rank), reads a private slot of the record through _reduce.
-A record rebuilt from disk fills that slot on its first reduction with
-the boundary data alone (_boundary_blocks, shared with cell_homology):
-the bases of its cell and of the one below, and the echelon form of the
-d1 images between them.
+A record (E2Report) is plain data, what serialize writes.  A cell's
+boundary data (Boundaries, from boundary_data) is memoised apart by
+Session.boundaries; cell_homology, reduce_mod_boundaries and e2_rank
+read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .may_core import (
-    Block,
-    Cell,
-    Coding,
-    Element,
-    Factors,
-    Generator,
-    InvalidParams,
-    KIND_A,
-    KIND_H,
-    Monomial,
-    MulOperand,
-    PrimeContext,
-    _as_element,
-    a,
-    enumerate_column,
-    h,
-    multiply_factors,
+    Block, Coding, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H, Monomial,
+    MulOperand, PrimeContext, _as_element, a, enumerate_column, h, multiply_factors,
     parse_element,
 )
 
@@ -243,9 +224,6 @@ class E2Report:
     t: int
     p: int
     weights: dict[int, WeightBlock]
-    # not part of the record: per weight, the column of each basis monomial
-    # and the boundary echelon rows keyed by pivot (see _reduce)
-    _boundaries: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def e1_total(self) -> int:
@@ -292,13 +270,6 @@ def summary_to_report(ctx: PrimeContext, data: dict) -> E2Report:
     return E2Report(data["s"], data["t"], data["p"], weights)
 
 
-def _group_by_weight(ctx, monomials):
-    groups: dict[int, list[Monomial]] = {}
-    for m in monomials:
-        groups.setdefault(m.tridegree(ctx).u, []).append(m)
-    return groups
-
-
 def _vector(terms: dict, index: dict, where: str, decode=None) -> Row:
     """terms, {key: coefficient}, as a row over the columns of index.
     Raises AssertionError naming the first term in canonical order that
@@ -337,49 +308,59 @@ def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
     return Element(p, {keys[col]: c for col, c in sorted(vec.items())})
 
 
-def _boundary_blocks(
-    ctx: PrimeContext, s: int, t: int, cell: Cell, cell_below: Cell
-) -> dict[int, tuple[dict[Factors, int], dict[int, Row]]]:
-    """Per weight u of `cell`, the basis of (s, t): the column of each
-    basis monomial, and the echelon rows of the d1 images of block u + 1
-    of `cell_below`, the basis of (s - 1, t), keyed by pivot.  The
-    boundary data of cell_homology and of _reduce."""
+@dataclass
+class Boundaries:
+    """The boundary data of (s, t): per weight u, the column of each basis
+    monomial and the echelon rows of the d1 images of block u + 1 of
+    (s-1, t), keyed by pivot."""
+
+    s: int
+    t: int
+    blocks: dict[int, tuple[dict[Factors, int], dict[int, Row]]]
+
+
+def _enumerate_into(ctx: PrimeContext, t: int, ss: tuple, bases: dict) -> None:
+    """Enumerate the cells (s, t), s in ss, that bases lacks in one call."""
+    missing = [x for x in ss if (x, t) not in bases]
+    if missing:
+        for x, cell in enumerate_column(ctx, t, missing).items():
+            bases[(x, t)] = cell
+
+
+def boundary_data(ctx: PrimeContext, s: int, t: int, bases: dict) -> Boundaries:
+    """The boundary data of (s, t), from the memo of coded bases."""
+    _enumerate_into(ctx, t, (s, s - 1), bases)
+    cell, below = bases[(s, t)], bases[(s - 1, t)]
     out = {}
     for u, block in cell.blocks.items():
         index = {key: k for k, key in enumerate(block.keys)}
-        below = cell_below.blocks.get(u + 1)
-        rows = _d1_rows(ctx, cell.coding, below, block, f"({s},{t},{u})")
+        rows = _d1_rows(ctx, cell.coding, below.blocks.get(u + 1), block, f"({s},{t},{u})")
         b_ech, b_piv = echelon(rows, ctx.p)
         out[u] = (index, dict(zip(b_piv, b_ech)))
-    return out
+    return Boundaries(s, t, out)
 
 
 def cell_homology(
-    ctx: PrimeContext, s: int, t: int, bases: dict | None = None
+    ctx: PrimeContext, s: int, t: int, bases: dict | None = None, boundaries=None
 ) -> E2Report:
     """The second-term record of (s, t): per weight, the dimensions and the
-    representatives, with the boundary data that reduction needs in the
-    record's private slot.
+    representatives.
 
-    The coded bases of (s, t), (s+1, t) and (s-1, t) come from `bases`,
-    the caller's memo of Cells keyed by (s, t); those it lacks are
-    enumerated into it in one column call (enumerate_column).  Without a
-    memo the call uses a fresh dict.  Records are not memoised here:
-    Session.report keeps them, and passes its own memo of bases."""
+    The coded bases of (s, t) and (s +- 1, t) come from `bases`, the
+    caller's memo of Cells, which one column call fills; the boundary data
+    from boundaries(s, t), such as Session.boundaries, else boundary_data."""
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
     if bases is None:
         bases = {}
-    missing = [x for x in (s, s + 1, s - 1) if (x, t) not in bases]
-    for x, cell in enumerate_column(ctx, t, missing).items():
-        bases[(x, t)] = cell
+    _enumerate_into(ctx, t, (s, s + 1, s - 1), bases)
     p = ctx.p
     here, above = bases[(s, t)], bases[(s + 1, t)]
-    boundaries = _boundary_blocks(ctx, s, t, here, bases[(s - 1, t)])
+    data = boundaries(s, t) if boundaries else boundary_data(ctx, s, t, bases)
 
     weights = {}
     for u, block in here.blocks.items():
-        index, boundary = boundaries[u]
+        boundary = data.blocks[u][1]
         where = f"({s+1},{t},{u-1})"
         out_rows = _d1_rows(ctx, here.coding, block, above.blocks.get(u - 1), where)
         cycles = kernel(out_rows, p, len(block.keys))
@@ -395,46 +376,41 @@ def cell_homology(
         weights[u] = WeightBlock(
             u, len(block.keys), len(cycles), len(boundary), len(reps), reps
         )
-    report = E2Report(s, t, p, weights)
-    report._boundaries = boundaries
-    return report
+    return E2Report(s, t, p, weights)
 
 
-def _reduce(ctx: PrimeContext, report: E2Report, elem: Element) -> dict[int, Row]:
-    """elem's weight components as block rows reduced modulo the boundaries.
-    A record rebuilt from disk builds that data first, from the bases of
-    its cell and of the one below.  Raises AssertionError on a term with no
-    block or basis monomial."""
-    s, t = report.s, report.t
+def _reduce(ctx: PrimeContext, data: Boundaries, elem: Element) -> dict[int, Row]:
+    """elem's weight components as block rows reduced modulo the boundaries;
+    AssertionError on a term with no block or basis monomial."""
+    groups: dict[int, dict[Factors, int]] = {}
+    for m in elem.monomials():
+        groups.setdefault(m.tridegree(ctx).u, {})[m.factors] = m.coeff
     rows = {}
-    for u, monos in sorted(_group_by_weight(ctx, elem.monomials()).items()):
-        if report._boundaries is None:
-            cells = enumerate_column(ctx, t, [s, s - 1])
-            report._boundaries = _boundary_blocks(ctx, s, t, cells[s], cells[s - 1])
-        where = f"({s},{t},{u})"
-        if u not in report._boundaries:
-            raise AssertionError(f"term {monos[0].text()} has no block at {where}")
-        index, boundary = report._boundaries[u]
-        vec = _vector(Element.from_monomials(ctx, monos)._terms, index, where)
-        rows[u] = reduce_vector(vec, boundary, ctx.p)
+    for u, terms in sorted(groups.items()):
+        where = f"({data.s},{data.t},{u})"
+        if u not in data.blocks:
+            first = Monomial(min(terms), terms[min(terms)]).text()
+            raise AssertionError(f"term {first} has no block at {where}")
+        index, boundary = data.blocks[u]
+        rows[u] = reduce_vector(_vector(terms, index, where), boundary, ctx.p)
     return rows
 
 
-def reduce_mod_boundaries(ctx: PrimeContext, report: E2Report, elem: Element) -> Element:
-    """elem, an element of bidegree (report.s, report.t), reduced modulo the
-    d1 boundaries of each weight block it meets; zero iff elem is a boundary."""
+def reduce_mod_boundaries(ctx: PrimeContext, data: Boundaries, elem: Element) -> Element:
+    """elem, an element of bidegree (data.s, data.t), reduced modulo the d1
+    boundaries of each weight block it meets; zero iff elem is a boundary."""
     out = Element.zero(ctx)
-    for u, vec in _reduce(ctx, report, elem).items():
-        out = out + _block_element(list(report._boundaries[u][0]), vec, ctx.p)
+    for u, vec in _reduce(ctx, data, elem).items():
+        out = out + _block_element(list(data.blocks[u][0]), vec, ctx.p)
     return out
 
 
-def e2_rank(ctx: PrimeContext, report: E2Report, elems: list[Element]) -> int:
+def e2_rank(ctx: PrimeContext, data: Boundaries, elems: list[Element]) -> int:
     """Dimension of the span of the weight components of elems, elements of
-    bidegree (report.s, report.t), modulo the d1 boundaries: for cycles of
-    one weight each, the rank of their span in the second term."""
+    bidegree (data.s, data.t), modulo the d1 boundaries: for cycles of one
+    weight each, the rank of their span in the second term."""
     by_weight: dict[int, list[Row]] = {}
     for elem in elems:
-        for u, vec in _reduce(ctx, report, elem).items():
+        for u, vec in _reduce(ctx, data, elem).items():
             by_weight.setdefault(u, []).append(vec)
     return sum(len(echelon(rows, ctx.p)[1]) for rows in by_weight.values())

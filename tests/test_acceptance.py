@@ -211,7 +211,7 @@ def test_differential_window_and_second_term_product(capsys):
         resolve_named("h", {"n": 4}, C7),
         resolve_named("gamma_tilde", {"s": 3}, C7),
     ]
-    product = product_nonzero_at_e2(C7, classes, SESSIONS[7].report)
+    product = product_nonzero_at_e2(C7, classes, SESSIONS[7])
     product_ok = product["nonzero"] is True and product["bidegree"] == bidegree
     detail = (
         f"window r=2..6 sources {'' if window_ok else 'NOT '}certified zero, "
@@ -230,10 +230,10 @@ def test_cofiber_dimension_propagation(capsys):
     zeros = 0
     for p in (5, 7):
         ctx = PrimeContext(p)
-        reports = SESSIONS[p].report
+        session = SESSIONS[p]
 
         def dims(spectrum, s, t):
-            return ext_dims(ctx, spectrum, s, t, reports)
+            return ext_dims(ctx, spectrum, s, t, session)
 
         for n in (2, 3):
             T = p**n * ctx.q

@@ -251,9 +251,9 @@ class TestProducts:
         g0 = resolve_named("g0", {}, C7)
         h3 = resolve_named("h", {"n": 3}, C7)
         gt = resolve_named("gamma_tilde", {"s": 3}, C7)
-        assert product_nonzero_at_e2(C7, [g0, h3], sessions[7].report)["nonzero"] is True
-        assert product_nonzero_at_e2(C7, [g0, gt], sessions[7].report)["nonzero"] is True
-        assert product_nonzero_at_e2(C7, [h3, gt], sessions[7].report)["nonzero"] is False
+        assert product_nonzero_at_e2(C7, [g0, h3], sessions[7])["nonzero"] is True
+        assert product_nonzero_at_e2(C7, [g0, gt], sessions[7])["nonzero"] is True
+        assert product_nonzero_at_e2(C7, [h3, gt], sessions[7])["nonzero"] is False
 
     def test_triple_product_is_a_boundary(self, sessions):
         classes = [
@@ -261,7 +261,7 @@ class TestProducts:
             resolve_named("h", {"n": 3}, C7),
             resolve_named("gamma_tilde", {"s": 3}, C7),
         ]
-        out = product_nonzero_at_e2(C7, classes, sessions[7].report)
+        out = product_nonzero_at_e2(C7, classes, sessions[7])
         assert out["nonzero"] is False
         assert out["bidegree"] == (6, 6168)
         assert out["conjectural"] is False
@@ -273,7 +273,7 @@ class TestProducts:
             resolve_named("h", {"n": 4}, C7),
             resolve_named("gamma_tilde", {"s": 3}, C7),
         ]
-        out = product_nonzero_at_e2(C7, classes, sessions[7].report)
+        out = product_nonzero_at_e2(C7, classes, sessions[7])
         assert out["nonzero"] is True
         assert out["bidegree"] == (6, 30864)
         assert out["conjectural"] is False
@@ -281,14 +281,14 @@ class TestProducts:
     def test_order_invariance(self, sessions):
         g0 = resolve_named("g0", {}, C7)
         h3 = resolve_named("h", {"n": 3}, C7)
-        fwd = product_nonzero_at_e2(C7, [g0, h3], sessions[7].report)
-        rev = product_nonzero_at_e2(C7, [h3, g0], sessions[7].report)
+        fwd = product_nonzero_at_e2(C7, [g0, h3], sessions[7])
+        rev = product_nonzero_at_e2(C7, [h3, g0], sessions[7])
         assert fwd["nonzero"] == rev["nonzero"]
         assert fwd["bidegree"] == rev["bidegree"]
 
     def test_exterior_square_is_zero(self, sessions):
         h2 = resolve_named("h", {"n": 2}, C7)
-        assert product_nonzero_at_e2(C7, [h2, h2], sessions[7].report)["nonzero"] is False
+        assert product_nonzero_at_e2(C7, [h2, h2], sessions[7])["nonzero"] is False
 
     def test_conjectural_factor_marks_result(self, sessions):
         cls = resolve_named("h0hb", {"n": 4, "m": 2}, C7)
@@ -296,18 +296,18 @@ class TestProducts:
         g3 = resolve_named("g", {"n": 3}, C7)
         assert g3.rep is None
         with pytest.raises(MissingRepresentative):
-            product_nonzero_at_e2(C7, [g3], sessions[7].report)
+            product_nonzero_at_e2(C7, [g3], sessions[7])
 
     def test_single_class_self_check(self, sessions):
         cls = resolve_named("h0hb", {"n": 4, "m": 2}, C5)
-        out = product_nonzero_at_e2(C5, [cls], sessions[5].report)
+        out = product_nonzero_at_e2(C5, [cls], sessions[5])
         assert out["nonzero"] is True
 
     def test_empty_class_list_rejected(self):
         with pytest.raises(InvalidParams):
-            product_nonzero_at_e2(C7, [], Session(C7).report)
+            product_nonzero_at_e2(C7, [], Session(C7))
 
     def test_raw_element_rejected(self):
         g0 = resolve_named("g0", {}, C7)
         with pytest.raises(InvalidParams, match="expected a NamedClass"):
-            product_nonzero_at_e2(C7, [g0, parse_element("h[1,0]", C7)], Session(C7).report)
+            product_nonzero_at_e2(C7, [g0, parse_element("h[1,0]", C7)], Session(C7))

@@ -1,5 +1,6 @@
 """Command-line surface, expression parsing, disk cache, and claim runner."""
 
+import hashlib
 import json
 import logging
 import os
@@ -219,43 +220,44 @@ class TestSession:
         assert back.e2_total == rep.e2_total
         assert back.serialize() == rep.serialize()
 
-    def test_disk_record_is_recomputed_for_reduction(self, tmp_path, monkeypatch):
+    def test_disk_record_reduction_builds_boundary_data_once(self, tmp_path, monkeypatch):
         Session(C7, cache_dir=tmp_path).report(6, 6168)
         built, cells = [], []
-        real_boundaries, real_cell = may_diff._boundary_blocks, cell_homology
+        real_data, real_cell = may_diff.boundary_data, cell_homology
 
-        def counting_boundaries(ctx, s, t, groups, groups_below):
+        def counting_data(ctx, s, t, bases):
             built.append((s, t))
-            return real_boundaries(ctx, s, t, groups, groups_below)
+            return real_data(ctx, s, t, bases)
 
-        def counting_cell(ctx, s, t, bases=None):
+        def counting_cell(ctx, s, t, bases=None, boundaries=None):
             cells.append((s, t))
-            return real_cell(ctx, s, t, bases)
+            return real_cell(ctx, s, t, bases, boundaries)
 
-        monkeypatch.setattr(may_diff, "_boundary_blocks", counting_boundaries)
+        monkeypatch.setattr(may_diff, "boundary_data", counting_data)
+        monkeypatch.setattr(cli_runner, "boundary_data", counting_data)
         monkeypatch.setattr(may_diff, "cell_homology", counting_cell)
         monkeypatch.setattr(cli_runner, "cell_homology", counting_cell)
         session = Session(C7, cache_dir=tmp_path)
         loaded = session.report(6, 6168)
-        assert built == []
         text = loaded.serialize()
         # g0 h[3] gamma_tilde[3] is a nonzero d1 boundary in (6, 6168)
+        out = product_nonzero_at_e2(C7, PRODUCT_CLASSES, session)
+        assert (out["bidegree"], out["nonzero"]) == ((6, 6168), False)
         boundary = product([cls.rep for cls in PRODUCT_CLASSES], C7)
         assert not boundary.is_zero
-        assert reduce_mod_boundaries(C7, loaded, boundary).is_zero
+        # the product's boundary data serves the next reductions
+        data = session.boundaries(6, 6168)
+        for rep in loaded.representatives:
+            assert reduce_mod_boundaries(C7, data, rep) == rep
+        assert e2_rank(C7, data, loaded.representatives + [boundary]) == 1
+        assert loaded.e2_total == 1
+        assert e2_rank(C7, data, [boundary]) == 0
+        # the boundary data is built once, and no record is computed
+        assert built == [(6, 6168)]
+        assert cells == []
         # the record is still what was written, and stays the memo's
         assert loaded.serialize() == text
         assert session.report(6, 6168) is loaded
-        for rep in loaded.representatives:
-            assert reduce_mod_boundaries(C7, loaded, rep) == rep
-        # only the boundary data is built, once, and no whole cell
-        assert built == [(6, 6168)]
-        assert cells == []
-        # the boundary data built by the first reduction serves the next
-        assert e2_rank(C7, loaded, loaded.representatives + [boundary]) == 1
-        assert loaded.e2_total == 1
-        assert e2_rank(C7, loaded, [boundary]) == 0
-        assert built == [(6, 6168)]
 
     def test_les_and_products_read_a_warm_cache(self, tmp_path):
         queries = [("S", 1, 200), ("M", 2, 201), ("L", 2, 208), ("K2", 3, 207)]
@@ -263,9 +265,9 @@ class TestSession:
 
         def answers(cache_dir=None):
             s5, s7 = Session(C5, cache_dir), Session(C7, cache_dir)
-            dims = [ext_dims(C5, *query, s5.report) for query in queries]
+            dims = [ext_dims(C5, *query, s5) for query in queries]
             products = [
-                product_nonzero_at_e2(C7, classes, s7.report)["nonzero"]
+                product_nonzero_at_e2(C7, classes, s7)["nonzero"]
                 for classes in ([g0, h3], [h3, gt], [g0, h3, gt])
             ]
             return dims, products
@@ -426,6 +428,21 @@ class TestBasicCommands:
             "exact": lo == hi,
             "provenance": provenance,
         }
+
+    def test_les_json_grid_is_pinned(self, runner):
+        # every column at p=3, s 1..4, t 9..20, which holds witness-raised
+        # lower bounds and nonzero map ranks, pinned by the sha256 of the
+        # outputs in order
+        text = ""
+        for spectrum in ("S", "M", "M2", "L", "K", "K2"):
+            for s in range(1, 5):
+                for t in range(9, 21):
+                    res = runner.invoke(main, ["-p", "3", "les", spectrum, str(s), str(t), "--json"])
+                    assert res.exit_code == 0
+                    text += res.stdout
+        assert text.count("+witness") == 9
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "213d7990c2dacf0edcaf99a90b6a7ed023806fbfa8c59fa5d76c9fe00b8b342b"
 
     def test_stems(self, runner):
         res = runner.invoke(main, ["-p", "5", "stems", "h0h", "-P", "n=2"])
@@ -961,6 +978,35 @@ class TestErrorSurface:
         assert res.stdout == ""
         assert res.stderr.endswith("\nError: more than 100 nested factors\n")
         assert "Traceback" not in res.stderr
+
+    def test_verify_refuses_deeply_nested_claims(self, tmp_path):
+        # 100,000 nested '[' once ended in a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5)
+        res = run_module(["verify", str(path)])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1].startswith("Error: claims file is not valid JSON: ")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "p, code, stderr",
+        [
+            ("1000000000000000003", 0, ""),
+            ("1000000000000000001", 2, "Error: p must be an odd prime, got 1000000000000000001"),
+            (str(2**64 + 13), 1, f"Error: p must be below 2^64, the budget, got {2**64 + 13}"),
+        ],
+        ids=["prime", "composite", "over-budget"],
+    )
+    def test_large_primes_answer_fast(self, p, code, stderr):
+        # trial division once ran for minutes on the first of these
+        started = time.monotonic()
+        res = run_module(["-p", p, "e2", "1", "1"])
+        assert time.monotonic() - started < 2
+        assert res.returncode == code
+        assert res.stderr.splitlines()[-1:] == ([stderr] if stderr else [])
+        if not code:
+            assert res.stdout.startswith("(1,1): first-term dim 1, second-term dim 1\n")
 
     def test_verify_reports_the_claim_after_a_nested_one(self, tmp_path):
         nested = "(" * 3000 + "1" + ")" * 3000

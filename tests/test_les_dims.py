@@ -45,47 +45,56 @@ class TestDimInterval:
 
 
 def dims(ctx, spectrum, s, t):
-    return ext_dims(ctx, spectrum, s, t, Session(ctx).report)
+    return ext_dims(ctx, spectrum, s, t, Session(ctx))
 
 
 def build(ctx, spectrum, s, t):
-    return sphere_table(ctx, *_window(ctx, spectrum, s, t), Session(ctx).report)
+    return sphere_table(ctx, *_window(ctx, spectrum, s, t), Session(ctx))
 
 
 class TestSphereTable:
     def test_out_of_window_raises(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).report)
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5))
         with pytest.raises(InsufficientWindow):
             table.dim(0, 11)
 
     def test_empty_region_is_free(self):
         # cells with s < 0, t < 0, or t < s need no table entry
-        table = sphere_table(C5, (0, 1), (0, 4), Session(C5).report)
+        table = sphere_table(C5, (0, 1), (0, 4), Session(C5))
         assert (table.dim(-1, 3).lo, table.dim(-1, 3).hi) == (0, 0)
         assert table.dim(3, 2).lo == 0
 
     def test_cell_budget(self):
         with pytest.raises(WindowTooLarge) as err:
-            sphere_table(C5, (0, 10), (0, 10000), Session(C5).report)
+            sphere_table(C5, (0, 10), (0, 10000), Session(C5))
         assert isinstance(err.value, WorkBudgetExceeded)
         assert str(err.value) == "110011 cells requested, budget is 20000"
 
     def test_bad_window(self):
         with pytest.raises(InvalidParams):
-            sphere_table(C5, (2, 0), (0, 10), Session(C5).report)
+            sphere_table(C5, (2, 0), (0, 10), Session(C5))
 
     def test_unit_cell(self):
-        table = sphere_table(C5, (0, 1), (0, 2), Session(C5).report)
+        table = sphere_table(C5, (0, 1), (0, 2), Session(C5))
         assert (table.dim(0, 0).lo, table.dim(0, 0).hi) == (1, 1)
         assert table.dim(1, 1).lo == 1
 
     def test_homology_memo_is_shared(self):
         session = Session(C5)
-        sphere_table(C5, (0, 2), (0, 10), session.report)
+        sphere_table(C5, (0, 2), (0, 10), session)
         assert session.memo
         size = len(session.memo)
-        sphere_table(C5, (0, 2), (0, 10), session.report)
+        sphere_table(C5, (0, 2), (0, 10), session)
         assert len(session.memo) == size
+
+    def test_witness_targets_get_boundary_data_alone(self):
+        # a witness raises lo at S(1, 200); its a0 and h0 targets are
+        # reduced into, so they get boundary data and no record
+        session = Session(C5)
+        assert ext_dims(C5, "S", 1, 200, session) == DimInterval(1, 1, "UpperBound+witness")
+        certified = {(0, 200), (1, 200), (2, 200)}
+        assert set(session.memo) == certified
+        assert set(session.boundary_memo) == certified | {(2, 201), (2, 208)}
 
 
 class TestMooreColumns:
@@ -185,7 +194,7 @@ class TestDispatch:
             dims(C5, spectrum, 2, 50)
 
     def test_unknown_spectrum(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).report)
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5))
         with pytest.raises(InvalidParams):
             _column(C5, table, "X", 1, 5)
         with pytest.raises(InvalidParams):
@@ -200,5 +209,5 @@ class TestDispatch:
         assert dims(C5, spectrum, s, t) == DimInterval(0, 0, "out of range")
 
     def test_sphere_column_is_table_lookup(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5).report)
+        table = sphere_table(C5, (0, 2), (0, 10), Session(C5))
         assert _column(C5, table, "S", 1, 1) == table.dim(1, 1)

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import sys
 
@@ -54,6 +55,24 @@ class TestPrimeContext:
     def test_rejects_non_integers(self):
         with pytest.raises(InvalidParams):
             PrimeContext("5")
+
+    def test_primality_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(10**5) if may_core._is_prime(n) != trial(n)] == []
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # strong pseudoprimes to the bases up to 7 and up to 23
+        assert not may_core._is_prime(n)
+        with pytest.raises(InvalidParams):
+            PrimeContext(n)
+
+    def test_prime_budget(self):
+        assert PrimeContext((1 << 64) - 59).q == (1 << 65) - 120
+        with pytest.raises(WorkBudgetExceeded):
+            PrimeContext((1 << 64) + 13)
 
 
 class TestTridegrees:

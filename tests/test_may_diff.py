@@ -150,17 +150,19 @@ E2_RANK_CELLS = [(5, 55), (6, 29), (6, 52), (6, 55), (6, 57)]
 
 @functools.cache
 def rank_cell(s, t):
-    """The record of a p=3 cell; its columns, per weight the basis factors
-    in canonical order; the d1 images of the cell below; and the elements
-    to draw from: basis monomials, representatives and those images."""
-    report = cell_homology(C3, s, t)
+    """The boundary data of a p=3 cell; its columns, per weight the basis
+    factors in canonical order; the d1 images of the cell below; and the
+    elements to draw from: basis monomials, representatives and those
+    images."""
+    session = Session(C3)
+    reps = session.report(s, t).representatives
     basis = enumerate_basis(C3, s, t)
     columns = {}
     for m in basis:
         columns.setdefault(m.tridegree(C3).u, []).append(m.factors)
     images = [d1(m, C3) for m in enumerate_basis(C3, s - 1, t)]
-    pool = [Element.from_monomials(C3, [m]) for m in basis] + report.representatives + images
-    return report, columns, images, pool
+    pool = [Element.from_monomials(C3, [m]) for m in basis] + reps + images
+    return session.boundaries(s, t), columns, images, pool
 
 
 def dense_rank_mod(elems, boundaries, columns, p):
@@ -176,7 +178,7 @@ def dense_rank_mod(elems, boundaries, columns, p):
 @given(st.sampled_from(E2_RANK_CELLS), st.data())
 @settings(max_examples=200, deadline=None)
 def test_e2_rank_is_the_dense_rank_mod_boundaries(cell, data):
-    report, columns, images, pool = rank_cell(*cell)
+    boundaries, columns, images, pool = rank_cell(*cell)
     terms = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 2))
     elems = []
     for combo in data.draw(st.lists(st.lists(terms, min_size=1, max_size=3), max_size=5)):
@@ -184,7 +186,7 @@ def test_e2_rank_is_the_dense_rank_mod_boundaries(cell, data):
         for i, c in combo:
             x = x + pool[i].scaled(c)
         elems.append(x)
-    assert e2_rank(C3, report, elems) == dense_rank_mod(elems, images, columns, 3)
+    assert e2_rank(C3, boundaries, elems) == dense_rank_mod(elems, images, columns, 3)
 
 
 class TestLinearAlgebra:
@@ -308,13 +310,13 @@ class TestCellHomology:
     def test_term_outside_the_basis_is_named(self):
         # h[1,1] and h[1,2] share the weight of (1,8) but not its t; the
         # first in canonical order is named, with its coefficient
-        cell = cell_homology(C5, 1, 8)
+        data = Session(C5).boundaries(1, 8)
         elem = parse_element("4 h[1,2] + 3 h[1,1] + h[1,0]", C5)
         with pytest.raises(AssertionError) as err:
-            reduce_mod_boundaries(C5, cell, elem)
+            reduce_mod_boundaries(C5, data, elem)
         assert str(err.value) == "term 3 h[1,1] missing from basis of (1,8,1)"
         inside = parse_element("2 h[1,0]", C5)
-        assert reduce_mod_boundaries(C5, cell, inside) == inside
+        assert reduce_mod_boundaries(C5, data, inside) == inside
 
 
 class TestBasisMemo:
