@@ -54,7 +54,7 @@ from .greek_bp import (
     stem_of,
     thom_image,
 )
-from .les_dims import _SPECTRA, MAX_CELLS, WindowTooLarge, ext_dims
+from .les_dims import _SPECTRA, ext_dims
 from .may_core import (
     MAX_POWER_BITS,
     InvalidParams,
@@ -313,12 +313,19 @@ class Session:
 # claim checking
 
 
+def _texts(expect) -> list[str]:
+    """A list claim's expect, which must be a JSON list of strings."""
+    if not (isinstance(expect, list) and all(isinstance(txt, str) for txt in expect)):
+        raise InvalidParams("expect must be a list of strings")
+    return expect
+
+
 def _norm_monomials(texts, ctx: PrimeContext) -> list[str]:
-    return sorted(parse_monomial(txt, ctx).text() for txt in texts)
+    return sorted(parse_monomial(txt, ctx).text() for txt in _texts(texts))
 
 
 def _norm_plain(texts) -> list[str]:
-    return sorted(" ".join(txt.split()) for txt in texts)
+    return sorted(" ".join(txt.split()) for txt in _texts(texts))
 
 
 def _list_verdict(got: list[str], want: list[str]):
@@ -589,12 +596,19 @@ def load_claims(path=None) -> list:
 # ---------------------------------------------------------------------------
 # charts
 
+# Most cells one chart may read.
+MAX_CELLS = 20000
+
+
+class WindowTooLarge(WorkBudgetExceeded):
+    """The requested chart window would exceed the cell budget."""
+
 
 def chart_data(session: Session, s_max: int, t_max: int) -> dict:
     """Every nonzero second-term cell with 0 <= s <= s_max, s <= t <= t_max.
 
     Raises WindowTooLarge, before reading any cell, when the window holds
-    more than MAX_CELLS cells, the budget of a sphere table."""
+    more than MAX_CELLS cells."""
     if s_max < 0 or t_max < 0:
         raise InvalidParams(f"bad chart window s_max={s_max}, t_max={t_max}")
     # the rows s = 0 .. rows - 1 hold t_max + 1 - s cells each

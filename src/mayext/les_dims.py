@@ -11,6 +11,10 @@ kernel/cokernel arithmetic
     dim cok f in [dim tgt - rank_hi, dim tgt - rank_lo]
 
 clipped at zero, where rank f is itself only known inside an interval.
+A query reads its sphere cells through one SphereTable, which certifies
+a cell on its first read, so it reads a number of cells fixed by its
+column; the query's window only decides which witnesses into a cell
+count.
 
 Columns:
     M  = mod-p Moore spectrum, first variable: the coefficient sequence
@@ -42,21 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adams_certify import Certificate, certify_ext_dim
-from .may_core import (
-    InvalidParams, MayextError, PrimeContext, WorkBudgetExceeded, a, h, multiply
-)
+from .may_core import InvalidParams, PrimeContext, a, h, multiply
 from .may_diff import e2_rank
-
-# Most sphere cells one table may certify.
-MAX_CELLS = 20000
-
-
-class WindowTooLarge(WorkBudgetExceeded):
-    """The requested table would exceed the cell budget."""
-
-
-class InsufficientWindow(MayextError):
-    """A lookup needs a cell the table was not built to cover."""
 
 
 @dataclass(frozen=True)
@@ -89,94 +80,72 @@ class DimInterval:
         }
 
 
-@dataclass
-class SphereCell:
-    s: int
-    t: int
-    cert: Certificate
-    dim: DimInterval
-    h0_rank_lower: int = 0
-    a0_rank_lower: int = 0
-
-
 class SphereTable:
-    """Certified sphere cells over a rectangular (s, t) window."""
+    """Sphere cells, each certified from session.report on its first read.
 
-    def __init__(self, ctx: PrimeContext, s_range, t_range):
+    The same read ranks the cell's a_0 and h_0 witnesses against
+    session.boundaries.  The window s_range x t_range reads no cell; it is
+    the rule for which witnesses count: a witness into a cell raises the
+    cell's lower bound only when the witness's source cell lies inside
+    the window.  A read outside the window is an invariant violation.
+    """
+
+    def __init__(self, ctx: PrimeContext, session, s_range, t_range):
         self.ctx = ctx
+        self.session = session
         self.s_range = tuple(s_range)
         self.t_range = tuple(t_range)
-        self.cells: dict[tuple[int, int], SphereCell] = {}
+        # each witness: its name, its generator and its degree in t
+        self.witnesses = (("a0", a(0), 1), ("h0", h(1, 0), ctx.q))
+        self.cells: dict[tuple[int, int], tuple[Certificate, dict[str, int]]] = {}
 
     @staticmethod
     def _empty(s: int, t: int) -> bool:
         return s < 0 or t < 0 or t < s
 
-    def dim(self, s: int, t: int) -> DimInterval:
-        if self._empty(s, t):
-            return DimInterval(0, 0, f"({s},{t}) empty")
+    def _inside(self, s: int, t: int) -> bool:
+        (s_min, s_max), (t_min, t_max) = self.s_range, self.t_range
+        return s_min <= s <= s_max and t_min <= t <= t_max
+
+    def _cell(self, s: int, t: int) -> tuple[Certificate, dict[str, int]]:
+        """The certificate of (s, t) and the rank of each witness out of it."""
         cell = self.cells.get((s, t))
-        if cell is None:
-            raise InsufficientWindow(
+        if cell is not None:
+            return cell
+        if not self._inside(s, t):
+            raise AssertionError(
                 f"cell ({s},{t}) is outside the table window "
                 f"s in {self.s_range}, t in {self.t_range}"
             )
-        return cell.dim
+        cert = certify_ext_dim(self.session.report, s, t)
+        ranks = {op: 0 for op, _, _ in self.witnesses}
+        if cert.dim:
+            reps = cert.report.representatives
+            for op, gen, d in self.witnesses:
+                products = [multiply(rep, gen, self.ctx) for rep in reps]
+                ranks[op] = e2_rank(self.ctx, self.session.boundaries(s + 1, t + d), products)
+        cell = self.cells[(s, t)] = (cert, ranks)
+        return cell
+
+    def dim(self, s: int, t: int) -> DimInterval:
+        if self._empty(s, t):
+            return DimInterval(0, 0, f"({s},{t}) empty")
+        cert, ranks = self._cell(s, t)
+        dim = DimInterval(cert.dim if cert.certified_exact else 0, cert.dim, cert.verdict)
+        if dim.exact:
+            return dim
+        lo = max(ranks.values())
+        for op, _, d in self.witnesses:
+            if self._inside(s - 1, t - d):
+                lo = max(lo, self.rank_lower(s - 1, t - d, op))
+        if lo > dim.hi:
+            raise AssertionError(f"witness exceeds upper bound at ({s},{t})")
+        return DimInterval(lo, dim.hi, dim.provenance + "+witness") if lo else dim
 
     def rank_lower(self, s: int, t: int, op: str) -> int:
         if self._empty(s, t):
             return 0
-        cell = self.cells.get((s, t))
-        if cell is None:
-            raise InsufficientWindow(f"cell ({s},{t}) is outside the table window")
-        return cell.h0_rank_lower if op == "h0" else cell.a0_rank_lower
-
-
-def _witness_rank(ctx: PrimeContext, session, cell: SphereCell, gen, t_shift: int) -> int:
-    """E2 rank of multiplication by gen out of cell into (s+1, t+t_shift)."""
-    products = [multiply(rep, gen, ctx) for rep in cell.cert.report.representatives]
-    return e2_rank(ctx, session.boundaries(cell.s + 1, cell.t + t_shift), products)
-
-
-def sphere_table(ctx: PrimeContext, s_range, t_range, session) -> SphereTable:
-    """Certify every cell in the window and pin witness lower bounds.
-
-    Cells are certified from session.report and witness targets reduced
-    against session.boundaries (a cli_runner.Session), so windows reuse both.
-    """
-    s_min, s_max = s_range
-    t_min, t_max = t_range
-    if s_min < 0 or t_min < 0 or s_max < s_min or t_max < t_min:
-        raise InvalidParams(f"bad window s={tuple(s_range)}, t={tuple(t_range)}")
-    count = (s_max - s_min + 1) * (t_max - t_min + 1)
-    if count > MAX_CELLS:
-        raise WindowTooLarge(f"{count} cells requested, budget is {MAX_CELLS}")
-    table = SphereTable(ctx, s_range, t_range)
-    for s in range(s_min, s_max + 1):
-        for t in range(t_min, t_max + 1):
-            cert = certify_ext_dim(session.report, s, t)
-            lo = cert.dim if cert.certified_exact else 0
-            cell = SphereCell(s, t, cert, DimInterval(lo, cert.dim, cert.verdict))
-            if cert.dim:
-                cell.a0_rank_lower = _witness_rank(ctx, session, cell, a(0), 1)
-                cell.h0_rank_lower = _witness_rank(ctx, session, cell, h(1, 0), ctx.q)
-            table.cells[(s, t)] = cell
-
-    for (s, t), cell in table.cells.items():
-        if cell.dim.exact:
-            continue
-        lo = max(cell.dim.lo, cell.a0_rank_lower, cell.h0_rank_lower)
-        into_a0 = table.cells.get((s - 1, t - 1))
-        if into_a0 is not None:
-            lo = max(lo, into_a0.a0_rank_lower)
-        into_h0 = table.cells.get((s - 1, t - ctx.q))
-        if into_h0 is not None:
-            lo = max(lo, into_h0.h0_rank_lower)
-        if lo > cell.dim.hi:
-            raise AssertionError(f"witness exceeds upper bound at ({s},{t})")
-        if lo > cell.dim.lo:
-            cell.dim = DimInterval(lo, cell.dim.hi, cell.dim.provenance + "+witness")
-    return table
+        return self._cell(s, t)[1][op]
 
 
 def _map_rank(
@@ -262,7 +231,8 @@ def _window(ctx: PrimeContext, spectrum: str, s: int, t: int):
 def _column(
     ctx: PrimeContext, table: SphereTable, spectrum: str, s: int, t: int
 ) -> DimInterval:
-    """The column's interval at (s, t), read from a table covering its window."""
+    """The column's interval at (s, t), read from a table whose window
+    serves it."""
     column, t1 = _first_variable(ctx, spectrum, t)
     if column == "S":
         return table.dim(s, t)
@@ -283,12 +253,11 @@ def _column(
 
 
 def ext_dims(ctx: PrimeContext, spectrum: str, s: int, t: int, session) -> DimInterval:
-    """Dimension interval of one column at (s, t), over the smallest sphere
-    table that serves it, read from session (see sphere_table).  Every
+    """Dimension interval of one column at (s, t), read from session
+    through a sphere table over the smallest window that serves it.  Every
     column is zero at a negative bidegree."""
     _first_variable(ctx, spectrum, t)  # an unknown spectrum raises first
     if s < 0 or t < 0:
         return DimInterval(0, 0, "out of range")
-    s_range, t_range = _window(ctx, spectrum, s, t)
-    table = sphere_table(ctx, s_range, t_range, session)
+    table = SphereTable(ctx, session, *_window(ctx, spectrum, s, t))
     return _column(ctx, table, spectrum, s, t)

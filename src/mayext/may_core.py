@@ -800,7 +800,10 @@ _TOKEN = re.compile(
 def parse_monomial(text: str, ctx: PrimeContext) -> Monomial:
     """Parse the text form, e.g. ``2 a0^2 h[1,0] b[1,3]``.  Numbers are
     ASCII digits (read_literal), and a generator is refused when p^(i+j+1)
-    is past the power budget: its degree and its d1 could not be formed."""
+    is past the power budget: its degree and its d1 could not be formed.
+    The unit is "1"; empty text is no monomial."""
+    if not text.strip():
+        raise ParseError("empty monomial")
     pos = 0
     coeff = 1
     pairs: list[tuple[Generator, int]] = []
@@ -820,7 +823,11 @@ def parse_monomial(text: str, ctx: PrimeContext) -> Monomial:
                 gen = a(read_literal(m.group("ai")))
             else:
                 kind = KIND_H if m.group("hb") == "h" else KIND_B
-                gen = Generator(kind, read_literal(m.group("i")), read_literal(m.group("j")))
+                i, j = read_literal(m.group("i")), read_literal(m.group("j"))
+                try:
+                    gen = Generator(kind, i, j)
+                except InvalidParams as exc:
+                    raise ParseError(str(exc), column=pos) from exc
             power(ctx.p, gen.i + gen.j + 1)
             pairs.append((gen, exp))
         pos = m.end()

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 import mayext
 from mayext import cli_runner, may_diff
 from mayext.adams_certify import product_nonzero_at_e2, resolve_named
-from mayext.les_dims import WindowTooLarge, ext_dims
+from mayext.les_dims import ext_dims
 from mayext.may_core import (
     InvalidParams,
     ParseError,
@@ -37,6 +37,7 @@ from mayext.may_diff import (
 from mayext.cli_runner import (
     DiskCache,
     Session,
+    WindowTooLarge,
     chart_data,
     eval_expr,
     load_claims,
@@ -685,6 +686,22 @@ class TestRunClaims:
         assert isinstance(res.exception, SystemExit)
         assert "1 claims: 1 error" in res.stdout
 
+    def test_list_expect_must_be_a_list_of_strings(self, runner, tmp_path):
+        # a string expect was once read one character at a time
+        claims = [
+            {"kind": "beta_list", "p": 5, "t_internal": "2*p*q", "expect": "beta"},
+            {"kind": "ext0_list", "p": 5, "n": 1, "expect": "alpha"},
+            {"kind": "ext1_bpk_list", "p": 5, "n": 2, "expect": [1]},
+            {"kind": "e1_basis", "p": 5, "s": 1, "t": 1, "expect": "a0"},
+        ]
+        res = runner.invoke(main, ["verify", "--json", write_claims(tmp_path, claims)])
+        assert res.exit_code == 1
+        results = json.loads(res.stdout)["results"]
+        assert {r["status"] for r in results} == {"error"}
+        assert {r["detail"] for r in results} == {
+            "InvalidParams: expect must be a list of strings"
+        }
+
     def test_include_conjectures_runs_them(self):
         results = run_claims(SMALL_CLAIMS["claims"][3:4], include_conjectures=True)
         assert results[0].status == "pass"
@@ -1007,6 +1024,34 @@ class TestErrorSurface:
         assert res.stderr.splitlines()[-1:] == ([stderr] if stderr else [])
         if not code:
             assert res.stdout.startswith("(1,1): first-term dim 1, second-term dim 1\n")
+
+    def test_les_at_a_large_prime_answers_fast(self):
+        # its window of 6000000039 sphere cells was once refused by a
+        # cell budget; the query reads a few of them
+        started = time.monotonic()
+        res = run_module(["-p", "1000000007", "les", "L", "1", "p^2*q"])
+        assert time.monotonic() - started < 2
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout.startswith(
+            "L(1,2000000040000000266000000588): dim in [1,1] (exact)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            ("", "empty monomial"),
+            ("a0 +", "empty monomial"),
+            ("h[0,0]", "h[i,j] needs i >= 1, j >= 0, got i=0, j=0"),
+        ],
+        ids=["empty", "empty-summand", "generator-index"],
+    )
+    def test_malformed_monomial_exits_two(self, element, message):
+        # the first two once printed 0 and 1's d1, the third exited 1
+        res = run_module(["d1", element])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.endswith(f"\nError: {message}\n")
 
     def test_verify_reports_the_claim_after_a_nested_one(self, tmp_path):
         nested = "(" * 3000 + "1" + ")" * 3000

@@ -1,22 +1,17 @@
 """Dimension intervals propagated through cofiber sequences."""
 
-import copy
-
 import pytest
 
 from mayext import les_dims
 from mayext.cli_runner import Session
-from mayext.may_core import InvalidParams, PrimeContext, WorkBudgetExceeded
+from mayext.may_core import InvalidParams, PrimeContext
 from mayext.les_dims import (
     _SPECTRA,
     DimInterval,
-    InsufficientWindow,
-    SphereCell,
-    WindowTooLarge,
+    SphereTable,
     _column,
     _window,
     ext_dims,
-    sphere_table,
 )
 
 C5 = PrimeContext(5)
@@ -49,43 +44,69 @@ def dims(ctx, spectrum, s, t):
 
 
 def build(ctx, spectrum, s, t):
-    return sphere_table(ctx, *_window(ctx, spectrum, s, t), Session(ctx))
+    return SphereTable(ctx, Session(ctx), *_window(ctx, spectrum, s, t))
 
 
 class TestSphereTable:
     def test_out_of_window_raises(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5))
-        with pytest.raises(InsufficientWindow):
+        table = SphereTable(C5, Session(C5), (0, 2), (0, 10))
+        with pytest.raises(AssertionError, match=r"cell \(0,11\) is outside the table window"):
             table.dim(0, 11)
+        with pytest.raises(AssertionError, match=r"cell \(3,4\) is outside"):
+            table.rank_lower(3, 4, "a0")
 
     def test_empty_region_is_free(self):
         # cells with s < 0, t < 0, or t < s need no table entry
-        table = sphere_table(C5, (0, 1), (0, 4), Session(C5))
+        session = Session(C5)
+        table = SphereTable(C5, session, (0, 1), (0, 4))
         assert (table.dim(-1, 3).lo, table.dim(-1, 3).hi) == (0, 0)
         assert table.dim(3, 2).lo == 0
-
-    def test_cell_budget(self):
-        with pytest.raises(WindowTooLarge) as err:
-            sphere_table(C5, (0, 10), (0, 10000), Session(C5))
-        assert isinstance(err.value, WorkBudgetExceeded)
-        assert str(err.value) == "110011 cells requested, budget is 20000"
-
-    def test_bad_window(self):
-        with pytest.raises(InvalidParams):
-            sphere_table(C5, (2, 0), (0, 10), Session(C5))
+        assert table.rank_lower(2, 1, "h0") == 0
+        assert table.cells == {} and session.memo == {}
 
     def test_unit_cell(self):
-        table = sphere_table(C5, (0, 1), (0, 2), Session(C5))
+        table = SphereTable(C5, Session(C5), (0, 1), (0, 2))
         assert (table.dim(0, 0).lo, table.dim(0, 0).hi) == (1, 1)
         assert table.dim(1, 1).lo == 1
 
     def test_homology_memo_is_shared(self):
         session = Session(C5)
-        sphere_table(C5, (0, 2), (0, 10), session)
+        reads = [(s, t) for s in range(3) for t in range(11)]
+        table = SphereTable(C5, session, (0, 2), (0, 10))
+        for cell in reads:
+            table.dim(*cell)
         assert session.memo
         size = len(session.memo)
-        sphere_table(C5, (0, 2), (0, 10), session)
+        table = SphereTable(C5, session, (0, 2), (0, 10))
+        for cell in reads:
+            table.dim(*cell)
         assert len(session.memo) == size
+
+    def test_a_table_certifies_only_the_cells_it_reads(self):
+        # the window bounds no work: reading one cell of a window of 10^5
+        # cells certifies that cell alone, from its record and its
+        # neighbours' records
+        session = Session(C5)
+        table = SphereTable(C5, session, (0, 9), (0, 9999))
+        assert table.dim(1, 8) == DimInterval(1, 1, "DimCertified")
+        assert set(table.cells) == {(1, 8)}
+        assert set(session.memo) == {(0, 8), (1, 8), (2, 8)}
+
+    def test_a_query_certifies_a_number_of_cells_fixed_by_its_column(self):
+        # K(2, p^2 q) at p=7 reads 14 sphere cells; certifying its whole
+        # window of 75 cells once built 75 records
+        session = Session(C7)
+        got = ext_dims(C7, "K", 2, 7**2 * C7.q, session)
+        assert (got.lo, got.hi) == (1, 1)
+        assert len(session.memo) <= 14
+
+    def test_witnesses_into_a_cell_count_only_from_inside_the_window(self):
+        # M(2, 40) at p=3 reads S(2, 40) and S(3, 40), whose h0 witnesses
+        # come from S(1, 36) and S(2, 36), outside the query's window (t >=
+        # 39), so the interval stays [0,1]; counting every witness would
+        # give [1,1]
+        got = dims(PrimeContext(3), "M", 2, 40)
+        assert (got.lo, got.hi) == (0, 1)
 
     def test_witness_targets_get_boundary_data_alone(self):
         # a witness raises lo at S(1, 200); its a0 and h0 targets are
@@ -175,16 +196,20 @@ class TestTableViews:
 
     def test_widening_a_cell_loosens_the_answer(self):
         T = 5**2 * 8
-        table = build(C5, "M", 1, T)
-        tight = _column(C5, table, "M", 1, T)
-        # the same table with cell (1, T) degraded to [0, hi] and witness-free
-        widened = copy.copy(table)
-        widened.cells = dict(table.cells)
-        cell = table.cells[(1, T)]
-        widened.cells[(1, T)] = SphereCell(
-            1, T, cell.cert, DimInterval(0, cell.dim.hi, "widened")
-        )
+        tight = _column(C5, build(C5, "M", 1, T), "M", 1, T)
+
+        class Widened(SphereTable):
+            # cell (1, T) degraded to [0, hi] and witness-free
+            def dim(self, s, t):
+                got = super().dim(s, t)
+                return DimInterval(0, got.hi, "widened") if (s, t) == (1, T) else got
+
+            def rank_lower(self, s, t, op):
+                return 0 if (s, t) == (1, T) else super().rank_lower(s, t, op)
+
+        widened = Widened(C5, Session(C5), *_window(C5, "M", 1, T))
         loose = _column(C5, widened, "M", 1, T)
+        assert widened.dim(1, T).lo == 0
         assert loose.lo <= tight.lo and loose.hi >= tight.hi
 
 
@@ -194,7 +219,7 @@ class TestDispatch:
             dims(C5, spectrum, 2, 50)
 
     def test_unknown_spectrum(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5))
+        table = SphereTable(C5, Session(C5), (0, 2), (0, 10))
         with pytest.raises(InvalidParams):
             _column(C5, table, "X", 1, 5)
         with pytest.raises(InvalidParams):
@@ -209,5 +234,5 @@ class TestDispatch:
         assert dims(C5, spectrum, s, t) == DimInterval(0, 0, "out of range")
 
     def test_sphere_column_is_table_lookup(self):
-        table = sphere_table(C5, (0, 2), (0, 10), Session(C5))
+        table = SphereTable(C5, Session(C5), (0, 2), (0, 10))
         assert _column(C5, table, "S", 1, 1) == table.dim(1, 1)

@@ -283,6 +283,26 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_monomial(bad, C7)
 
+    @pytest.mark.parametrize("text", ["", "  ", "+", "a0 +", " + a0", "a0 +  + a1"])
+    def test_empty_monomial_is_an_error(self, text):
+        # an empty summand once parsed as the unit: "a0 +" read 1 + a0
+        with pytest.raises(ParseError, match="^empty monomial$"):
+            parse_element(text, C7)
+
+    def test_unit_is_one(self):
+        one = parse_monomial("1", C7)
+        assert (one.coeff, one.factors) == (1, ())
+        assert parse_element("a0 + 1", C7).text() == "1 + a0"
+
+    def test_out_of_domain_generator_is_a_parse_error(self):
+        # h[i,j] and b[i,j] need i >= 1: malformed input, as an exterior
+        # square is; an index past the literal budget stays over budget
+        for text in ("h[0,0]", "a0 b[0,3]"):
+            with pytest.raises(ParseError, match="needs i >= 1"):
+                parse_monomial(text, C7)
+        with pytest.raises(WorkBudgetExceeded):
+            parse_monomial("h[" + "1" * 400 + ",0]", C7)
+
     @pytest.mark.parametrize("bad", ["a\u0663", "h[\u00b9,0]", "\u0662 a0", "a0^\u0662"])
     def test_digits_are_ascii(self, bad):
         with pytest.raises(ParseError):
