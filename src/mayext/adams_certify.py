@@ -22,6 +22,7 @@ from .may_core import (
     Element,
     InvalidParams,
     MayextError,
+    Monomial,
     PrimeContext,
     WorkBudgetExceeded,
     power,
@@ -131,28 +132,25 @@ def certify_ext_dim(reports: ReportSource, s: int, t: int) -> Certificate:
 
 @dataclass
 class NamedClass:
+    """A standing class by name, with its bidegree and, where one is
+    known, a representative cocycle in the second term.
+
+    The bidegree of a class with a representative is the representative's
+    tridegree; resolve_named states it by hand only for classes without
+    one.  params are kept in the name's signature order, as text() shows
+    them."""
+
     name: str
     params: dict
     s: int
     t: int
     rep: Element | None = None
     conjectural: bool = False
-    differential: dict | None = None
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.s, self.t)
-
-    _PARAM_ORDER = ("n", "m", "s", "t", "a", "b", "c")
 
     def text(self) -> str:
         if not self.params:
             return self.name
-        def slot(key: str):
-            order = NamedClass._PARAM_ORDER
-            return (order.index(key), "") if key in order else (len(order), key)
-        args = ",".join(str(self.params[k]) for k in sorted(self.params, key=slot))
-        return f"{self.name}[{args}]"
+        return f"{self.name}[{','.join(str(v) for v in self.params.values())}]"
 
 
 def _need(params: dict, *keys: str) -> list[int]:
@@ -167,8 +165,20 @@ def _need(params: dict, *keys: str) -> list[int]:
     return out
 
 
+def _represented(name: str, params: dict, rep: Element, ctx: PrimeContext) -> NamedClass:
+    deg = tridegree(rep, ctx)
+    return NamedClass(name, params, deg.s, deg.t, rep)
+
+
 def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
-    """Bidegree, representative, and metadata for a standing class name."""
+    """Bidegree, representative, and conjectural flag for a standing
+    class name.
+
+    A class with a representative has the representative's bidegree.  The
+    two-family names other than g[0] (g, k, l, l_prime and their h0
+    multiples) and beta_tilde have no representative here; their
+    bidegrees are closed formulas in p and q.
+    """
     p, q = ctx.p, ctx.q
     params = dict(params or {})
     # n and m are exponents of p, in degrees up to p^(n+1) and p^(m+1):
@@ -178,88 +188,45 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
             power(p, params[key] + 1)
 
     if name == "a0":
-        return NamedClass(name, {}, 1, 1, product((a(0),), ctx))
+        return _represented(name, {}, product((a(0),), ctx), ctx)
     if name == "alpha2_tilde":
-        return NamedClass(name, {}, 2, 2 * q + 1, product((a(1), h(1, 0)), ctx))
+        return _represented(name, {}, product((a(1), h(1, 0)), ctx), ctx)
     if name == "g0":
-        return NamedClass(
-            name,
-            {},
-            2,
-            p * q + 2 * q,
-            product((h(2, 0), h(1, 0)), ctx),
-            differential={
-                "r": 2,
-                "target": (4, p * q + 2 * q + 1),
-                "value": "b[1,0] alpha2_tilde",
-            },
-        )
+        return _represented(name, {}, product((h(2, 0), h(1, 0)), ctx), ctx)
     if name == "h":
         (n,) = _need(params, "n")
         if n < 0:
             raise ParamsOutOfRange("h[n] needs n >= 0")
-        diff = None
-        if n >= 1:
-            diff = {"r": 2, "target": (3, p**n * q + 1), "value": f"a0 b[1,{n-1}]"}
-        return NamedClass(
-            name, {"n": n}, 1, p**n * q, product((h(1, n),), ctx), differential=diff
-        )
+        return _represented(name, {"n": n}, product((h(1, n),), ctx), ctx)
     if name == "b":
         (n,) = _need(params, "n")
         if n < 0:
             raise ParamsOutOfRange("b[n] needs n >= 0")
-        diff = None
-        if n >= 1:
-            r = 2 * p - 1
-            diff = {
-                "r": r,
-                "target": (2 + r, p ** (n + 1) * q + r - 1),
-                "value": f"h[1,0] b[1,{n-1}]^{p}",
-            }
-        return NamedClass(
-            name,
-            {"n": n},
-            2,
-            p ** (n + 1) * q,
-            product((b(1, n),), ctx),
-            differential=diff,
-        )
+        return _represented(name, {"n": n}, product((b(1, n),), ctx), ctx)
     if name == "gamma_tilde":
         (s,) = _need(params, "s")
         if not 3 <= s < p:
             raise ParamsOutOfRange(f"gamma_tilde[s] needs 3 <= s < p, got s={s}")
-        t = s * p**2 * q + (s - 1) * p * q + (s - 2) * q + s - 3
-        rep = product((h(2, 1), h(1, 2), h(3, 0), *([a(3)] * (s - 3))), ctx)
-        cls = NamedClass(name, {"s": s}, s, t, rep)
-        got = tridegree(rep, ctx)
-        if (got.s, got.t) != (s, t):
-            raise AssertionError(f"gamma_tilde[{s}] degree mismatch: {got}")
-        return cls
+        # a3^(s-3) is one factor: s runs up to p - 1
+        a3_power = Monomial.build([(a(3), s - 3)])
+        rep = product((h(2, 1), h(1, 2), h(3, 0), a3_power), ctx)
+        return _represented(name, {"s": s}, rep, ctx)
     if name == "h0h":
         (n,) = _need(params, "n")
         if n < 1:
             raise ParamsOutOfRange("h0h[n] needs n >= 1")
-        return NamedClass(
-            name, {"n": n}, 2, p**n * q + q, product((h(1, 0), h(1, n)), ctx)
-        )
+        return _represented(name, {"n": n}, product((h(1, 0), h(1, n)), ctx), ctx)
     if name == "h0b":
         (n,) = _need(params, "n")
         if n < 1:
             raise ParamsOutOfRange("h0b[n] needs n >= 1")
-        return NamedClass(
-            name, {"n": n}, 3, p**n * q + q, product((h(1, 0), b(1, n - 1)), ctx)
-        )
+        return _represented(name, {"n": n}, product((h(1, 0), b(1, n - 1)), ctx), ctx)
     if name == "h0hh":
         n, m = _need(params, "n", "m")
         if not (m >= 1 and n >= m + 2):
             raise ParamsOutOfRange("h0hh[n,m] needs n >= m + 2, m >= 1")
-        return NamedClass(
-            name,
-            {"n": n, "m": m},
-            3,
-            p**n * q + p**m * q + q,
-            product((h(1, 0), h(1, n), h(1, m)), ctx),
-        )
+        rep = product((h(1, 0), h(1, n), h(1, m)), ctx)
+        return _represented(name, {"n": n, "m": m}, rep, ctx)
     if name == "h0hb":
         n, m = _need(params, "n", "m")
         if not (m >= 1 and n >= m + 2):
@@ -267,38 +234,27 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
         rep = product((h(1, 0), h(1, n), b(1, m - 1)), ctx) + product(
             (h(1, 0), h(1, m), b(1, n - 1)), ctx
         ).scaled(-1)
-        return NamedClass(name, {"n": n, "m": m}, 4, p**n * q + p**m * q + q, rep)
+        return _represented(name, {"n": n, "m": m}, rep, ctx)
 
     two_family = {
-        "g": (2, lambda n: p ** (n + 1) * q + 2 * p**n * q, "l"),
-        "k": (2, lambda n: 2 * p ** (n + 1) * q + p**n * q, "l_prime"),
-        "l": (3, lambda n: p ** (n + 1) * q + 2 * p**n * q, None),
-        "l_prime": (3, lambda n: 2 * p ** (n + 1) * q + p**n * q, None),
-        "h0g": (3, lambda n: p ** (n + 1) * q + 2 * p**n * q + q, None),
-        "h0l": (4, lambda n: p ** (n + 1) * q + 2 * p**n * q + q, None),
-        "h0k": (3, lambda n: 2 * p ** (n + 1) * q + p**n * q + q, None),
-        "h0l_prime": (4, lambda n: 2 * p ** (n + 1) * q + p**n * q + q, None),
+        "g": (2, lambda n: p ** (n + 1) * q + 2 * p**n * q),
+        "k": (2, lambda n: 2 * p ** (n + 1) * q + p**n * q),
+        "l": (3, lambda n: p ** (n + 1) * q + 2 * p**n * q),
+        "l_prime": (3, lambda n: 2 * p ** (n + 1) * q + p**n * q),
+        "h0g": (3, lambda n: p ** (n + 1) * q + 2 * p**n * q + q),
+        "h0l": (4, lambda n: p ** (n + 1) * q + 2 * p**n * q + q),
+        "h0k": (3, lambda n: 2 * p ** (n + 1) * q + p**n * q + q),
+        "h0l_prime": (4, lambda n: 2 * p ** (n + 1) * q + p**n * q + q),
     }
     if name in two_family:
         (n,) = _need(params, "n")
         if n < 0:
             raise ParamsOutOfRange(f"{name}[n] needs n >= 0")
-        s_deg, t_of, partner = two_family[name]
-        rep = None
-        diff = None
-        conjectural = n >= 3 or name in ("h0g", "h0l", "h0k", "h0l_prime")
         if name == "g" and n == 0:
-            rep = product((h(2, 0), h(1, 0)), ctx)
-            conjectural = False
-        if partner and n >= 3:
-            diff = {
-                "r": 2,
-                "target": (s_deg + 2, t_of(n) + 1),
-                "value": f"a0 {partner}[{n}]",
-            }
-        return NamedClass(
-            name, {"n": n}, s_deg, t_of(n), rep, conjectural=conjectural, differential=diff
-        )
+            return _represented(name, {"n": n}, product((h(2, 0), h(1, 0)), ctx), ctx)
+        s_deg, t_of = two_family[name]
+        conjectural = n >= 3 or name in ("h0g", "h0l", "h0k", "h0l_prime")
+        return NamedClass(name, {"n": n}, s_deg, t_of(n), conjectural=conjectural)
     if name == "beta_tilde":
         (s,) = _need(params, "s")
         if s < 2:

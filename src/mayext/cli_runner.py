@@ -1000,7 +1000,10 @@ def stems(session, family, params):
         key, sep, val = item.partition("=")
         if not sep:
             raise click.UsageError(f"-P takes key=value, got {item!r}")
-        kv[key.strip()] = eval_expr(val.strip(), ctx)
+        key = key.strip()
+        if key in kv:
+            raise click.UsageError(f"-P gives {key!r} more than once")
+        kv[key] = eval_expr(val.strip(), ctx)
     click.echo(str(stem_of(ctx, family, kv)))
 
 

@@ -46,33 +46,31 @@ def reports(sessions):
 class TestResolveNamed:
     def test_fixed_classes(self):
         a0 = resolve_named("a0", {}, C5)
-        assert a0.bidegree == (1, 1)
+        assert (a0.s, a0.t) == (1, 1)
         alpha2 = resolve_named("alpha2_tilde", {}, C5)
-        assert alpha2.bidegree == (2, 17)
+        assert (alpha2.s, alpha2.t) == (2, 17)
         g0 = resolve_named("g0", {}, C5)
-        assert g0.bidegree == (2, 56)
-        assert g0.differential["r"] == 2
-        assert g0.differential["target"] == (4, 57)
+        assert (g0.s, g0.t) == (2, 56)
 
     def test_h_family(self):
         h0 = resolve_named("h", {"n": 0}, C7)
-        assert h0.bidegree == (1, 12)
-        assert h0.differential is None
+        assert (h0.s, h0.t) == (1, 12)
         h3 = resolve_named("h", {"n": 3}, C7)
-        assert h3.bidegree == (1, 4116)
-        assert h3.differential == {"r": 2, "target": (3, 4117), "value": "a0 b[1,2]"}
+        assert (h3.s, h3.t) == (1, 4116)
 
     def test_b_family(self):
         b1 = resolve_named("b", {"n": 1}, C7)
-        assert b1.bidegree == (2, 588)
-        assert b1.differential["r"] == 2 * 7 - 1
-        assert b1.differential["target"] == (2 + 13, 7**2 * 12 + 12)
+        assert (b1.s, b1.t) == (2, 588)
 
     def test_composite_names(self):
-        assert resolve_named("h0h", {"n": 2}, C7).bidegree == (2, 600)
-        assert resolve_named("h0b", {"n": 2}, C7).bidegree == (3, 600)
-        assert resolve_named("h0hh", {"n": 4, "m": 2}, C5).bidegree == (3, 5208)
-        assert resolve_named("h0hb", {"n": 4, "m": 2}, C5).bidegree == (4, 5208)
+        for name, params, ctx, bidegree in [
+            ("h0h", {"n": 2}, C7, (2, 600)),
+            ("h0b", {"n": 2}, C7, (3, 600)),
+            ("h0hh", {"n": 4, "m": 2}, C5, (3, 5208)),
+            ("h0hb", {"n": 4, "m": 2}, C5, (4, 5208)),
+        ]:
+            cls = resolve_named(name, params, ctx)
+            assert (cls.s, cls.t) == bidegree
 
     def test_text_uses_signature_order(self):
         cls = resolve_named("h0hh", {"n": 4, "m": 2}, C5)
@@ -80,40 +78,44 @@ class TestResolveNamed:
         assert resolve_named("gamma_tilde", {"s": 3}, C7).text() == "gamma_tilde[3]"
         assert resolve_named("a0", {}, C5).text() == "a0"
 
-    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_representative_degrees_match(self, p):
+        # a represented class takes its bidegree from its representative;
+        # the closed formulas here are the independent reference
         ctx = PrimeContext(p)
-        cases = [("a0", {}), ("alpha2_tilde", {}), ("g0", {}), ("g", {"n": 0})]
-        cases += [("h", {"n": n}) for n in range(0, 5)]
-        cases += [("b", {"n": n}) for n in range(0, 4)]
-        cases += [("h0h", {"n": n}) for n in range(1, 5)]
-        cases += [("h0b", {"n": n}) for n in range(1, 5)]
-        cases += [("h0hh", {"n": n, "m": m}) for n, m in [(3, 1), (4, 2), (4, 1)]]
-        cases += [("h0hb", {"n": n, "m": m}) for n, m in [(3, 1), (4, 2)]]
-        cases += [("gamma_tilde", {"s": s}) for s in range(3, p)]
-        for name, params in cases:
+        q = ctx.q
+        cases = [
+            ("a0", {}, (1, 1)),
+            ("alpha2_tilde", {}, (2, 2 * q + 1)),
+            ("g0", {}, (2, p * q + 2 * q)),
+            ("g", {"n": 0}, (2, p * q + 2 * q)),
+        ]
+        cases += [("h", {"n": n}, (1, p**n * q)) for n in range(0, 5)]
+        cases += [("b", {"n": n}, (2, p ** (n + 1) * q)) for n in range(0, 4)]
+        cases += [("h0h", {"n": n}, (2, p**n * q + q)) for n in range(1, 5)]
+        cases += [("h0b", {"n": n}, (3, p**n * q + q)) for n in range(1, 5)]
+        for n, m in [(3, 1), (4, 2), (4, 1)]:
+            t = p**n * q + p**m * q + q
+            cases.append(("h0hh", {"n": n, "m": m}, (3, t)))
+            cases.append(("h0hb", {"n": n, "m": m}, (4, t)))
+        cases += [
+            (
+                "gamma_tilde",
+                {"s": s},
+                (s, s * p**2 * q + (s - 1) * p * q + (s - 2) * q + s - 3),
+            )
+            for s in range(3, p)
+        ]
+        for name, params, bidegree in cases:
             cls = resolve_named(name, params, ctx)
             got = tridegree(cls.rep, ctx)
-            assert (got.s, got.t) == cls.bidegree, cls.text()
-
-    def test_differential_targets_shift_by_r(self):
-        for name, params in [("h", {"n": 2}), ("b", {"n": 1}), ("g0", {})]:
-            cls = resolve_named(name, params, C7)
-            r = cls.differential["r"]
-            assert cls.differential["target"] == (cls.s + r, cls.t + r - 1)
+            assert (got.s, got.t) == (cls.s, cls.t) == bidegree, cls.text()
 
     def test_conjectural_flags(self):
         assert resolve_named("g", {"n": 0}, C7).conjectural is False
         assert resolve_named("g", {"n": 3}, C7).conjectural is True
         assert resolve_named("h0g", {"n": 1}, C7).conjectural is True
         assert resolve_named("beta_tilde", {"s": 2}, C7).conjectural is True
-
-    def test_partner_differential_for_large_n(self):
-        g3 = resolve_named("g", {"n": 3}, C7)
-        assert g3.differential["value"] == "a0 l[3]"
-        k3 = resolve_named("k", {"n": 3}, C7)
-        assert k3.differential["value"] == "a0 l_prime[3]"
-        assert resolve_named("g", {"n": 2}, C7).differential is None
 
     def test_unknown_name(self):
         with pytest.raises(UnknownName):

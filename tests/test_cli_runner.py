@@ -457,6 +457,13 @@ class TestBasicCommands:
         res = runner.invoke(main, ["-p", "5", "stems", "h0h", "-P", "n2"])
         assert res.exit_code == 2
 
+    def test_stems_repeated_param(self, runner):
+        # this once printed 1398, the stem of g[2]
+        res = runner.invoke(main, ["stems", "g", "-P", "n=1", "-P", "n=2"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "-P gives 'n' more than once" in res.stderr
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -1036,6 +1043,20 @@ class TestErrorSurface:
         assert res.stdout.startswith(
             "L(1,2000000040000000266000000588): dim in [1,1] (exact)\n"
         )
+
+    def test_gamma_tilde_at_a_large_prime_answers_fast(self):
+        # its representative once took one multiplication per a3 factor,
+        # about 10 microseconds each, from a list of s - 3 references (8 GB
+        # at this s), and s runs up to p - 1
+        p, s = 1000000007, 1000000006
+        q = 2 * (p - 1)
+        t = s * p**2 * q + (s - 1) * p * q + (s - 2) * q + s - 3
+        started = time.monotonic()
+        args = ["-p", str(p), "stems", "gamma_tilde", "-P", f"s={s}"]
+        res = run_module(args, memory_mb=512)
+        assert time.monotonic() - started < 2
+        assert res.returncode == 0
+        assert res.stdout == f"{t - s}\n"
 
     @pytest.mark.parametrize(
         "element, message",
