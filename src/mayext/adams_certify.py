@@ -23,6 +23,7 @@ from .may_core import (
     InvalidParams,
     MayextError,
     Monomial,
+    ParseError,
     PrimeContext,
     WorkBudgetExceeded,
     power,
@@ -154,6 +155,12 @@ class NamedClass:
 
 
 def _need(params: dict, *keys: str) -> list[int]:
+    """The integer values of keys in params.  A key params holds beyond
+    them raises ParseError, a missing key or a value that is not an integer
+    ParamsOutOfRange."""
+    for key in params:
+        if key not in keys:
+            raise ParseError(f"unknown parameter {key!r}")
     out = []
     for key in keys:
         if key not in params:
@@ -187,6 +194,8 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
         if isinstance(params.get(key), int):
             power(p, params[key] + 1)
 
+    if name in ("a0", "alpha2_tilde", "g0"):
+        _need(params)
     if name == "a0":
         return _represented(name, {}, product((a(0),), ctx), ctx)
     if name == "alpha2_tilde":

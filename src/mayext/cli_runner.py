@@ -1,14 +1,15 @@
 """Command line front end: cached sessions, claim checking, and charts.
 
 A Session owns one prime and reuses work at two levels: in-process memos
-of second-term records and boundary data keyed by (s, t), and an optional
-on-disk cache of serialized records keyed by (module, p, s, t,
-schema_version).  Disk records embed their own key, so a corrupt file,
-a malformed value or a digest collision degrades to a recomputation
-with a warning, never to wrong data or a crash.  Warnings go to the
-"mayext" logger; the command line prints them on stderr.  Certificates
-read records through Session.report; products and witness ranks
-reduce against Session.boundaries.
+of second-term records and boundary data keyed by (s, t) and of bases,
+one may_core.Column per internal degree t, and an optional on-disk cache
+of serialized records keyed by (module, p, s, t, schema_version).  Disk
+records embed their own key, so a corrupt file, a malformed value or a
+digest collision degrades to a recomputation with a warning, never to
+wrong data or a crash.  Warnings go to the "mayext" logger; the command
+line prints them on stderr.  Certificates read records through
+Session.report; products and witness ranks reduce against
+Session.boundaries.
 
 Claims are JSON dicts with a "kind", a prime "p", kind-specific
 parameters, and an "expect" value.  Any numeric parameter may be an
@@ -57,6 +58,7 @@ from .greek_bp import (
 from .les_dims import _SPECTRA, ext_dims
 from .may_core import (
     MAX_POWER_BITS,
+    Column,
     InvalidParams,
     MayextError,
     ParseError,
@@ -258,15 +260,16 @@ class DiskCache:
 
 
 class Session:
-    """All computations for one prime: memos of records, boundary data and
-    bases keyed by (s, t), and an optional disk cache behind report, the
+    """All computations for one prime: memos of records and boundary data
+    keyed by (s, t), one may_core.Column per internal degree t, which holds
+    the bases of its cells, and an optional disk cache behind report, the
     one source of records."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
         self.ctx = ctx
         self.memo: dict[tuple[int, int], E2Report] = {}
         self.boundary_memo: dict[tuple[int, int], Boundaries] = {}
-        self.bases: dict[tuple[int, int], dict] = {}
+        self.columns: dict[int, Column] = {}
         self.disk = DiskCache(cache_dir) if cache_dir else None
 
     def _key(self, s: int, t: int) -> dict:
@@ -295,7 +298,7 @@ class Session:
                 else:
                     self.memo[(s, t)] = rep
                     return rep
-        rep = cell_homology(self.ctx, s, t, self.bases, self.boundaries)
+        rep = cell_homology(self.ctx, s, t, self.column(t), self.boundaries)
         self.memo[(s, t)] = rep
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
@@ -305,8 +308,15 @@ class Session:
         """The boundary data of (s, t), memoised, never from disk."""
         data = self.boundary_memo.get((s, t))
         if data is None:
-            data = self.boundary_memo[(s, t)] = boundary_data(self.ctx, s, t, self.bases)
+            data = self.boundary_memo[(s, t)] = boundary_data(self.ctx, s, t, self.column(t))
         return data
+
+    def column(self, t: int) -> Column:
+        """The Column of t, built on first use."""
+        col = self.columns.get(t)
+        if col is None:
+            col = self.columns[t] = Column(self.ctx, t)
+        return col
 
 
 # ---------------------------------------------------------------------------

@@ -331,12 +331,15 @@ def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
     filtration: beta[a,s,b,c], or beta_{tp^n/s} given as t, n, s, minus 2;
     gamma[t,b,c], or gamma_{p^n/s} given as n, s (c = 1), minus 3; and
     alpha[t,n] minus 1.  Parameters outside the class's domain raise
-    InvalidParams (ParamsOutOfRange for a named class); an unknown family
-    raises UnknownFamily.
+    InvalidParams (ParamsOutOfRange for a named class), a key the family
+    does not take ParseError; an unknown family raises UnknownFamily.
     """
     params = dict(params or {})
 
     def need(*keys):
+        for key in params:
+            if key not in keys:
+                raise ParseError(f"unknown parameter {key!r}")
         missing = [k for k in keys if k not in params]
         if missing:
             raise InvalidParams(f"{family} needs parameters {missing}")

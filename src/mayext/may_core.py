@@ -19,12 +19,14 @@ would make the a's odd as well, and that convention is not compatible
 with the degree-(1,0,-1) differential squaring to zero, so it is not
 used anywhere.
 
-Basis enumeration works a column (one internal degree t) at a time
-(enumerate_column).  Its search finds factor tuples, and the column's
-Coding, the one home of the code layout, codes each finished block: it
-ranks the generators below t canonically and packs one exponent digit per
-rank, so an h's one-bit digit makes the h part of a code its h bitmask.
-may_diff forms d1 on these codes, where the sign rule is a popcount parity.
+Basis enumeration works a column (one internal degree t) at a time: a
+Column enumerates each of its cells when it is first read, and keeps its
+generator list, its reachability levels and its Coding for later cells.
+Its search finds factor tuples, and the Coding, the one home of the code
+layout, codes each finished block: it ranks the generators below t
+canonically and packs one exponent digit per rank, so an h's one-bit
+digit makes the h part of a code its h bitmask.  may_diff forms d1 on
+these codes, where the sign rule is a popcount parity.
 """
 
 from __future__ import annotations
@@ -416,27 +418,30 @@ def product(factors: Iterable[MulOperand], ctx: PrimeContext) -> Element:
 def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
     """All generators of internal degree <= t_max, in canonical order.
 
+    The degrees are _degree's formulas on running powers of p.  Internal
+    degree grows with i and with j, so a kind ends at the first i whose
+    j = 0 generator is past t_max, and each i at its first j past it.
     Every (kind, i, j) built here is valid, so the list skips Generator's
-    argument checks.  Internal degree grows with i and with j, so a kind
-    ends at the first i whose j = 0 generator is past t_max, and each i
-    at its first j past it.  The degrees read stay in ctx's table for the
-    caller."""
+    argument checks.  The degrees stay in ctx's table for the caller."""
     p, table, new = ctx.p, ctx.degree_table, tuple.__new__
     gens: list[Generator] = []
-    for kind in (KIND_A, KIND_H, KIND_B):
-        i, j = (0 if kind == KIND_A else 1), 0
-        while True:
-            g = new(Generator, (kind, i, j))
-            d = table.get(g) or _degree(g, p)
-            if d[1] <= t_max:
-                table[g] = d
+    i, p_i = 0, 1
+    while 2 * p_i - 1 <= t_max:
+        g = new(Generator, (KIND_A, i, 0))
+        table[g] = (1, 2 * p_i - 1, 2 * i + 1)
+        gens.append(g)
+        i, p_i = i + 1, p_i * p
+    # h[i,j] has internal degree 2 (p^i - 1) p^j, b[i,j] p times that
+    for kind, s, scale in ((KIND_H, 1, 1), (KIND_B, 2, p)):
+        i, p_i = 1, p
+        while (dt := 2 * scale * (p_i - 1)) <= t_max:
+            j, u = 0, scale * (2 * i - 1)
+            while dt <= t_max:
+                g = new(Generator, (kind, i, j))
+                table[g] = (s, dt, u)
                 gens.append(g)
-                if kind != KIND_A:
-                    j += 1
-                    continue
-            elif not j:
-                break
-            i, j = i + 1, 0
+                j, dt = j + 1, dt * p
+            i, p_i = i + 1, p_i * p
     return gens
 
 
@@ -451,11 +456,10 @@ class Coding:
     While no digit overflows, the code of a product is the sum of the
     codes: multiplying by a monomial is an addition.
 
-    The coding of a column (enumerate_column) is a function of the context
-    and the internal degree alone, so cells of one column enumerated by
-    separate calls have the same codes; it encodes each finished block
-    once.  d1_terms holds the per-generator d1 term tables that may_diff
-    builds on first use.
+    The coding of a column (Column.coding) is a function of the context
+    and the internal degree alone, so two columns of one t code their
+    cells alike.  d1_terms holds the per-generator d1 term tables that
+    may_diff builds on first use.
     """
 
     __slots__ = ("gens", "offset", "width", "hmask", "d1_terms")
@@ -498,50 +502,61 @@ class Block:
 
 
 class Cell:
-    """A cell's basis as enumerate_column returns it: the column's coding
-    and one Block per weight, weights ascending."""
+    """A cell's basis as its column reads it: one Block per weight,
+    weights ascending, and the column's coding, which an empty cell does
+    not need (None)."""
 
     __slots__ = ("coding", "blocks")
 
-    def __init__(self, coding: Coding, blocks: dict[int, Block]):
+    def __init__(self, coding: Coding | None, blocks: dict[int, Block]):
         self.coding = coding
         self.blocks = blocks
 
 
-# Memory bounds of enumerate_column: the largest reachability table, in
-# bits (4 MiB), and the most entries the wide search memoises at a time
-# (a few MiB; a cell of the corpus needs at most 12k).  Past the second
-# the memo is cleared: a cell too hard for it then costs time, not memory.
+# Memory bounds of a column: the largest reachability table, in bits (4
+# MiB), and the most entries the wide search memoises at a time (a few
+# MiB; a cell of the corpus needs at most 12k).  Past the second the memo
+# is cleared: a cell too hard for it then costs time, not memory.
 _REACH_TABLE_BITS = 1 << 25
 _REACH_MEMO_ENTRIES = 1 << 15
+# The largest reachability table a column keeps from one read to the next
+# (512 KiB); a larger one ends with its read, so that a session holding
+# many wide columns does not hold their tables.
+_REACH_KEPT_BITS = 1 << 22
 # Search steps the enumeration of one cell may take: the corpus needs 46k,
 # p = 3 (40,400) 0.9M, p = 5 (5,5^14) 2.6M, and a step took 0.2-3 us on a Xeon.
 MAX_ENUMERATION_STEPS = 3 * 10**6
 
 
-def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, Cell]:
-    """The canonical basis monomials of (s, t) for each s in ss, grouped by
-    weight and coded: {s: Cell}, and an empty cell has no blocks.
+class Column:
+    """The canonical basis monomials of the cells (s, t) of one internal
+    degree t, grouped by weight and coded, each cell enumerated once, when
+    it is first read.
 
-    One call serves a column of cells at internal degree t: the generator
-    list, its degrees, its coding and the reachability test are built
-    once, then the cells are filled in the order of ss.  Exponent
-    multisets are found by depth-first search over the bounded generator
-    list.  The search is output-sensitive: it enters a branch (generator k
-    with exponent e) only when the generators after k can still make up
-    the remaining filtration and internal degree exactly, so every branch
-    it enters ends in a monomial.  It carries the weight of the factors
-    taken so far, so monomials are grouped by weight as they are found,
-    and coded a block at a time once the cell is complete.  The reachability
-    test of a cell is one of two, chosen by the size of the table it needs:
+    An a adds 1 to s and to t mod q, an h or a b adds 0 to t mod q, so a
+    cell with t mod q > s is empty, and is read without a search.  A column
+    builds its generator list and their degrees once, for its first
+    search, and its coding when the first cell with blocks needs codes, so
+    a column whose cells are all empty builds none.
+
+    Exponent multisets are found by depth-first search over the bounded
+    generator list.  The search is output-sensitive: it enters a branch
+    (generator k with exponent e) only when the generators after k can
+    still make up the remaining filtration and internal degree exactly, so
+    every branch it enters ends in a monomial.  It carries the weight of
+    the factors taken so far, so monomials are grouped by weight as they
+    are found, and coded a block at a time once the cell is complete.  The
+    reachability test of a cell is one of two, chosen by the size of the
+    table it needs:
 
     * Narrow t, where (t + 1)(s + 1) len(gens) <= _REACH_TABLE_BITS:
-      reach[k][r] is a Python-int bitset of the internal degrees up to t
-      that gens[k:] reach with filtration exactly r.  It is built once,
-      for the largest such s asked for, and serves every smaller one.
-      Its search reads the table inline, and closes the last filtration
-      unit by a lookup of the unit generator of the degree left, counting
-      the steps the search would have taken there.
+      levels[r][k] is a Python-int bitset of the internal degrees up to t
+      that gens[k:] reach with filtration exactly r.  Level r is built
+      from levels r - 1 and r - 2, so a higher cell extends the levels a
+      lower one built, in its read and, up to _REACH_KEPT_BITS, in later
+      reads of the column.  The search reads them inline, and closes the
+      last filtration unit by a lookup of the unit generator of the degree
+      left, counting the steps the search would have taken there.
     * Wide t (up to p^12 q, about 1.4e10 at p = 7, where a table t bits
       wide cannot be built): a search memoised on (k, s_rem, t_rem),
       pruned by the least and the largest internal degree per filtration
@@ -549,9 +564,9 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
       last one or two filtration units by a dict lookup on internal degree
       (one a or h; one b, a square of an a, or a pair of distinct degree-1
       generators) instead of looping over the generators.  Neither key
-      depends on s, so a later cell of the column starts from the memo and
-      the closings the earlier ones left.  The memo holds at most
-      _REACH_MEMO_ENTRIES entries.
+      depends on s, so a later cell of one read starts from the memo and
+      the closings the earlier ones left.  They end with the read, and
+      hold at most _REACH_MEMO_ENTRIES entries.
 
     The cutoff exists because the table grows with t; below it the table
     is several times faster than the memoised search, so it is a memory
@@ -562,28 +577,96 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
     more than MAX_ENUMERATION_STEPS of them.  Codes rank the generators
     canonically, whatever the order of the list the search walks.
     """
-    ss = list(dict.fromkeys(ss))
-    cells = [s for s in ss if 0 < s <= t]
-    if not cells:
-        # no cell holds a generator: an empty alphabet codes them all
-        empty = Coding({})
-        return {s: Cell(empty, {0: Block([()], [0])} if s == t == 0 else {}) for s in ss}
-    gens = generators_bounded(ctx, t)
-    n = len(gens)
-    degrees = list(map(ctx.degree, gens))  # (s_g, t_g, u_g)
-    # g^e has internal degree e t_g <= t, so a digit of the bit length of
-    # t // t_g holds every exponent g takes in the column; an h's, one bit
-    coding = Coding({
-        g: 1 if g[0] == KIND_H else (t // dt).bit_length()
-        for g, (_, dt, _) in zip(gens, degrees)
-    })
-    # exterior h's appear at most once, the others at most s times
-    e_top = [1 if g[0] == KIND_H else max(cells) for g in gens]
-    # the factor tuples come out in the order of gens: canonical unless a
-    # caller reordered the list
-    canonical = gens == coding.gens
-    out = {s: Cell(coding, {}) for s in ss}
 
+    __slots__ = ("ctx", "t", "gens", "degrees", "cells", "levels", "_coding")
+
+    def __init__(self, ctx: PrimeContext, t: int):
+        self.ctx, self.t = ctx, t
+        self.gens: list[Generator] | None = None
+        self.degrees: list[tuple[int, int, int]] = []  # (s_g, t_g, u_g)
+        self.cells: dict[int, Cell] = {}
+        self.levels: list[list[int]] = []
+        self._coding: Coding | None = None
+
+    @property
+    def coding(self) -> Coding:
+        """The column's coding: g^e has internal degree e t_g <= t, so a
+        digit of the bit length of t // t_g holds every exponent g takes
+        in the column; an h's, one bit."""
+        if self._coding is None:
+            t = self.t
+            self._coding = Coding({
+                g: 1 if g[0] == KIND_H else (t // dt).bit_length()
+                for g, (_, dt, _) in zip(self.generators(), self.degrees)
+            })
+        return self._coding
+
+    def generators(self) -> list[Generator]:
+        """The generator list, built on first use with its degrees."""
+        if self.gens is None:
+            self.gens = generators_bounded(self.ctx, self.t)
+            # the degrees generators_bounded tabulated
+            self.degrees = list(map(self.ctx.degree_table.__getitem__, self.gens))
+        return self.gens
+
+    def reach(self, s: int) -> list[list[int]]:
+        """The reachability levels up to filtration s, extending those
+        built."""
+        levels, gens, degrees = self.levels, self.gens, self.degrees
+        n = len(gens)
+        if not levels:
+            levels.append([1] * (n + 1))
+        mask = (1 << (self.t + 1)) - 1
+        for r in range(len(levels), s + 1):
+            row = [0] * (n + 1)
+            acc = 0
+            for k in range(n - 1, -1, -1):
+                ds, dt, _ = degrees[k]
+                if ds <= r:
+                    # knapsack step: an exterior h is taken at most once, an
+                    # a or b any number of times (level r - ds of gens[k:])
+                    src = levels[r - ds][k + (gens[k][0] == KIND_H)]
+                    acc = (acc | src << dt) & mask
+                row[k] = acc
+            levels.append(row)
+        return levels
+
+    def read(self, ss: Iterable[int]) -> Iterator[Cell]:
+        """The cell (s, t) of each s in ss, in order, as the caller asks
+        for it: a caller that stops early enumerates no later cell.  The
+        cells one read enumerates share one search."""
+        cells, t, q, levels = self.cells, self.t, self.ctx.q, self.levels
+        find = close = None
+        try:
+            for s in ss:
+                cell = cells.get(s)
+                if cell is None:
+                    if 0 < s <= t and t % q <= s:
+                        if find is None:
+                            find, close = _search(self)
+                        cell = find(s)
+                    elif s == t == 0:
+                        cell = Cell(self.coding, {0: Block([()], [0])})
+                    else:
+                        cell = Cell(None, {})  # no monomial
+                    cells[s] = cell
+                yield cell
+        finally:
+            if close is not None:
+                close()
+            if levels and len(levels) * len(levels[0]) * (t + 1) > _REACH_KEPT_BITS:
+                levels.clear()
+
+
+def _search(column: Column):
+    """(find, close): find(s) enumerates the cell (s, t) of column, for
+    0 < s <= t, and the cells it finds share the wide search's memo and
+    closings; close() frees them."""
+    gens = column.generators()
+    t, degrees, by_s = column.t, column.degrees, column.levels
+    n = len(gens)
+    # exterior h's are taken at most once, the others at most t times
+    e_top = [1 if g[0] == KIND_H else t for g in gens]
     # unit[t_g] / double[t_g]: index of the generator of filtration 1 / 2
     # with internal degree t_g (unique within each filtration)
     unit: dict[int, int] = {}
@@ -591,7 +674,12 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
     for k, (ds, dt, _) in enumerate(degrees):
         (unit if ds == 1 else double)[dt] = k
     closed: dict[tuple[int, int], list[tuple[int, Factors, int]]] = {}
+    memo: dict[tuple[int, int, int], bool] = {}
+    stack: list[tuple[Generator, int]] = []
+    found: dict[int, list[Factors]] = {}
+    min_rate = max_rate = a_left = None  # the wide search's bounds, on its first cell
     cell = steps = 0
+    q = column.ctx.q
 
     def spend(n: int) -> None:
         nonlocal steps
@@ -636,150 +724,145 @@ def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, 
             closed[key] = ways
         return ways
 
-    stack: list[tuple[Generator, int]] = []
+    def fill_table(k: int, s_rem: int, t_rem: int, u: int) -> None:
+        # s_rem > 0, (k, s_rem, t_rem) is reachable (by_s[s_rem][k] has
+        # bit t_rem), and the factors on the stack have weight u.  Skip
+        # gens[k], gens[k+1], ... while that stays reachable, then take
+        # each skipped generator e >= 1 times, last first: the order of
+        # a recursion on e = 0, without a frame per skip
+        col = by_s[s_rem]
+        top = k
+        while col[top + 1] >> t_rem & 1:
+            top += 1
+        spend(top - k + 1)
+        for j in range(top, k - 1, -1):
+            ds, dt, du = degrees[j]
+            e, s2, t2 = 1, s_rem - ds, t_rem - dt
+            while s2 >= 0 and t2 >= 0 and e <= e_top[j]:
+                if by_s[s2][j + 1] >> t2 & 1:
+                    stack.append((gens[j], e))
+                    if s2 > 1:
+                        fill_table(j + 1, s2, t2, u + e * du)
+                    else:
+                        # close here.  With no unit left (so t2 = 0 too)
+                        # that is one step.  One unit left only gens[j2],
+                        # the unit generator of degree t2, makes up: the
+                        # call on (j + 1, 1, t2) would skip to it in
+                        # j2 - j steps and then close
+                        key, w = tuple(stack), u + e * du
+                        if s2:
+                            j2 = unit[t2]
+                            key += ((gens[j2], 1),)
+                            w += degrees[j2][2]
+                        spend(j2 - j + 1 if s2 else 1)
+                        found.setdefault(w, []).append(key)
+                    stack.pop()
+                e, s2, t2 = e + 1, s2 - ds, t2 - dt
 
-    # the table serves the cells up to the largest one whose table fits
-    # (the condition is monotone in s), the memoised search the others
-    fits = [s for s in cells if (t + 1) * (s + 1) * n <= _REACH_TABLE_BITS]
-    s_table = max(fits, default=0)
-    if s_table:
-        mask = (1 << (t + 1)) - 1
-        reach = [[1] + [0] * s_table]
-        for k in range(n - 1, -1, -1):
-            below = reach[-1]
-            row = list(below)
-            ds, dt, _ = degrees[k]
-            # knapsack step: an exterior h is taken at most once, an a or b
-            # any number of times (ascending r reuses the updated row)
-            source = below if gens[k][0] == KIND_H else row
-            for r in range(ds, s_table + 1):
-                row[r] = (row[r] | source[r - ds] << dt) & mask
-            reach.append(row)
-        reach.reverse()
-        # the same table by filtration: by_s[r][k] = reach[k][r]
-        by_s = list(zip(*reach))
-
-        def fill_table(k: int, s_rem: int, t_rem: int, u: int) -> None:
-            # s_rem > 0, (k, s_rem, t_rem) is reachable (by_s[s_rem][k] has
-            # bit t_rem), and the factors on the stack have weight u.  Skip
-            # gens[k], gens[k+1], ... while that stays reachable, then take
-            # each skipped generator e >= 1 times, last first: the order of
-            # a recursion on e = 0, without a frame per skip
-            col = by_s[s_rem]
-            top = k
-            while col[top + 1] >> t_rem & 1:
-                top += 1
-            spend(top - k + 1)
-            for j in range(top, k - 1, -1):
-                ds, dt, du = degrees[j]
-                e, s2, t2 = 1, s_rem - ds, t_rem - dt
-                while s2 >= 0 and t2 >= 0 and e <= e_top[j]:
-                    if by_s[s2][j + 1] >> t2 & 1:
-                        stack.append((gens[j], e))
-                        if s2 > 1:
-                            fill_table(j + 1, s2, t2, u + e * du)
-                        else:
-                            # close here.  With no unit left (so t2 = 0 too)
-                            # that is one step.  One unit left only gens[j2],
-                            # the unit generator of degree t2, makes up: the
-                            # call on (j + 1, 1, t2) would skip to it in
-                            # j2 - j steps and then close
-                            key, w = tuple(stack), u + e * du
-                            if s2:
-                                j2 = unit[t2]
-                                key += ((gens[j2], 1),)
-                                w += degrees[j2][2]
-                            spend(j2 - j + 1 if s2 else 1)
-                            found.setdefault(w, []).append(key)
-                        stack.pop()
-                    e, s2, t2 = e + 1, s2 - ds, t2 - dt
-
-    if s_table < max(cells):
-        # min_rate[k] / max_rate[k]: min / max over gens[k:] of 2 t_g / s_g,
-        # exact since s_g is 1 or 2; a_left[k]: whether gens[k:] holds an a
-        rates = [2 * dt // ds for ds, dt, _ in degrees][::-1]
-        min_rate = list(accumulate(rates, min))[::-1]
-        max_rate = list(accumulate(rates, max))[::-1]
-        a_left = list(accumulate([g[0] == KIND_A for g in reversed(gens)], max))[::-1]
-        q = ctx.q
-        memo: dict[tuple[int, int, int], bool] = {}
-
-        def reach_memo(k: int, s_rem: int, t_rem: int) -> bool:
-            if s_rem <= 2:
-                return any(way[0] >= k for way in closings(s_rem, t_rem))
-            # (k, s_rem, t_rem) is reachable when gens[k] taken e >= 0 times
-            # leaves a reachable (k + 1, ...).  Skip generators (e = 0) down
-            # to a memo entry or a pruned one, then try e >= 1 on the way
-            # back up, in the order of a recursion on e = 0 but without a
-            # stack frame per skipped generator (wide t has over a thousand).
-            # An a has t = 1 mod q and an h or b t = 0 mod q, so the
-            # c <= s_rem a-units still to come satisfy c = t_rem mod q.
-            k0 = k
+    def reach_memo(k: int, s_rem: int, t_rem: int) -> bool:
+        if s_rem <= 2:
+            return any(way[0] >= k for way in closings(s_rem, t_rem))
+        # (k, s_rem, t_rem) is reachable when gens[k] taken e >= 0 times
+        # leaves a reachable (k + 1, ...).  Skip generators (e = 0) down
+        # to a memo entry or a pruned one, then try e >= 1 on the way
+        # back up, in the order of a recursion on e = 0 but without a
+        # stack frame per skipped generator (wide t has over a thousand).
+        # An a has t = 1 mod q and an h or b t = 0 mod q, so the
+        # c <= s_rem a-units still to come satisfy c = t_rem mod q.
+        k0 = k
+        hit = memo.get((k, s_rem, t_rem))
+        while hit is None and (
+            k < n
+            and s_rem * min_rate[k] <= 2 * t_rem <= s_rem * max_rate[k]
+            and t_rem % q <= (s_rem if a_left[k] else 0)
+        ):
+            k += 1
             hit = memo.get((k, s_rem, t_rem))
-            while hit is None and (
-                k < n
-                and s_rem * min_rate[k] <= 2 * t_rem <= s_rem * max_rate[k]
-                and t_rem % q <= (s_rem if a_left[k] else 0)
-            ):
-                k += 1
-                hit = memo.get((k, s_rem, t_rem))
-            spend(k - k0 + 1)
-            # gens[k0:k] were skipped; a pruned k (hit None) is recorded too
-            top = k if hit is None else k - 1
-            hit = bool(hit)
-            for j in range(top, k0 - 1, -1):
-                if not hit and j < k:
-                    ds, dt, _ = degrees[j]
-                    for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
-                        if reach_memo(j + 1, s_rem - e * ds, t_rem - e * dt):
-                            hit = True
-                            break
-                if len(memo) >= _REACH_MEMO_ENTRIES:
-                    memo.clear()
-                    closed.clear()
-                memo[(j, s_rem, t_rem)] = hit
-            return hit
-
-        def fill_memo(k: int, s_rem: int, t_rem: int, u: int) -> None:
-            # (k, s_rem, t_rem) is reachable, and the factors on the stack
-            # have weight u
-            if s_rem <= 2:
-                spend(1)
-                prefix = tuple(stack)
-                for first, tail, tail_u in closings(s_rem, t_rem):
-                    if first >= k:
-                        found.setdefault(u + tail_u, []).append(prefix + tail)
-                return
-            # the skip-then-take order of fill_table
-            top = k
-            while reach_memo(top + 1, s_rem, t_rem):
-                top += 1
-            spend(top - k + 1)
-            for j in range(top, k - 1, -1):
-                g, (ds, dt, du) = gens[j], degrees[j]
+        spend(k - k0 + 1)
+        # gens[k0:k] were skipped; a pruned k (hit None) is recorded too
+        top = k if hit is None else k - 1
+        hit = bool(hit)
+        for j in range(top, k0 - 1, -1):
+            if not hit and j < k:
+                ds, dt, _ = degrees[j]
                 for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
                     if reach_memo(j + 1, s_rem - e * ds, t_rem - e * dt):
-                        stack.append((g, e))
-                        fill_memo(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du)
-                        stack.pop()
+                        hit = True
+                        break
+            if len(memo) >= _REACH_MEMO_ENTRIES:
+                memo.clear()
+                closed.clear()
+            memo[(j, s_rem, t_rem)] = hit
+        return hit
 
-    # the fills read the cell and its groups
-    for cell in cells:
-        steps = 0
-        found: dict[int, list[Factors]] = {}
-        if cell <= s_table:
-            if by_s[cell][0] >> t & 1:
-                fill_table(0, cell, t, 0)
-        elif reach_memo(0, cell, t):
-            fill_memo(0, cell, t, 0)
+    def fill_memo(k: int, s_rem: int, t_rem: int, u: int) -> None:
+        # (k, s_rem, t_rem) is reachable, and the factors on the stack
+        # have weight u
+        if s_rem <= 2:
+            spend(1)
+            prefix = tuple(stack)
+            for first, tail, tail_u in closings(s_rem, t_rem):
+                if first >= k:
+                    found.setdefault(u + tail_u, []).append(prefix + tail)
+            return
+        # the skip-then-take order of fill_table
+        top = k
+        while reach_memo(top + 1, s_rem, t_rem):
+            top += 1
+        spend(top - k + 1)
+        for j in range(top, k - 1, -1):
+            g, (ds, dt, du) = gens[j], degrees[j]
+            for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
+                if reach_memo(j + 1, s_rem - e * ds, t_rem - e * dt):
+                    stack.append((g, e))
+                    fill_memo(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du)
+                    stack.pop()
+
+    def find(s: int) -> Cell:
+        nonlocal cell, steps, found, min_rate, max_rate, a_left
+        cell, steps, found = s, 0, {}
+        if (t + 1) * (s + 1) * n <= _REACH_TABLE_BITS:
+            if column.reach(s)[s][0] >> t & 1:
+                fill_table(0, s, t, 0)
+        else:
+            if min_rate is None:
+                # min_rate[k] / max_rate[k]: min / max over gens[k:] of
+                # 2 t_g / s_g, exact since s_g is 1 or 2; a_left[k]: whether
+                # gens[k:] holds an a
+                rates = [2 * dt // ds for ds, dt, _ in degrees][::-1]
+                min_rate = list(accumulate(rates, min))[::-1]
+                max_rate = list(accumulate(rates, max))[::-1]
+                a_left = list(accumulate([g[0] == KIND_A for g in reversed(gens)], max))[::-1]
+            if reach_memo(0, s, t):
+                fill_memo(0, s, t, 0)
+        if not found:
+            return Cell(None, {})
+        coding = column.coding
+        # the factor tuples come out in the order of gens: canonical unless
+        # a caller reordered the list
+        canonical = gens == coding.gens
         blocks = {}
         for u, keys in sorted(found.items()):
             if not canonical:
                 keys = [tuple(sorted(key)) for key in keys]
             keys.sort()
             blocks[u] = Block(keys, list(map(coding.encode, keys)))
-        out[cell] = Cell(coding, blocks)
-    return out
+        return Cell(coding, blocks)
+
+    def close() -> None:
+        # the recursive searches reach themselves through their closure
+        # cells; breaking those cycles frees the search with its read
+        nonlocal fill_table, reach_memo, fill_memo
+        fill_table = reach_memo = fill_memo = None
+
+    return find, close
+
+
+def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, Cell]:
+    """The cells (s, t), s in ss, of a fresh Column, read in one search:
+    {s: Cell}, and an empty cell has no blocks and no coding."""
+    ss = list(dict.fromkeys(ss))
+    return dict(zip(ss, Column(ctx, t).read(ss)))
 
 
 def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:

@@ -18,11 +18,10 @@ codes its terms, applies _d1_image and decodes the image.
 
 Because d1 preserves the internal degree and shifts the weight by
 exactly -1, the second-term computation splits into independent blocks,
-one per weight, inside each bidegree (s, t).  Coded bases come from the
-caller's memo, and those it lacks are enumerated in one column call
-(may_core.enumerate_column), so a session enumerates each cell once.
-A column's coding depends only on the context and t, so cells from
-separate calls share their codes.
+one per weight, inside each bidegree (s, t).  Coded bases come from a
+may_core.Column of t, the caller's or a fresh one, which enumerates each
+cell once.  A record reads the cells (s +- 1, t) only when (s, t) has a
+basis, and in the same search, so an empty cell costs one search.
 
 All linear algebra is over F_p on sparse rows {column: coefficient}, in
 the canonical column order of each weight block.  echelon returns the
@@ -41,9 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .may_core import (
-    Block, Coding, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H, Monomial,
-    MulOperand, PrimeContext, _as_element, a, enumerate_column, h, multiply_factors,
-    parse_element,
+    Block, Coding, Column, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H,
+    Monomial, MulOperand, PrimeContext, _as_element, a, h, multiply_factors, parse_element,
 )
 
 SCHEMA_VERSION = "mayv1"
@@ -195,13 +193,29 @@ def echelon(rows: list[Row], p: int) -> tuple[list[Row], list[int]]:
 
 
 def kernel(rows: list[Row], p: int, dim: int) -> list[Row]:
-    """Basis of {v : sum_i v_i rows_i = 0} for `dim` rows, echelonized:
-    row i gets an identity entry in a column past every column of the
-    rows, and the echelon rows that pivot there are the kernel."""
-    width = 1 + max((max(r) for r in rows[:dim] if r), default=-1)
-    ech, pivots = echelon([{**rows[i], width + i: 1} for i in range(dim)], p)
-    rank = sum(c < width for c in pivots)
-    return [{c - width: v for c, v in row.items()} for row in ech[rank:]]
+    """Basis of {v : sum_i v_i rows_i = 0} for `dim` rows, in reduced row
+    echelon form, from one echelon of the transposed rows.
+
+    The transpose has a row per column of the rows, over the indices i
+    renamed dim - 1 - i, so that each of its echelon rows pivots on its
+    largest index c and has its other entries at free indices f < c: it
+    says v_c = -sum_f a_f v_f.  The null vector of a free f is then e_f -
+    sum a_f e_c over those rows, whose smallest column is f and which
+    meets no other free index: in ascending f, the reduced row echelon
+    form itself."""
+    top = dim - 1
+    transposed: dict[int, Row] = {}
+    for i in range(dim):
+        for col, v in rows[i].items():
+            transposed.setdefault(col, {})[top - i] = v
+    ech, pivots = echelon(list(transposed.values()), p)
+    bound = set(pivots)
+    null = {f: {f: 1} for f in range(dim) if top - f not in bound}
+    for row, c in zip(ech, pivots):
+        for f, v in row.items():
+            if f != c:
+                null[top - f][top - c] = p - v
+    return list(null.values())
 
 
 @dataclass
@@ -319,18 +333,12 @@ class Boundaries:
     blocks: dict[int, tuple[dict[Factors, int], dict[int, Row]]]
 
 
-def _enumerate_into(ctx: PrimeContext, t: int, ss: tuple, bases: dict) -> None:
-    """Enumerate the cells (s, t), s in ss, that bases lacks in one call."""
-    missing = [x for x in ss if (x, t) not in bases]
-    if missing:
-        for x, cell in enumerate_column(ctx, t, missing).items():
-            bases[(x, t)] = cell
-
-
-def boundary_data(ctx: PrimeContext, s: int, t: int, bases: dict) -> Boundaries:
-    """The boundary data of (s, t), from the memo of coded bases."""
-    _enumerate_into(ctx, t, (s, s - 1), bases)
-    cell, below = bases[(s, t)], bases[(s - 1, t)]
+def boundary_data(ctx: PrimeContext, s: int, t: int, column: Column) -> Boundaries:
+    """The boundary data of (s, t), from the coded bases of column, the
+    Column of t, which reads (s - 1, t) only when (s, t) has blocks."""
+    cells = column.read((s, s - 1))
+    cell = next(cells)
+    below = next(cells) if cell.blocks else None
     out = {}
     for u, block in cell.blocks.items():
         index = {key: k for k, key in enumerate(block.keys)}
@@ -341,22 +349,26 @@ def boundary_data(ctx: PrimeContext, s: int, t: int, bases: dict) -> Boundaries:
 
 
 def cell_homology(
-    ctx: PrimeContext, s: int, t: int, bases: dict | None = None, boundaries=None
+    ctx: PrimeContext, s: int, t: int, column: Column | None = None, boundaries=None
 ) -> E2Report:
     """The second-term record of (s, t): per weight, the dimensions and the
     representatives.
 
-    The coded bases of (s, t) and (s +- 1, t) come from `bases`, the
-    caller's memo of Cells, which one column call fills; the boundary data
-    from boundaries(s, t), such as Session.boundaries, else boundary_data."""
+    The coded bases come from `column`, the caller's Column of t, else a
+    fresh one.  It reads (s + 1, t) and (s - 1, t) in the search of (s, t),
+    and only when (s, t) has blocks.  The boundary data comes from
+    boundaries(s, t), such as Session.boundaries, else boundary_data."""
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
-    if bases is None:
-        bases = {}
-    _enumerate_into(ctx, t, (s, s + 1, s - 1), bases)
+    if column is None:
+        column = Column(ctx, t)
     p = ctx.p
-    here, above = bases[(s, t)], bases[(s + 1, t)]
-    data = boundaries(s, t) if boundaries else boundary_data(ctx, s, t, bases)
+    cells = column.read((s, s + 1, s - 1))
+    here = next(cells)
+    if not here.blocks:
+        return E2Report(s, t, p, {})
+    above, _ = cells  # (s - 1, t) too, for the boundary data
+    data = boundaries(s, t) if boundaries else boundary_data(ctx, s, t, column)
 
     weights = {}
     for u, block in here.blocks.items():

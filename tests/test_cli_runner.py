@@ -226,13 +226,13 @@ class TestSession:
         built, cells = [], []
         real_data, real_cell = may_diff.boundary_data, cell_homology
 
-        def counting_data(ctx, s, t, bases):
+        def counting_data(ctx, s, t, column):
             built.append((s, t))
-            return real_data(ctx, s, t, bases)
+            return real_data(ctx, s, t, column)
 
-        def counting_cell(ctx, s, t, bases=None, boundaries=None):
+        def counting_cell(ctx, s, t, column=None, boundaries=None):
             cells.append((s, t))
-            return real_cell(ctx, s, t, bases, boundaries)
+            return real_cell(ctx, s, t, column, boundaries)
 
         monkeypatch.setattr(may_diff, "boundary_data", counting_data)
         monkeypatch.setattr(cli_runner, "boundary_data", counting_data)
@@ -463,6 +463,23 @@ class TestBasicCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "-P gives 'n' more than once" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["h", "-P", "n=1", "-P", "m=5", "-P", "bogus=7"], "m"),
+            (["g0", "-P", "n=1"], "n"),
+            (["alpha", "-P", "t=1", "-P", "n=1", "-P", "s=9"], "s"),
+            (["beta", "-P", "a=1", "-P", "s=1", "-P", "b=1", "-P", "c=0", "-P", "t=1"], "t"),
+        ],
+        ids=["named", "named-without-parameters", "index", "index-form"],
+    )
+    def test_stems_unknown_param(self, runner, args, key):
+        # the first of these once printed 39, the stem of h[1]
+        res = runner.invoke(main, ["-p", "5", "stems", *args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.endswith(f"\nError: unknown parameter {key!r}\n")
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1139,10 +1156,11 @@ class TestErrorSurface:
                 "(2," + str(2**400) + "): first-term dim 0, second-term dim 0",
             ),
             (
+                # the record of the E1-empty (3, 2^300) reads no neighbour:
+                # (4, 2^300) needs more than the step budget
                 ["-p", "5", "e2", "3", "2^300"],
-                1,
-                "Error: basis of (4," + str(2**300) + ") needs more than 3000000 "
-                "search steps, the budget for enumeration",
+                0,
+                "(3," + str(2**300) + "): first-term dim 0, second-term dim 0",
             ),
             (
                 ["-p", "5", "e2", "2", "2*(p^300-1)+q"],
@@ -1151,7 +1169,7 @@ class TestErrorSurface:
                 "than 3000000 search steps, the budget for enumeration",
             ),
         ],
-        ids=["answers", "refuses-a-neighbour", "refuses-the-column"],
+        ids=["answers", "answers-an-empty-cell", "refuses-the-column"],
     )
     def test_wide_columns_fit_in_512_mb(self, args, code, first_line):
         # a wide column's set-up is linear in its code width: at t = 2^400

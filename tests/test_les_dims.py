@@ -110,12 +110,14 @@ class TestSphereTable:
 
     def test_witness_targets_get_boundary_data_alone(self):
         # a witness raises lo at S(1, 200); its a0 and h0 targets are
-        # reduced into, so they get boundary data and no record
+        # reduced into, so they get boundary data and no record.  Of the
+        # certified cells, the E1-empty (0, 200) needs no boundary data
         session = Session(C5)
         assert ext_dims(C5, "S", 1, 200, session) == DimInterval(1, 1, "UpperBound+witness")
         certified = {(0, 200), (1, 200), (2, 200)}
         assert set(session.memo) == certified
-        assert set(session.boundary_memo) == certified | {(2, 201), (2, 208)}
+        assert session.memo[(0, 200)].e1_total == 0
+        assert set(session.boundary_memo) == {(1, 200), (2, 200), (2, 201), (2, 208)}
 
 
 class TestMooreColumns:

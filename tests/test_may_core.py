@@ -469,23 +469,28 @@ def column(ctx, t, ss):
     }
 
 
+def check_cell(ctx, s, t, cell):
+    """The block keys of the cell (s, t) against the brute-force oracle,
+    with each block of the weight it is filed under, in order, and its
+    codes decoding to its keys."""
+    assert list(cell.blocks) == sorted(cell.blocks), (ctx.p, s, t)
+    found = []
+    for u, blk in cell.blocks.items():
+        keys = blk.keys
+        assert keys and keys == sorted(keys), (ctx.p, s, t, u)
+        degrees = {Monomial(key).tridegree(ctx) for key in keys}
+        assert degrees == {(s, t, u)}, (ctx.p, s, t, u)
+        assert list(map(cell.coding.decode, blk.codes)) == keys, (ctx.p, s, t, u)
+        found += keys
+    assert sorted(found) == brute_force_basis(ctx, s, t), (ctx.p, s, t)
+
+
 def check_column(ctx, t, ss):
-    """The block keys of enumerate_column(ctx, t, ss) against the
-    brute-force oracle, cell by cell, with each block of the weight it is
-    filed under, in order, and its codes decoding to its keys."""
+    """check_cell on each cell of enumerate_column(ctx, t, ss)."""
     cells = enumerate_column(ctx, t, ss)
     assert list(cells) == list(dict.fromkeys(ss)), (ctx.p, t)
     for s, cell in cells.items():
-        assert list(cell.blocks) == sorted(cell.blocks), (ctx.p, s, t)
-        found = []
-        for u, blk in cell.blocks.items():
-            keys = blk.keys
-            assert keys and keys == sorted(keys), (ctx.p, s, t, u)
-            degrees = {Monomial(key).tridegree(ctx) for key in keys}
-            assert degrees == {(s, t, u)}, (ctx.p, s, t, u)
-            assert list(map(cell.coding.decode, blk.codes)) == keys, (ctx.p, s, t, u)
-            found += keys
-        assert sorted(found) == brute_force_basis(ctx, s, t), (ctx.p, s, t)
+        check_cell(ctx, s, t, cell)
     return cells
 
 
@@ -512,6 +517,32 @@ class TestEnumerateBases:
                 check_column(ctx, t, self.SS)
         for ctx, s, t in WIDE_CELLS:
             assert check_column(ctx, t, [s, s - 1])[s].blocks, (ctx.p, s, t)
+
+    @pytest.mark.parametrize(
+        "table_bits, kept_bits",
+        [(None, None), (0, None), (None, 0)],
+        ids=["table", "memoised", "table-not-kept"],
+    )
+    def test_ascending_reads_extend_the_levels(self, table_bits, kept_bits, monkeypatch):
+        # one column, one cell per read in ascending s: each narrow cell
+        # extends the reachability levels the lower ones left, unless they
+        # are too large to keep, and each read starts a search of its own
+        if table_bits is not None:
+            monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
+        if kept_bits is not None:
+            monkeypatch.setattr(may_core, "_REACH_KEPT_BITS", kept_bits)
+        s_max = max(self.SS)
+        for ctx in (C3, C5):
+            for t in self.TS:
+                column = may_core.Column(ctx, t)
+                for s in range(min(self.SS), s_max + 1):
+                    (cell,) = column.read([s])
+                    check_cell(ctx, s, t, cell)
+                # the levels reach the highest cell searched: a cell with t
+                # mod q > s is empty without one
+                top = min(s_max, t)
+                searched = t and t % ctx.q <= top and table_bits is None and kept_bits is None
+                assert len(column.levels) == (top + 1 if searched else 0), (ctx.p, t)
 
     def test_column_under_generator_reversal(self, reversed_generators, monkeypatch):
         # the p = 7 column is too wide for a table; the p = 5 one is narrow,

@@ -321,51 +321,85 @@ class TestCellHomology:
 
 class TestBasisMemo:
     @pytest.fixture()
-    def enumerated(self, monkeypatch):
-        # the cells that enumeration returns, one entry per cell
-        cells = []
-        real = may_diff.enumerate_column
+    def built(self, monkeypatch):
+        # what columns build, one entry each: ("gens", t) per generator
+        # list, ("coding",) per coding and ("cell", s, t) per enumerated cell
+        built = []
+        real_gens, real_search = may_core.generators_bounded, may_core._search
 
-        def counting(ctx, t, ss):
-            bases = real(ctx, t, ss)
-            cells.extend((s, t) for s in bases)
-            return bases
+        def counting_gens(ctx, t_max):
+            built.append(("gens", t_max))
+            return real_gens(ctx, t_max)
 
-        monkeypatch.setattr(may_diff, "enumerate_column", counting)
-        return cells
+        class CountingCoding(may_core.Coding):
+            __slots__ = ()
 
-    def test_session_enumerates_each_cell_once(self, enumerated):
+            def __init__(self, widths):
+                built.append(("coding",))
+                super().__init__(widths)
+
+        def counting_search(column):
+            find, close = real_search(column)
+
+            def counting_find(s):
+                built.append(("cell", s, column.t))
+                return find(s)
+
+            return counting_find, close
+
+        monkeypatch.setattr(may_core, "generators_bounded", counting_gens)
+        monkeypatch.setattr(may_core, "Coding", CountingCoding)
+        monkeypatch.setattr(may_core, "_search", counting_search)
+        return built
+
+    def test_session_enumerates_each_cell_once(self, built):
+        # one generator list and one coding per column, across records; (3,
+        # 60) is empty without a search (test_cell_past_its_a_count_needs_no_search)
         session = Session(C5)
         low, high = session.report(3, 60), session.report(4, 60)
-        assert Counter(enumerated) == {(s, 60): 1 for s in (2, 3, 4, 5)}
+        session.boundaries(5, 60)
+        cells = {("cell", s, 60): 1 for s in (4, 5)}
+        assert Counter(built) == {("gens", 60): 1, ("coding",): 1, **cells}
         assert low.serialize() == cell_homology(C5, 3, 60).serialize()
         assert high.serialize() == cell_homology(C5, 4, 60).serialize()
 
-    def test_call_without_a_memo_enumerates_its_three_cells(self, enumerated):
-        # no memo outlives the call, so nothing hides a change of
+    def test_call_without_a_memo_enumerates_its_three_cells(self, built):
+        # no column outlives the call, so nothing hides a change of
         # enumeration order from a later call on the same context
-        cell_homology(C5, 3, 60)
-        cell_homology(C5, 3, 60)
-        assert Counter(enumerated) == {(s, 60): 2 for s in (2, 3, 4)}
+        cell_homology(C5, 5, 100)
+        cell_homology(C5, 5, 100)
+        cells = {("cell", s, 100): 2 for s in (4, 5, 6)}
+        assert Counter(built) == {("gens", 100): 2, ("coding",): 2, **cells}
 
-    def test_one_generator_list_per_column(self, enumerated, monkeypatch):
-        # the three cells of a record share one generator list; a record
-        # whose cells are all in the memo builds none
-        calls = []
-        real = may_core.generators_bounded
-
-        def counting(ctx, t_max):
-            calls.append(t_max)
-            return real(ctx, t_max)
-
-        monkeypatch.setattr(may_core, "generators_bounded", counting)
+    def test_one_generator_list_per_column(self, built):
+        # the three cells of a record share one generator list and one
+        # search; a record whose cells the column holds builds nothing
         session = Session(C3)
         session.report(6, 55)
-        assert calls == [55]
-        assert Counter(enumerated) == {(s, 55): 1 for s in (5, 6, 7)}
+        want = [("gens", 55), ("cell", 6, 55), ("coding",), ("cell", 7, 55), ("cell", 5, 55)]
+        assert built == want
         session.memo.clear()
         session.report(6, 55)
-        assert calls == [55]
+        assert built == want
+
+    def test_e1_empty_record_reads_only_its_cell(self, built):
+        # (1, 8) holds h[1,0], but the record of the empty (2, 8) does not
+        # read it or (3, 8), builds no coding and needs no boundary data
+        session = Session(C5)
+        assert session.report(2, 8).serialize()["weights"] == []
+        assert built == [("gens", 8), ("cell", 2, 8)]
+        assert list(session.columns[8].cells) == [2]
+        assert session.boundary_memo == {}
+        assert session.report(1, 8).e1_total == 1
+
+    def test_cell_past_its_a_count_needs_no_search(self, built):
+        # t = 60 is 4 mod q = 8, so a monomial of (3, 60) would need at least
+        # four a's: the column builds no generator list for it
+        session = Session(C5)
+        assert session.report(3, 60).e1_total == 0
+        assert built == []
+        assert session.report(4, 60).e1_total == 1
+        assert built[0] == ("gens", 60)
 
 
 class TestE2At:
@@ -399,7 +433,7 @@ class TestE2At:
         assert rep.weights[14].boundary_dim == 2
 
     def test_reverse_enumeration_invariance(self, reversed_generators):
-        for s, t in [(3, 60), (4, 100), (2, 588), (5, 29413), (3, 4128)]:
+        for s, t in [(4, 60), (4, 100), (2, 588), (5, 29413), (3, 4128)]:
             ctx = C7 if t > 500 else C5
             fwd = cell_homology(ctx, s, t)
             with reversed_generators() as calls:
@@ -570,8 +604,11 @@ class TestCodedKernel:
             assert cell_homology(ctx, s, t).serialize() == record
         assert calls == [t, t]
         for x in fwd:
-            assert rev[x].coding.gens == fwd[x].coding.gens
-            assert rev[x].coding.offset == fwd[x].coding.offset
+            # an empty cell carries no coding
+            assert (rev[x].coding is None) == (fwd[x].coding is None) == (not fwd[x].blocks)
+            if fwd[x].blocks:
+                assert rev[x].coding.gens == fwd[x].coding.gens
+                assert rev[x].coding.offset == fwd[x].coding.offset
             assert {u: (blk.keys, blk.codes) for u, blk in rev[x].blocks.items()} == {
                 u: (blk.keys, blk.codes) for u, blk in fwd[x].blocks.items()
             }
@@ -580,9 +617,9 @@ class TestCodedKernel:
     def test_missing_d1_term_is_named(self):
         # a target block that lacks terms of a d1 image: the row names the
         # first of them in canonical order, with its coefficient
-        bases = {}
-        cell_homology(C3, 6, 55, bases)
-        here, above = bases[(6, 55)], bases[(7, 55)]
+        column = may_core.Column(C3, 55)
+        cell_homology(C3, 6, 55, column)
+        here, above = column.cells[6], column.cells[7]
         u, first = next(
             (u, blk.keys[0]) for u, blk in here.blocks.items()
             if len(d1(Monomial(blk.keys[0]), C3)._terms) >= 2
@@ -591,11 +628,11 @@ class TestCodedKernel:
         dropped = sorted(image)[-2:]
         target = above.blocks[u - 1]
         kept = [(k, c) for k, c in zip(target.keys, target.codes) if k not in dropped]
-        bases[(7, 55)] = may_core.Cell(above.coding, {
+        column.cells[7] = may_core.Cell(above.coding, {
             **above.blocks,
             u - 1: may_core.Block([k for k, _ in kept], [c for _, c in kept]),
         })
         with pytest.raises(AssertionError) as err:
-            cell_homology(C3, 6, 55, bases)
+            cell_homology(C3, 6, 55, column)
         named = Monomial(dropped[0], image[dropped[0]]).text()
         assert str(err.value) == f"term {named} missing from basis of (7,55,{u - 1})"
