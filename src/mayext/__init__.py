@@ -22,8 +22,6 @@ from .adams_certify import (
     resolve_named,
 )
 from .cli_runner import (
-    DiskCache,
-    Session,
     WindowTooLarge,
     eval_expr,
     load_claims,
@@ -75,6 +73,10 @@ from .may_diff import (
     E2Report,
     cell_homology,
     d1,
+)
+from .session import (
+    DiskCache,
+    Session,
 )
 
 __version__ = "0.1.0"

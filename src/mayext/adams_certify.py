@@ -34,6 +34,7 @@ from .may_core import (
     h,
 )
 from .may_diff import E2Report, d1, reduce_mod_boundaries
+from .session import Session
 
 E1_EMPTY = "E1Empty"
 E2_ZERO = "E2Zero"
@@ -177,101 +178,107 @@ def _represented(name: str, params: dict, rep: Element, ctx: PrimeContext) -> Na
     return NamedClass(name, params, deg.s, deg.t, rep)
 
 
+# the two-family names, of which only g[0] has a representative here: their
+# filtration s and the coefficients (x, y, z) of t = (x p^(n+1) + y p^n + z) q
+_TWO_FAMILY = {
+    "g": (2, 1, 2, 0),
+    "k": (2, 2, 1, 0),
+    "l": (3, 1, 2, 0),
+    "l_prime": (3, 2, 1, 0),
+    "h0g": (3, 1, 2, 1),
+    "h0l": (4, 1, 2, 1),
+    "h0k": (3, 2, 1, 1),
+    "h0l_prime": (4, 2, 1, 1),
+}
+
+# the parameter keys of each class name, in signature order
+_KEYS = {
+    **dict.fromkeys(("a0", "alpha2_tilde", "g0"), ()),
+    **dict.fromkeys(("h", "b", "h0h", "h0b", *_TWO_FAMILY), ("n",)),
+    **dict.fromkeys(("h0hh", "h0hb"), ("n", "m")),
+    **dict.fromkeys(("gamma_tilde", "beta_tilde"), ("s",)),
+}
+
+
 def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
     """Bidegree, representative, and conjectural flag for a standing
     class name.
 
-    A class with a representative has the representative's bidegree.  The
-    two-family names other than g[0] (g, k, l, l_prime and their h0
-    multiples) and beta_tilde have no representative here; their
+    The name and the parameter keys are checked before any value is
+    used.  A class with a representative has the representative's
+    bidegree.  The two-family names other than g[0] (g, k, l, l_prime and
+    their h0 multiples) and beta_tilde have no representative here; their
     bidegrees are closed formulas in p and q.
     """
+    keys = _KEYS.get(name)
+    if keys is None:
+        raise UnknownName(f"no class named {name!r}")
+    given = dict(zip(keys, _need(params or {}, *keys)))
     p, q = ctx.p, ctx.q
-    params = dict(params or {})
     # n and m are exponents of p, in degrees up to p^(n+1) and p^(m+1):
     # the power budget refuses them before any degree is formed
     for key in ("n", "m"):
-        if isinstance(params.get(key), int):
-            power(p, params[key] + 1)
+        if key in given:
+            power(p, given[key] + 1)
+    n, m, s = given.get("n"), given.get("m"), given.get("s")
 
-    if name in ("a0", "alpha2_tilde", "g0"):
-        _need(params)
     if name == "a0":
-        return _represented(name, {}, product((a(0),), ctx), ctx)
+        return _represented(name, given, product((a(0),), ctx), ctx)
     if name == "alpha2_tilde":
-        return _represented(name, {}, product((a(1), h(1, 0)), ctx), ctx)
+        return _represented(name, given, product((a(1), h(1, 0)), ctx), ctx)
     if name == "g0":
-        return _represented(name, {}, product((h(2, 0), h(1, 0)), ctx), ctx)
+        return _represented(name, given, product((h(2, 0), h(1, 0)), ctx), ctx)
     if name == "h":
-        (n,) = _need(params, "n")
         if n < 0:
             raise ParamsOutOfRange("h[n] needs n >= 0")
-        return _represented(name, {"n": n}, product((h(1, n),), ctx), ctx)
+        return _represented(name, given, product((h(1, n),), ctx), ctx)
     if name == "b":
-        (n,) = _need(params, "n")
         if n < 0:
             raise ParamsOutOfRange("b[n] needs n >= 0")
-        return _represented(name, {"n": n}, product((b(1, n),), ctx), ctx)
+        return _represented(name, given, product((b(1, n),), ctx), ctx)
     if name == "gamma_tilde":
-        (s,) = _need(params, "s")
         if not 3 <= s < p:
             raise ParamsOutOfRange(f"gamma_tilde[s] needs 3 <= s < p, got s={s}")
         # a3^(s-3) is one factor: s runs up to p - 1
         a3_power = Monomial.build([(a(3), s - 3)])
         rep = product((h(2, 1), h(1, 2), h(3, 0), a3_power), ctx)
-        return _represented(name, {"s": s}, rep, ctx)
+        return _represented(name, given, rep, ctx)
     if name == "h0h":
-        (n,) = _need(params, "n")
         if n < 1:
             raise ParamsOutOfRange("h0h[n] needs n >= 1")
-        return _represented(name, {"n": n}, product((h(1, 0), h(1, n)), ctx), ctx)
+        return _represented(name, given, product((h(1, 0), h(1, n)), ctx), ctx)
     if name == "h0b":
-        (n,) = _need(params, "n")
         if n < 1:
             raise ParamsOutOfRange("h0b[n] needs n >= 1")
-        return _represented(name, {"n": n}, product((h(1, 0), b(1, n - 1)), ctx), ctx)
+        return _represented(name, given, product((h(1, 0), b(1, n - 1)), ctx), ctx)
     if name == "h0hh":
-        n, m = _need(params, "n", "m")
         if not (m >= 1 and n >= m + 2):
             raise ParamsOutOfRange("h0hh[n,m] needs n >= m + 2, m >= 1")
         rep = product((h(1, 0), h(1, n), h(1, m)), ctx)
-        return _represented(name, {"n": n, "m": m}, rep, ctx)
+        return _represented(name, given, rep, ctx)
     if name == "h0hb":
-        n, m = _need(params, "n", "m")
         if not (m >= 1 and n >= m + 2):
             raise ParamsOutOfRange("h0hb[n,m] needs n >= m + 2, m >= 1")
         rep = product((h(1, 0), h(1, n), b(1, m - 1)), ctx) + product(
             (h(1, 0), h(1, m), b(1, n - 1)), ctx
         ).scaled(-1)
-        return _represented(name, {"n": n, "m": m}, rep, ctx)
-
-    two_family = {
-        "g": (2, lambda n: p ** (n + 1) * q + 2 * p**n * q),
-        "k": (2, lambda n: 2 * p ** (n + 1) * q + p**n * q),
-        "l": (3, lambda n: p ** (n + 1) * q + 2 * p**n * q),
-        "l_prime": (3, lambda n: 2 * p ** (n + 1) * q + p**n * q),
-        "h0g": (3, lambda n: p ** (n + 1) * q + 2 * p**n * q + q),
-        "h0l": (4, lambda n: p ** (n + 1) * q + 2 * p**n * q + q),
-        "h0k": (3, lambda n: 2 * p ** (n + 1) * q + p**n * q + q),
-        "h0l_prime": (4, lambda n: 2 * p ** (n + 1) * q + p**n * q + q),
-    }
-    if name in two_family:
-        (n,) = _need(params, "n")
-        if n < 0:
-            raise ParamsOutOfRange(f"{name}[n] needs n >= 0")
-        if name == "g" and n == 0:
-            return _represented(name, {"n": n}, product((h(2, 0), h(1, 0)), ctx), ctx)
-        s_deg, t_of = two_family[name]
-        conjectural = n >= 3 or name in ("h0g", "h0l", "h0k", "h0l_prime")
-        return NamedClass(name, {"n": n}, s_deg, t_of(n), conjectural=conjectural)
+        return _represented(name, given, rep, ctx)
     if name == "beta_tilde":
-        (s,) = _need(params, "s")
         if s < 2:
             raise ParamsOutOfRange("beta_tilde[s] needs s >= 2")
         return NamedClass(
-            name, {"s": s}, s, s * p * q + (s - 1) * q + s - 2, None, conjectural=True
+            name, given, s, s * p * q + (s - 1) * q + s - 2, None, conjectural=True
         )
-    raise UnknownName(f"no class named {name!r}")
+
+    if n < 0:
+        raise ParamsOutOfRange(f"{name}[n] needs n >= 0")
+    if name == "g" and n == 0:
+        return _represented(name, given, product((h(2, 0), h(1, 0)), ctx), ctx)
+    s_deg, x, y, z = _TWO_FAMILY[name]
+    conjectural = n >= 3 or name in ("h0g", "h0l", "h0k", "h0l_prime")
+    return NamedClass(
+        name, given, s_deg, (x * p ** (n + 1) + y * p**n + z) * q, conjectural=conjectural
+    )
 
 
 @dataclass
@@ -374,13 +381,14 @@ def adams_dr_window(
     return report
 
 
-def product_nonzero_at_e2(ctx: PrimeContext, classes: list, session) -> dict:
+def product_nonzero_at_e2(session: Session, classes: list) -> dict:
     """Multiply the representatives of NamedClasses and reduce mod the
     boundaries of their bidegree, read from session.boundaries(s, t).
 
     A nonzero answer means the product survives to the second term; it is
     a statement about the second term, not yet about the abutment.
     """
+    ctx = session.ctx
     if not classes:
         raise InvalidParams("empty product")
     for cls in classes:

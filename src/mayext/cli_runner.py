@@ -1,15 +1,10 @@
-"""Command line front end: cached sessions, claim checking, and charts.
+"""Command line front end: expressions, claim checking, charts and the CLI.
 
-A Session owns one prime and reuses work at two levels: in-process memos
-of second-term records and boundary data keyed by (s, t) and of bases,
-one may_core.Column per internal degree t, and an optional on-disk cache
-of serialized records keyed by (module, p, s, t, schema_version).  Disk
-records embed their own key, so a corrupt file, a malformed value or a
-digest collision degrades to a recomputation with a warning, never to
-wrong data or a crash.  Warnings go to the "mayext" logger; the command
-line prints them on stderr.  Certificates read records through
-Session.report; products and witness ranks reduce against
-Session.boundaries.
+Each query runs in one session.Session for its prime, and verify and
+run_claims keep one per prime; the session's disk cache is the
+--cache-dir directory (or MAYEXT_CACHE).  A directory that cannot be
+created is a usage error (exit 2).  The package's warnings go to the
+"mayext" logger, which the command line prints on stderr.
 
 Claims are JSON dicts with a "kind", a prime "p", kind-specific
 parameters, and an "expect" value.  Any numeric parameter may be an
@@ -22,11 +17,8 @@ skipped-conjectural.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,7 +50,6 @@ from .greek_bp import (
 from .les_dims import _SPECTRA, ext_dims
 from .may_core import (
     MAX_POWER_BITS,
-    Column,
     InvalidParams,
     MayextError,
     ParseError,
@@ -70,9 +61,8 @@ from .may_core import (
     power,
     read_literal,
 )
-from .may_diff import (
-    SCHEMA_VERSION, Boundaries, E2Report, boundary_data, cell_homology, d1, summary_to_report
-)
+from .may_diff import SCHEMA_VERSION, d1
+from .session import Session
 
 logger = logging.getLogger("mayext")
 
@@ -203,123 +193,6 @@ def eval_expr(value, ctx: PrimeContext) -> int:
 
 
 # ---------------------------------------------------------------------------
-# caching
-
-
-def _canonical(key: dict) -> str:
-    return json.dumps(key, sort_keys=True, separators=(",", ":"))
-
-
-class DiskCache:
-    """One JSON file per record under a root directory.
-
-    Records carry {"key": ..., "value": ...}; a stored key that fails
-    to round-trip against the request is treated as a miss.
-    """
-
-    def __init__(self, root):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, key: dict) -> Path:
-        digest = hashlib.sha256(_canonical(key).encode()).hexdigest()
-        return self.root / f"{digest}.json"
-
-    def get(self, key: dict):
-        path = self.path_for(key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            logger.warning("cache read failed (%s), recomputing", exc)
-            return None
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError:
-            logger.warning("corrupt cache file %s, recomputing", path.name)
-            return None
-        if not isinstance(record, dict) or record.get("key") != key:
-            logger.warning("cache key mismatch in %s, recomputing", path.name)
-            return None
-        return record.get("value")
-
-    def put(self, key: dict, value) -> None:
-        record = {"key": key, "value": value}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-
-class Session:
-    """All computations for one prime: memos of records and boundary data
-    keyed by (s, t), one may_core.Column per internal degree t, which holds
-    the bases of its cells, and an optional disk cache behind report, the
-    one source of records."""
-
-    def __init__(self, ctx: PrimeContext, cache_dir=None):
-        self.ctx = ctx
-        self.memo: dict[tuple[int, int], E2Report] = {}
-        self.boundary_memo: dict[tuple[int, int], Boundaries] = {}
-        self.columns: dict[int, Column] = {}
-        self.disk = DiskCache(cache_dir) if cache_dir else None
-
-    def _key(self, s: int, t: int) -> dict:
-        return {
-            "module": "e2",
-            "p": self.ctx.p,
-            "s": s,
-            "t": t,
-            "schema_version": SCHEMA_VERSION,
-        }
-
-    def report(self, s: int, t: int) -> E2Report:
-        """The record of (s, t) from the memo, else from disk, else computed
-        by cell_homology and written to disk."""
-        hit = self.memo.get((s, t))
-        if hit is not None:
-            return hit
-        if self.disk is not None:
-            summary = self.disk.get(self._key(s, t))
-            if summary is not None:
-                try:
-                    rep = summary_to_report(self.ctx, summary)
-                except (AttributeError, KeyError, TypeError, ValueError, MayextError):
-                    name = self.disk.path_for(self._key(s, t)).name
-                    logger.warning("malformed cache value in %s, recomputing", name)
-                else:
-                    self.memo[(s, t)] = rep
-                    return rep
-        rep = cell_homology(self.ctx, s, t, self.column(t), self.boundaries)
-        self.memo[(s, t)] = rep
-        if self.disk is not None:
-            self.disk.put(self._key(s, t), rep.serialize())
-        return rep
-
-    def boundaries(self, s: int, t: int) -> Boundaries:
-        """The boundary data of (s, t), memoised, never from disk."""
-        data = self.boundary_memo.get((s, t))
-        if data is None:
-            data = self.boundary_memo[(s, t)] = boundary_data(self.ctx, s, t, self.column(t))
-        return data
-
-    def column(self, t: int) -> Column:
-        """The Column of t, built on first use."""
-        col = self.columns.get(t)
-        if col is None:
-            col = self.columns[t] = Column(self.ctx, t)
-        return col
-
-
-# ---------------------------------------------------------------------------
 # claim checking
 
 
@@ -430,7 +303,7 @@ def _check_les_dim(session: Session, ctx: PrimeContext, claim: dict):
     spectrum = claim["spectrum"]
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
-    res = ext_dims(ctx, spectrum, s, t, session)
+    res = ext_dims(session, spectrum, s, t)
     expect = claim["expect"]
     where = f"{spectrum}({s},{t})"
     if isinstance(expect, dict) and "min_lo" in expect:
@@ -503,7 +376,7 @@ def _check_product_nonzero(session: Session, ctx: PrimeContext, claim: dict):
         resolve_named(entry["name"], entry.get("params", {}), ctx)
         for entry in claim["classes"]
     ]
-    result = product_nonzero_at_e2(ctx, classes, session)
+    result = product_nonzero_at_e2(session, classes)
     want = bool(claim["expect"])
     names = " * ".join(cls.text() for cls in classes)
     note = " (conjectural factor)" if result["conjectural"] else ""
@@ -793,7 +666,13 @@ def main(ctx, prime, cache_dir):
         raise click.ClickException(str(exc)) from exc
     except InvalidParams as exc:
         raise click.UsageError(str(exc)) from exc
-    ctx.obj = Session(prime_ctx, cache_dir)
+    try:
+        ctx.obj = Session(prime_ctx, cache_dir)
+    except OSError as exc:
+        raise click.BadParameter(
+            f"cannot use {cache_dir!r} as a cache directory ({exc.strerror})",
+            param_hint="'--cache-dir'",
+        ) from exc
     # the package's warnings go to this invocation's stderr, and the
     # handler goes when the invocation ends
     handler = _StderrHandler()
@@ -903,7 +782,7 @@ def les(session, spectrum, s, t, as_json):
     """Propagated dimension interval for SPECTRUM at (S, T)."""
     ctx = session.ctx
     s_val, t_val = eval_expr(s, ctx), eval_expr(t, ctx)
-    res = ext_dims(ctx, spectrum, s_val, t_val, session)
+    res = ext_dims(session, spectrum, s_val, t_val)
     if as_json:
         out = {"spectrum": spectrum, "s": s_val, "t": t_val, **res.serialize()}
         click.echo(json.dumps(out, indent=2))

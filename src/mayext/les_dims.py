@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from .adams_certify import Certificate, certify_ext_dim
 from .may_core import InvalidParams, PrimeContext, a, h, multiply
 from .may_diff import e2_rank
+from .session import Session
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,13 @@ class SphereTable:
     the window.  A read outside the window is an invariant violation.
     """
 
-    def __init__(self, ctx: PrimeContext, session, s_range, t_range):
-        self.ctx = ctx
+    def __init__(self, session: Session, s_range, t_range):
+        self.ctx = session.ctx
         self.session = session
         self.s_range = tuple(s_range)
         self.t_range = tuple(t_range)
         # each witness: its name, its generator and its degree in t
-        self.witnesses = (("a0", a(0), 1), ("h0", h(1, 0), ctx.q))
+        self.witnesses = (("a0", a(0), 1), ("h0", h(1, 0), self.ctx.q))
         self.cells: dict[tuple[int, int], tuple[Certificate, dict[str, int]]] = {}
 
     @staticmethod
@@ -252,12 +253,13 @@ def _column(
     return cok + ker
 
 
-def ext_dims(ctx: PrimeContext, spectrum: str, s: int, t: int, session) -> DimInterval:
+def ext_dims(session: Session, spectrum: str, s: int, t: int) -> DimInterval:
     """Dimension interval of one column at (s, t), read from session
     through a sphere table over the smallest window that serves it.  Every
     column is zero at a negative bidegree."""
+    ctx = session.ctx
     _first_variable(ctx, spectrum, t)  # an unknown spectrum raises first
     if s < 0 or t < 0:
         return DimInterval(0, 0, "out of range")
-    table = SphereTable(ctx, session, *_window(ctx, spectrum, s, t))
+    table = SphereTable(session, *_window(ctx, spectrum, s, t))
     return _column(ctx, table, spectrum, s, t)

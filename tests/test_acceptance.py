@@ -37,7 +37,8 @@ from mayext.greek_bp import (
     stem_of,
     thom_image,
 )
-from mayext.cli_runner import Session, load_claims, run_claims
+from mayext.cli_runner import load_claims, run_claims
+from mayext.session import Session
 
 from test_may_core import brute_force_basis, generator_pool
 
@@ -211,7 +212,7 @@ def test_differential_window_and_second_term_product(capsys):
         resolve_named("h", {"n": 4}, C7),
         resolve_named("gamma_tilde", {"s": 3}, C7),
     ]
-    product = product_nonzero_at_e2(C7, classes, SESSIONS[7])
+    product = product_nonzero_at_e2(SESSIONS[7], classes)
     product_ok = product["nonzero"] is True and product["bidegree"] == bidegree
     detail = (
         f"window r=2..6 sources {'' if window_ok else 'NOT '}certified zero, "
@@ -233,7 +234,7 @@ def test_cofiber_dimension_propagation(capsys):
         session = SESSIONS[p]
 
         def dims(spectrum, s, t):
-            return ext_dims(ctx, spectrum, s, t, session)
+            return ext_dims(session, spectrum, s, t)
 
         for n in (2, 3):
             T = p**n * ctx.q

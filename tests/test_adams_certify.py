@@ -2,7 +2,6 @@
 
 import pytest
 
-from mayext.cli_runner import Session
 from mayext.may_core import (
     InvalidParams,
     PrimeContext,
@@ -27,6 +26,7 @@ from mayext.adams_certify import (
     product_nonzero_at_e2,
     resolve_named,
 )
+from mayext.session import Session
 
 C5 = PrimeContext(5)
 C7 = PrimeContext(7)
@@ -253,9 +253,9 @@ class TestProducts:
         g0 = resolve_named("g0", {}, C7)
         h3 = resolve_named("h", {"n": 3}, C7)
         gt = resolve_named("gamma_tilde", {"s": 3}, C7)
-        assert product_nonzero_at_e2(C7, [g0, h3], sessions[7])["nonzero"] is True
-        assert product_nonzero_at_e2(C7, [g0, gt], sessions[7])["nonzero"] is True
-        assert product_nonzero_at_e2(C7, [h3, gt], sessions[7])["nonzero"] is False
+        assert product_nonzero_at_e2(sessions[7], [g0, h3])["nonzero"] is True
+        assert product_nonzero_at_e2(sessions[7], [g0, gt])["nonzero"] is True
+        assert product_nonzero_at_e2(sessions[7], [h3, gt])["nonzero"] is False
 
     def test_triple_product_is_a_boundary(self, sessions):
         classes = [
@@ -263,7 +263,7 @@ class TestProducts:
             resolve_named("h", {"n": 3}, C7),
             resolve_named("gamma_tilde", {"s": 3}, C7),
         ]
-        out = product_nonzero_at_e2(C7, classes, sessions[7])
+        out = product_nonzero_at_e2(sessions[7], classes)
         assert out["nonzero"] is False
         assert out["bidegree"] == (6, 6168)
         assert out["conjectural"] is False
@@ -275,7 +275,7 @@ class TestProducts:
             resolve_named("h", {"n": 4}, C7),
             resolve_named("gamma_tilde", {"s": 3}, C7),
         ]
-        out = product_nonzero_at_e2(C7, classes, sessions[7])
+        out = product_nonzero_at_e2(sessions[7], classes)
         assert out["nonzero"] is True
         assert out["bidegree"] == (6, 30864)
         assert out["conjectural"] is False
@@ -283,14 +283,14 @@ class TestProducts:
     def test_order_invariance(self, sessions):
         g0 = resolve_named("g0", {}, C7)
         h3 = resolve_named("h", {"n": 3}, C7)
-        fwd = product_nonzero_at_e2(C7, [g0, h3], sessions[7])
-        rev = product_nonzero_at_e2(C7, [h3, g0], sessions[7])
+        fwd = product_nonzero_at_e2(sessions[7], [g0, h3])
+        rev = product_nonzero_at_e2(sessions[7], [h3, g0])
         assert fwd["nonzero"] == rev["nonzero"]
         assert fwd["bidegree"] == rev["bidegree"]
 
     def test_exterior_square_is_zero(self, sessions):
         h2 = resolve_named("h", {"n": 2}, C7)
-        assert product_nonzero_at_e2(C7, [h2, h2], sessions[7])["nonzero"] is False
+        assert product_nonzero_at_e2(sessions[7], [h2, h2])["nonzero"] is False
 
     def test_conjectural_factor_marks_result(self, sessions):
         cls = resolve_named("h0hb", {"n": 4, "m": 2}, C7)
@@ -298,18 +298,18 @@ class TestProducts:
         g3 = resolve_named("g", {"n": 3}, C7)
         assert g3.rep is None
         with pytest.raises(MissingRepresentative):
-            product_nonzero_at_e2(C7, [g3], sessions[7])
+            product_nonzero_at_e2(sessions[7], [g3])
 
     def test_single_class_self_check(self, sessions):
         cls = resolve_named("h0hb", {"n": 4, "m": 2}, C5)
-        out = product_nonzero_at_e2(C5, [cls], sessions[5])
+        out = product_nonzero_at_e2(sessions[5], [cls])
         assert out["nonzero"] is True
 
     def test_empty_class_list_rejected(self):
         with pytest.raises(InvalidParams):
-            product_nonzero_at_e2(C7, [], Session(C7))
+            product_nonzero_at_e2(Session(C7), [])
 
     def test_raw_element_rejected(self):
         g0 = resolve_named("g0", {}, C7)
         with pytest.raises(InvalidParams, match="expected a NamedClass"):
-            product_nonzero_at_e2(C7, [g0, parse_element("h[1,0]", C7)], Session(C7))
+            product_nonzero_at_e2(Session(C7), [g0, parse_element("h[1,0]", C7)])

@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import mayext
-from mayext import cli_runner, may_diff
+from mayext import cli_runner, may_diff, session as session_module
 from mayext.adams_certify import product_nonzero_at_e2, resolve_named
 from mayext.les_dims import ext_dims
 from mayext.may_core import (
@@ -35,8 +35,6 @@ from mayext.may_diff import (
     summary_to_report,
 )
 from mayext.cli_runner import (
-    DiskCache,
-    Session,
     WindowTooLarge,
     chart_data,
     eval_expr,
@@ -44,6 +42,7 @@ from mayext.cli_runner import (
     main,
     run_claims,
 )
+from mayext.session import DiskCache, Session
 
 C5 = PrimeContext(5)
 C7 = PrimeContext(7)
@@ -235,14 +234,14 @@ class TestSession:
             return real_cell(ctx, s, t, column, boundaries)
 
         monkeypatch.setattr(may_diff, "boundary_data", counting_data)
-        monkeypatch.setattr(cli_runner, "boundary_data", counting_data)
+        monkeypatch.setattr(session_module, "boundary_data", counting_data)
         monkeypatch.setattr(may_diff, "cell_homology", counting_cell)
-        monkeypatch.setattr(cli_runner, "cell_homology", counting_cell)
+        monkeypatch.setattr(session_module, "cell_homology", counting_cell)
         session = Session(C7, cache_dir=tmp_path)
         loaded = session.report(6, 6168)
         text = loaded.serialize()
         # g0 h[3] gamma_tilde[3] is a nonzero d1 boundary in (6, 6168)
-        out = product_nonzero_at_e2(C7, PRODUCT_CLASSES, session)
+        out = product_nonzero_at_e2(session, PRODUCT_CLASSES)
         assert (out["bidegree"], out["nonzero"]) == ((6, 6168), False)
         boundary = product([cls.rep for cls in PRODUCT_CLASSES], C7)
         assert not boundary.is_zero
@@ -260,15 +259,29 @@ class TestSession:
         assert loaded.serialize() == text
         assert session.report(6, 6168) is loaded
 
+    def test_failed_write_warns_once_and_answers(self, tmp_path, caplog):
+        # the directory goes after the session made it, so every write
+        # fails; the first once ended in a FileNotFoundError traceback
+        root = tmp_path / "cache"
+        session = Session(C5, cache_dir=root)
+        root.rmdir()
+        cells = [(1, 8), (2, 16), (1, 200)]
+        with caplog.at_level(logging.WARNING, logger="mayext"):
+            got = [session.report(s, t).serialize() for s, t in cells]
+        assert got == [Session(C5).report(s, t).serialize() for s, t in cells]
+        [record] = caplog.records
+        assert record.getMessage().startswith("cache write failed (")
+        assert not root.exists()
+
     def test_les_and_products_read_a_warm_cache(self, tmp_path):
         queries = [("S", 1, 200), ("M", 2, 201), ("L", 2, 208), ("K2", 3, 207)]
         g0, h3, gt = PRODUCT_CLASSES
 
         def answers(cache_dir=None):
             s5, s7 = Session(C5, cache_dir), Session(C7, cache_dir)
-            dims = [ext_dims(C5, *query, s5) for query in queries]
+            dims = [ext_dims(s5, *query) for query in queries]
             products = [
-                product_nonzero_at_e2(C7, classes, s7)["nonzero"]
+                product_nonzero_at_e2(s7, classes)["nonzero"]
                 for classes in ([g0, h3], [h3, gt], [g0, h3, gt])
             ]
             return dims, products
@@ -469,10 +482,14 @@ class TestBasicCommands:
         [
             (["h", "-P", "n=1", "-P", "m=5", "-P", "bogus=7"], "m"),
             (["g0", "-P", "n=1"], "n"),
+            # the keys are checked before the power budget sees p^(n+1)
+            (["g0", "-P", "n=10^9"], "n"),
             (["alpha", "-P", "t=1", "-P", "n=1", "-P", "s=9"], "s"),
             (["beta", "-P", "a=1", "-P", "s=1", "-P", "b=1", "-P", "c=0", "-P", "t=1"], "t"),
         ],
-        ids=["named", "named-without-parameters", "index", "index-form"],
+        ids=[
+            "named", "named-without-parameters", "named-past-the-budget", "index", "index-form"
+        ],
     )
     def test_stems_unknown_param(self, runner, args, key):
         # the first of these once printed 39, the stem of h[1]
@@ -888,7 +905,7 @@ class TestCacheThroughCli:
         def no_computing(*args, **kwargs):
             raise AssertionError("warm run recomputed a cell")
 
-        monkeypatch.setattr(cli_runner, "cell_homology", no_computing)
+        monkeypatch.setattr(session_module, "cell_homology", no_computing)
         warm = runner.invoke(main, argv)
         assert warm.exit_code == 0
         assert warm.stdout == cold.stdout
@@ -904,6 +921,25 @@ class TestCacheThroughCli:
 
 
 class TestErrorSurface:
+    @pytest.mark.parametrize("source", ["option", "envvar"])
+    def test_unusable_cache_dir_is_usage_error(self, runner, tmp_path, source):
+        # a directory under a regular file cannot be made; this once ended
+        # in a NotADirectoryError traceback
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / "file" / "x")
+        if source == "option":
+            res = runner.invoke(main, ["--cache-dir", path, "e2", "1", "1"])
+        else:
+            res = runner.invoke(main, ["e2", "1", "1"], env={"MAYEXT_CACHE": path})
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        errors = [line for line in res.stderr.splitlines() if line.startswith("Error")]
+        assert errors == [
+            f"Error: Invalid value for '--cache-dir': cannot use {path!r} "
+            "as a cache directory (Not a directory)"
+        ]
+
     def test_bad_prime_is_usage_error(self, runner):
         res = runner.invoke(main, ["-p", "4", "basis", "1", "1"])
         assert res.exit_code == 2
@@ -1136,8 +1172,13 @@ class TestErrorSurface:
             # these two once ended in a ValueError traceback
             (["greek", "ext1", "10000"], "5^10000"),
             (["stems", "beta", "-P", "t=1", "-P", "n=100000", "-P", "s=1"], "5^100000"),
+            # keys the class takes: the budget refuses the power
+            (["stems", "h0hh", "-P", "n=10^9", "-P", "m=1"], "5^1000000001"),
         ],
-        ids=["stems-h", "stems-gamma", "beta-check", "d1-generator", "ext1", "stems-beta"],
+        ids=[
+            "stems-h", "stems-gamma", "beta-check", "d1-generator", "ext1", "stems-beta",
+            "stems-h0hh",
+        ],
     )
     def test_p_power_of_a_user_exponent_exits_one(self, args, power):
         start = time.monotonic()

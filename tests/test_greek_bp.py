@@ -380,6 +380,9 @@ class TestStems:
     def test_unknown_family(self):
         with pytest.raises(UnknownFamily):
             stem_of(C5, "delta", {"n": 1})
+        # the name is checked before the power budget sees p^(n+1)
+        with pytest.raises(UnknownFamily, match="no stem formula for 'nosuch'"):
+            stem_of(C5, "nosuch", {"n": 10**9})
 
     def test_missing_params(self):
         with pytest.raises(InvalidParams):

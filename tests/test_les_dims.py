@@ -3,8 +3,8 @@
 import pytest
 
 from mayext import les_dims
-from mayext.cli_runner import Session
 from mayext.may_core import InvalidParams, PrimeContext
+from mayext.session import Session
 from mayext.les_dims import (
     _SPECTRA,
     DimInterval,
@@ -40,16 +40,16 @@ class TestDimInterval:
 
 
 def dims(ctx, spectrum, s, t):
-    return ext_dims(ctx, spectrum, s, t, Session(ctx))
+    return ext_dims(Session(ctx), spectrum, s, t)
 
 
 def build(ctx, spectrum, s, t):
-    return SphereTable(ctx, Session(ctx), *_window(ctx, spectrum, s, t))
+    return SphereTable(Session(ctx), *_window(ctx, spectrum, s, t))
 
 
 class TestSphereTable:
     def test_out_of_window_raises(self):
-        table = SphereTable(C5, Session(C5), (0, 2), (0, 10))
+        table = SphereTable(Session(C5), (0, 2), (0, 10))
         with pytest.raises(AssertionError, match=r"cell \(0,11\) is outside the table window"):
             table.dim(0, 11)
         with pytest.raises(AssertionError, match=r"cell \(3,4\) is outside"):
@@ -58,26 +58,26 @@ class TestSphereTable:
     def test_empty_region_is_free(self):
         # cells with s < 0, t < 0, or t < s need no table entry
         session = Session(C5)
-        table = SphereTable(C5, session, (0, 1), (0, 4))
+        table = SphereTable(session, (0, 1), (0, 4))
         assert (table.dim(-1, 3).lo, table.dim(-1, 3).hi) == (0, 0)
         assert table.dim(3, 2).lo == 0
         assert table.rank_lower(2, 1, "h0") == 0
         assert table.cells == {} and session.memo == {}
 
     def test_unit_cell(self):
-        table = SphereTable(C5, Session(C5), (0, 1), (0, 2))
+        table = SphereTable(Session(C5), (0, 1), (0, 2))
         assert (table.dim(0, 0).lo, table.dim(0, 0).hi) == (1, 1)
         assert table.dim(1, 1).lo == 1
 
     def test_homology_memo_is_shared(self):
         session = Session(C5)
         reads = [(s, t) for s in range(3) for t in range(11)]
-        table = SphereTable(C5, session, (0, 2), (0, 10))
+        table = SphereTable(session, (0, 2), (0, 10))
         for cell in reads:
             table.dim(*cell)
         assert session.memo
         size = len(session.memo)
-        table = SphereTable(C5, session, (0, 2), (0, 10))
+        table = SphereTable(session, (0, 2), (0, 10))
         for cell in reads:
             table.dim(*cell)
         assert len(session.memo) == size
@@ -87,7 +87,7 @@ class TestSphereTable:
         # cells certifies that cell alone, from its record and its
         # neighbours' records
         session = Session(C5)
-        table = SphereTable(C5, session, (0, 9), (0, 9999))
+        table = SphereTable(session, (0, 9), (0, 9999))
         assert table.dim(1, 8) == DimInterval(1, 1, "DimCertified")
         assert set(table.cells) == {(1, 8)}
         assert set(session.memo) == {(0, 8), (1, 8), (2, 8)}
@@ -96,7 +96,7 @@ class TestSphereTable:
         # K(2, p^2 q) at p=7 reads 14 sphere cells; certifying its whole
         # window of 75 cells once built 75 records
         session = Session(C7)
-        got = ext_dims(C7, "K", 2, 7**2 * C7.q, session)
+        got = ext_dims(session, "K", 2, 7**2 * C7.q)
         assert (got.lo, got.hi) == (1, 1)
         assert len(session.memo) <= 14
 
@@ -113,7 +113,7 @@ class TestSphereTable:
         # reduced into, so they get boundary data and no record.  Of the
         # certified cells, the E1-empty (0, 200) needs no boundary data
         session = Session(C5)
-        assert ext_dims(C5, "S", 1, 200, session) == DimInterval(1, 1, "UpperBound+witness")
+        assert ext_dims(session, "S", 1, 200) == DimInterval(1, 1, "UpperBound+witness")
         certified = {(0, 200), (1, 200), (2, 200)}
         assert set(session.memo) == certified
         assert session.memo[(0, 200)].e1_total == 0
@@ -209,7 +209,7 @@ class TestTableViews:
             def rank_lower(self, s, t, op):
                 return 0 if (s, t) == (1, T) else super().rank_lower(s, t, op)
 
-        widened = Widened(C5, Session(C5), *_window(C5, "M", 1, T))
+        widened = Widened(Session(C5), *_window(C5, "M", 1, T))
         loose = _column(C5, widened, "M", 1, T)
         assert widened.dim(1, T).lo == 0
         assert loose.lo <= tight.lo and loose.hi >= tight.hi
@@ -221,7 +221,7 @@ class TestDispatch:
             dims(C5, spectrum, 2, 50)
 
     def test_unknown_spectrum(self):
-        table = SphereTable(C5, Session(C5), (0, 2), (0, 10))
+        table = SphereTable(Session(C5), (0, 2), (0, 10))
         with pytest.raises(InvalidParams):
             _column(C5, table, "X", 1, 5)
         with pytest.raises(InvalidParams):
@@ -236,5 +236,5 @@ class TestDispatch:
         assert dims(C5, spectrum, s, t) == DimInterval(0, 0, "out of range")
 
     def test_sphere_column_is_table_lookup(self):
-        table = SphereTable(C5, Session(C5), (0, 2), (0, 10))
+        table = SphereTable(Session(C5), (0, 2), (0, 10))
         assert _column(C5, table, "S", 1, 1) == table.dim(1, 1)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mayext import may_core, may_diff
-from mayext.cli_runner import Session
 from mayext.may_core import (
     Element,
     InvalidParams,
@@ -36,6 +35,7 @@ from mayext.may_diff import (
     reduce_mod_boundaries,
     reduce_vector,
 )
+from mayext.session import Session
 
 from test_may_core import monomials
 

@@ -55,6 +55,33 @@ def test_every_import_is_used():
     assert offenders == []
 
 
+def test_library_modules_import_no_command_line():
+    # click and the CLI module are the command line's: library code and
+    # the session it reads stay usable without them
+    front = {"cli_runner.py", "__init__.py", "__main__.py"}
+    checked, offenders = 0, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in front:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "click" or name.split(".")[-1] == "cli_runner"
+            ]
+        checked += 1
+    assert checked > 4
+    assert offenders == []
+    assert mayext.Session.__module__ != "mayext.cli_runner"
+    assert mayext.DiskCache.__module__ != "mayext.cli_runner"
+
+
 def _names_read(tree) -> list[str]:
     return [
         node.id if isinstance(node, ast.Name) else node.attr
