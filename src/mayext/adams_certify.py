@@ -6,7 +6,9 @@ A surviving dimension is only certified exact when both neighbor
 bidegrees (s-1, t) and (s+1, t) vanish at the second term, summed over
 all weights; that collapse test deliberately ignores the weight grading
 of higher differentials, so it can only under-certify, never overstate.
-Everything else is an upper bound.
+Everything else is an upper bound.  The lower neighbor is read first,
+and the upper one only when the lower one vanishes, so a cell whose
+lower neighbor survives costs no record of (s+1, t).
 
 Differential-window reports follow the (r, r-1) bidegree convention: a
 class at (s, t) can hit (s+r, t+r-1) and can be hit from (s-r, t-r+1),
@@ -122,13 +124,15 @@ def certify_ext_vanishing(reports: ReportSource, s: int, t: int) -> Certificate:
 
 def certify_ext_dim(reports: ReportSource, s: int, t: int) -> Certificate:
     """Like certify_ext_vanishing, upgrading to an exact dimension when
-    both neighbor bidegrees die at the second term."""
+    both neighbor bidegrees die at the second term.  Reads (s, t), then
+    (s-1, t) when s >= 1, then (s+1, t) only when (s-1, t) dies: a live
+    lower neighbor decides UpperBound alone."""
     report = reports(s, t)
     verdict = _zero_verdict(report)
     if verdict is None:
-        above = reports(s + 1, t).e2_total
         below = reports(s - 1, t).e2_total if s >= 1 else 0
-        verdict = DIM_CERTIFIED if above == 0 and below == 0 else UPPER_BOUND
+        exact = below == 0 and reports(s + 1, t).e2_total == 0
+        verdict = DIM_CERTIFIED if exact else UPPER_BOUND
     return Certificate(s, t, verdict, report)
 
 

@@ -697,7 +697,9 @@ def basis(session, s, t):
 @click.argument("element")
 @click.pass_obj
 def d1_command(session, element):
-    """First differential of ELEMENT, e.g. 'a2' or '2 h[1,0] b[1,1]'."""
+    """First differential of ELEMENT.
+
+    ELEMENT is a sum of monomials, such as 'a2' or '2 h[1,0] b[1,1]'."""
     ctx = session.ctx
     click.echo(d1(parse_element(element, ctx), ctx).text())
 
@@ -882,7 +884,9 @@ def greek_thom(session, index):
 )
 @click.pass_obj
 def stems(session, family, params):
-    """Stem (t - s) of a family member, e.g. stems h0h -P n=2."""
+    """Stem (t - s) of a family member named by FAMILY and its -P keys.
+
+    For example: stems h0h -P n=2."""
     ctx = session.ctx
     kv = {}
     for item in params:

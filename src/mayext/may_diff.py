@@ -32,7 +32,9 @@ the cycle echelon rows whose pivot is not a boundary pivot.
 A record (E2Report) is plain data, what serialize writes.  A cell's
 boundary data (Boundaries, from boundary_data) is memoised apart by
 Session.boundaries; cell_homology, reduce_mod_boundaries and e2_rank
-read it.
+read it.  It builds each weight's block on the block's first read, so a
+reduction builds the weights its elements meet and cell_homology, which
+reads every weight, the rest.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .may_core import (
-    Block, Coding, Column, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H,
+    Block, Cell, Coding, Column, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H,
     Monomial, MulOperand, PrimeContext, _as_element, a, h, multiply_factors, parse_element,
 )
 
@@ -313,8 +315,12 @@ def _d1_rows(
     for key, code in zip(source.keys, source.codes):
         image: dict[int, int] = {}
         _d1_image(ctx, coding, key, code, 1, image)
-        image = {c: v % p for c, v in image.items() if v % p}
-        rows.append(_vector(image, index, where, coding.decode))
+        try:
+            rows.append({index[c]: w for c, v in image.items() if (w := v % p)})
+        except KeyError:
+            # _vector names the missing term
+            image = {c: w for c, v in image.items() if (w := v % p)}
+            rows.append(_vector(image, index, where, coding.decode))
     return rows
 
 
@@ -322,30 +328,41 @@ def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
     return Element(p, {keys[col]: c for col, c in sorted(vec.items())})
 
 
-@dataclass
 class Boundaries:
-    """The boundary data of (s, t): per weight u, the column of each basis
-    monomial and the echelon rows of the d1 images of block u + 1 of
+    """The boundary data of (s, t), one block per weight u of its basis,
+    each built on its first read (block): the column of each basis
+    monomial, and the echelon rows of the d1 images of block u + 1 of
     (s-1, t), keyed by pivot."""
 
-    s: int
-    t: int
-    blocks: dict[int, tuple[dict[Factors, int], dict[int, Row]]]
+    def __init__(self, ctx: PrimeContext, s: int, t: int, cell: Cell, below: Cell | None):
+        self.ctx, self.s, self.t = ctx, s, t
+        self.cell, self.below = cell, below
+        self.built: dict[int, tuple[dict[Factors, int], dict[int, Row]]] = {}
+
+    def block(self, u: int) -> tuple[dict[Factors, int], dict[int, Row]]:
+        """Block u, built on first read; KeyError when (s, t) has no
+        monomial of weight u."""
+        got = self.built.get(u)
+        if got is None:
+            block = self.cell.blocks[u]
+            source = self.below.blocks.get(u + 1)
+            where = f"({self.s},{self.t},{u})"
+            rows = _d1_rows(self.ctx, self.cell.coding, source, block, where)
+            b_ech, b_piv = echelon(rows, self.ctx.p)
+            index = {key: k for k, key in enumerate(block.keys)}
+            got = self.built[u] = (index, dict(zip(b_piv, b_ech)))
+        return got
 
 
 def boundary_data(ctx: PrimeContext, s: int, t: int, column: Column) -> Boundaries:
     """The boundary data of (s, t), from the coded bases of column, the
-    Column of t, which reads (s - 1, t) only when (s, t) has blocks."""
+    Column of t, which reads (s - 1, t) only when (s, t) has blocks.  The
+    cells are read here; each weight's block is built when it is first
+    read."""
     cells = column.read((s, s - 1))
     cell = next(cells)
     below = next(cells) if cell.blocks else None
-    out = {}
-    for u, block in cell.blocks.items():
-        index = {key: k for k, key in enumerate(block.keys)}
-        rows = _d1_rows(ctx, cell.coding, below.blocks.get(u + 1), block, f"({s},{t},{u})")
-        b_ech, b_piv = echelon(rows, ctx.p)
-        out[u] = (index, dict(zip(b_piv, b_ech)))
-    return Boundaries(s, t, out)
+    return Boundaries(ctx, s, t, cell, below)
 
 
 def cell_homology(
@@ -372,7 +389,7 @@ def cell_homology(
 
     weights = {}
     for u, block in here.blocks.items():
-        boundary = data.blocks[u][1]
+        boundary = data.block(u)[1]
         where = f"({s+1},{t},{u-1})"
         out_rows = _d1_rows(ctx, here.coding, block, above.blocks.get(u - 1), where)
         cycles = kernel(out_rows, p, len(block.keys))
@@ -400,10 +417,10 @@ def _reduce(ctx: PrimeContext, data: Boundaries, elem: Element) -> dict[int, Row
     rows = {}
     for u, terms in sorted(groups.items()):
         where = f"({data.s},{data.t},{u})"
-        if u not in data.blocks:
+        if u not in data.cell.blocks:
             first = Monomial(min(terms), terms[min(terms)]).text()
             raise AssertionError(f"term {first} has no block at {where}")
-        index, boundary = data.blocks[u]
+        index, boundary = data.block(u)
         rows[u] = reduce_vector(_vector(terms, index, where), boundary, ctx.p)
     return rows
 
@@ -413,7 +430,7 @@ def reduce_mod_boundaries(ctx: PrimeContext, data: Boundaries, elem: Element) ->
     boundaries of each weight block it meets; zero iff elem is a boundary."""
     out = Element.zero(ctx)
     for u, vec in _reduce(ctx, data, elem).items():
-        out = out + _block_element(list(data.blocks[u][0]), vec, ctx.p)
+        out = out + _block_element(data.cell.blocks[u].keys, vec, ctx.p)
     return out
 
 

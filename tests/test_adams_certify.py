@@ -174,6 +174,54 @@ class TestCertificates:
         assert cert.verdict == UPPER_BOUND
         assert cert.dim == 1
 
+    @pytest.mark.parametrize(
+        "s, t, verdict, asked",
+        [
+            # the lower neighbour carries a class and decides the verdict
+            (2, 588, UPPER_BOUND, [(2, 588), (1, 588)]),
+            # the lower neighbour is zero, so the upper one is read
+            (1, 84, UPPER_BOUND, [(1, 84), (0, 84), (2, 84)]),
+            (1, 12, DIM_CERTIFIED, [(1, 12), (0, 12), (2, 12)]),
+            # a zero cell reads no neighbour
+            (4, 29423, E1_EMPTY, [(4, 29423)]),
+            (5, 29413, E2_ZERO, [(5, 29413)]),
+            # s = 0 has no lower neighbour
+            (0, 0, DIM_CERTIFIED, [(0, 0), (1, 0)]),
+        ],
+    )
+    def test_neighbours_are_read_until_one_decides(self, reports, s, t, verdict, asked):
+        got = []
+
+        def recording(s, t):
+            got.append((s, t))
+            return reports(s, t)
+
+        assert certify_ext_dim(recording, s, t).verdict == verdict
+        assert got == asked
+
+    def test_verdicts_match_reading_both_neighbours(self):
+        # over small p=3 and p=5 grids, against the rule that reads both
+        # neighbours of every cell that is not zero
+        seen = set()
+        for p, s_max, t_max in [(3, 12, 120), (5, 6, 420)]:
+            reports = Session(PrimeContext(p)).report
+            for t in range(t_max + 1):
+                for s in range(s_max + 1):
+                    report = reports(s, t)
+                    if report.e1_total == 0:
+                        want = E1_EMPTY
+                    elif report.e2_total == 0:
+                        want = E2_ZERO
+                    else:
+                        below = reports(s - 1, t).e2_total if s else 0
+                        above = reports(s + 1, t).e2_total
+                        want = DIM_CERTIFIED if below == above == 0 else UPPER_BOUND
+                        seen.add((p, want, below == 0))
+                    cert = certify_ext_dim(reports, s, t)
+                    assert (cert.verdict, cert.dim) == (want, report.e2_total), (p, s, t)
+        # both primes reach all three nonzero cases
+        assert len(seen) == 6
+
     def test_six_factor_product_cell(self, reports):
         cert = certify_ext_dim(reports, 4, 29400)
         assert cert.verdict == UPPER_BOUND

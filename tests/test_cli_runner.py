@@ -336,6 +336,16 @@ class TestBasicCommands:
         assert res.exit_code == 0
         assert res.stdout.strip() == "6 a0 h[2,0] + 6 a1 h[1,1]"
 
+    @pytest.mark.parametrize("group", [[], ["greek"]])
+    def test_command_list_reads_as_sentences(self, runner, group):
+        # click cuts a short help after the first word that ends in ".",
+        # which left "First differential of ELEMENT, e.g." in the list
+        res = runner.invoke(main, [*group, "--help"])
+        assert res.exit_code == 0
+        commands = res.stdout.split("Commands:\n", 1)[1].splitlines()
+        assert len(commands) >= 6
+        assert not [line for line in commands if line.rstrip().endswith("e.g.")]
+
     def test_e2_text(self, runner):
         res = runner.invoke(main, ["-p", "7", "e2", "1", "588"])
         assert res.exit_code == 0
@@ -889,8 +899,12 @@ class TestCacheThroughCli:
         [
             # targets (3,589) and (4,590); s = 1 < r_min leaves no sources
             (["window", "1", "p^2*q", "--r-max", "3"], 2),
-            # the cell (2,588) and its neighbours (3,588) and (1,588)
-            (["vanish", "2", "p^2*q"], 3),
+            # the cell (2,588) and its lower neighbour (1,588), which is
+            # nonzero and so decides UpperBound without (3,588)
+            (["vanish", "2", "p^2*q"], 2),
+            # the cell (1,84), its lower neighbour (0,84), which is zero,
+            # and so its upper neighbour (2,84)
+            (["vanish", "1", "p*q"], 3),
         ],
     )
     def test_certificates_read_through_the_disk_cache(

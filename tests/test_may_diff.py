@@ -319,6 +319,38 @@ class TestCellHomology:
         assert reduce_mod_boundaries(C5, data, inside) == inside
 
 
+class TestBoundaryBlocks:
+    def test_blocks_are_built_per_weight_on_first_read(self, monkeypatch):
+        # p=3 (6,55) has weights 6, 9, 13, 14 and 17; the boundary rows of
+        # a block are the d1 rows formed with `where` naming (6,55,u)
+        formed = []
+        real_rows = may_diff._d1_rows
+
+        def counting_rows(ctx, coding, source, target, where):
+            formed.append(where)
+            return real_rows(ctx, coding, source, target, where)
+
+        monkeypatch.setattr(may_diff, "_d1_rows", counting_rows)
+        basis = {}
+        for m in enumerate_basis(C3, 6, 55):
+            basis.setdefault(m.tridegree(C3).u, Element.from_monomials(C3, [m]))
+        assert sorted(basis) == [6, 9, 13, 14, 17]
+        session = Session(C3)
+        data = session.boundaries(6, 55)
+        assert formed == []
+        e2_rank(C3, data, [basis[9], basis[13] + basis[9]])
+        reduce_mod_boundaries(C3, data, basis[17])
+        e2_rank(C3, data, [basis[13]])
+        assert formed == ["(6,55,9)", "(6,55,13)", "(6,55,17)"]
+        # the record builds the remaining weights, and none twice
+        want = cell_homology(C3, 6, 55).serialize()
+        formed.clear()
+        assert session.report(6, 55).serialize() == want
+        rest = Counter(w for w in formed if w.startswith("(6,55,"))
+        assert rest == {"(6,55,6)": 1, "(6,55,14)": 1}
+        assert session.boundaries(6, 55) is data
+
+
 class TestBasisMemo:
     @pytest.fixture()
     def built(self, monkeypatch):
