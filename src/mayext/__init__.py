@@ -61,7 +61,6 @@ from .may_core import (
     WorkBudgetExceeded,
     a,
     b,
-    enumerate_basis,
     h,
     multiply,
     parse_element,
@@ -71,7 +70,6 @@ from .may_core import (
 )
 from .may_diff import (
     E2Report,
-    cell_homology,
     d1,
 )
 from .session import (
@@ -116,11 +114,9 @@ __all__ = [
     "alpha_generators",
     "b",
     "beta_admissible",
-    "cell_homology",
     "certify_ext_dim",
     "certify_ext_vanishing",
     "d1",
-    "enumerate_basis",
     "enumerate_beta",
     "enumerate_ext0_KR",
     "enumerate_ext1_BPK",

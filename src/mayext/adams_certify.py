@@ -409,7 +409,7 @@ def product_nonzero_at_e2(session: Session, classes: list) -> dict:
         raise AssertionError("product of cocycles failed to be a cocycle")
     reduced = prod
     if not prod.is_zero:
-        reduced = reduce_mod_boundaries(ctx, session.boundaries(*expected), prod)
+        reduced = reduce_mod_boundaries(session.boundaries(*expected), prod)
     return {
         "nonzero": not reduced.is_zero,
         "bidegree": expected,

@@ -55,7 +55,6 @@ from .may_core import (
     ParseError,
     PrimeContext,
     WorkBudgetExceeded,
-    enumerate_basis,
     parse_element,
     parse_monomial,
     power,
@@ -227,8 +226,7 @@ def _list_verdict(got: list[str], want: list[str]):
 def _check_e1_basis(session: Session, ctx: PrimeContext, claim: dict):
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
-    basis = enumerate_basis(ctx, s, t)
-    got = sorted(m.text() for m in basis)
+    got = sorted(m.text() for m in session.basis(s, t))
     expect = claim["expect"]
     if isinstance(expect, int):
         if len(got) == expect:
@@ -687,7 +685,7 @@ def main(ctx, prime, cache_dir):
 def basis(session, s, t):
     """First-term monomial basis at filtration S, internal degree T."""
     ctx = session.ctx
-    monomials = enumerate_basis(ctx, eval_expr(s, ctx), eval_expr(t, ctx))
+    monomials = session.basis(eval_expr(s, ctx), eval_expr(t, ctx))
     for mono in monomials:
         click.echo(f"{mono.text()}  u={mono.tridegree(ctx).u}")
     click.echo(f"total {len(monomials)}", err=True)
@@ -831,7 +829,9 @@ def greek_beta_check(ctx_click, index, strict):
 @click.option("-t", "--t", "t_param", default="1", help="Outer exponent (default 1).")
 @click.pass_obj
 def greek_ext0(session, n, t_param):
-    """Zero-line generators for the height-N truncation in one degree."""
+    """Zero-line generators of the height-N truncation.
+
+    They lie in the one internal degree t p^N (p+1) q, t the outer exponent."""
     ctx = session.ctx
     gens = enumerate_ext0_KR(ctx, eval_expr(n, ctx), eval_expr(t_param, ctx))
     for gen in gens:

@@ -124,7 +124,7 @@ class SphereTable:
             reps = cert.report.representatives
             for op, gen, d in self.witnesses:
                 products = [multiply(rep, gen, self.ctx) for rep in reps]
-                ranks[op] = e2_rank(self.ctx, self.session.boundaries(s + 1, t + d), products)
+                ranks[op] = e2_rank(self.session.boundaries(s + 1, t + d), products)
         cell = self.cells[(s, t)] = (cert, ranks)
         return cell
 

@@ -22,6 +22,7 @@ used anywhere.
 Basis enumeration works a column (one internal degree t) at a time: a
 Column enumerates each of its cells when it is first read, and keeps its
 generator list, its reachability levels and its Coding for later cells.
+A session.Session holds one Column per t, the one way to a basis.
 Its search finds factor tuples, and the Coding, the one home of the code
 layout, codes each finished block: it ranks the generators below t
 canonically and packs one exponent digit per rank, so an h's one-bit
@@ -856,20 +857,6 @@ def _search(column: Column):
         fill_table = reach_memo = fill_memo = None
 
     return find, close
-
-
-def enumerate_column(ctx: PrimeContext, t: int, ss: Iterable[int]) -> dict[int, Cell]:
-    """The cells (s, t), s in ss, of a fresh Column, read in one search:
-    {s: Cell}, and an empty cell has no blocks and no coding."""
-    ss = list(dict.fromkeys(ss))
-    return dict(zip(ss, Column(ctx, t).read(ss)))
-
-
-def enumerate_basis(ctx: PrimeContext, s: int, t: int) -> list[Monomial]:
-    """All canonical basis monomials of bidegree (s, t), any weight, sorted
-    by factors: the one cell of enumerate_column(ctx, t, [s]), ungrouped."""
-    blocks = enumerate_column(ctx, t, [s])[s].blocks.values()
-    return [Monomial(key) for key in sorted(key for blk in blocks for key in blk.keys)]
 
 
 _TOKEN = re.compile(

@@ -18,10 +18,10 @@ codes its terms, applies _d1_image and decodes the image.
 
 Because d1 preserves the internal degree and shifts the weight by
 exactly -1, the second-term computation splits into independent blocks,
-one per weight, inside each bidegree (s, t).  Coded bases come from a
-may_core.Column of t, the caller's or a fresh one, which enumerates each
-cell once.  A record reads the cells (s +- 1, t) only when (s, t) has a
-basis, and in the same search, so an empty cell costs one search.
+one per weight, inside each bidegree (s, t).  Coded bases come from the
+session's may_core.Column of t, which enumerates each cell once.  A
+record reads the cells (s +- 1, t) only when (s, t) has a basis, and in
+the same search, so an empty cell costs one search.
 
 All linear algebra is over F_p on sparse rows {column: coefficient}, in
 the canonical column order of each weight block.  echelon returns the
@@ -30,7 +30,7 @@ on the order of rows or of elimination.  A block's representatives are
 the cycle echelon rows whose pivot is not a boundary pivot.
 
 A record (E2Report) is plain data, what serialize writes.  A cell's
-boundary data (Boundaries, from boundary_data) is memoised apart by
+boundary data (Boundaries(column, s)) is memoised apart by
 Session.boundaries; cell_homology, reduce_mod_boundaries and e2_rank
 read it.  It builds each weight's block on the block's first read, so a
 reduction builds the weights its elements meet and cell_homology, which
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .may_core import (
-    Block, Cell, Coding, Column, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H,
+    Block, Coding, Column, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H,
     Monomial, MulOperand, PrimeContext, _as_element, a, h, multiply_factors, parse_element,
 )
 
@@ -329,14 +329,17 @@ def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
 
 
 class Boundaries:
-    """The boundary data of (s, t), one block per weight u of its basis,
-    each built on its first read (block): the column of each basis
-    monomial, and the echelon rows of the d1 images of block u + 1 of
-    (s-1, t), keyed by pivot."""
+    """The boundary data of (s, t), t the internal degree of column: one
+    block per weight u of the basis, each built on its first read (block):
+    the column of each basis monomial, and the echelon rows of the d1
+    images of block u + 1 of (s-1, t), keyed by pivot.  The cells are read
+    here, (s - 1, t) only when (s, t) has blocks."""
 
-    def __init__(self, ctx: PrimeContext, s: int, t: int, cell: Cell, below: Cell | None):
-        self.ctx, self.s, self.t = ctx, s, t
-        self.cell, self.below = cell, below
+    def __init__(self, column: Column, s: int):
+        self.ctx, self.s, self.t = column.ctx, s, column.t
+        cells = column.read((s, s - 1))
+        self.cell = next(cells)
+        self.below = next(cells) if self.cell.blocks else None
         self.built: dict[int, tuple[dict[Factors, int], dict[int, Row]]] = {}
 
     def block(self, u: int) -> tuple[dict[Factors, int], dict[int, Row]]:
@@ -354,38 +357,23 @@ class Boundaries:
         return got
 
 
-def boundary_data(ctx: PrimeContext, s: int, t: int, column: Column) -> Boundaries:
-    """The boundary data of (s, t), from the coded bases of column, the
-    Column of t, which reads (s - 1, t) only when (s, t) has blocks.  The
-    cells are read here; each weight's block is built when it is first
-    read."""
-    cells = column.read((s, s - 1))
-    cell = next(cells)
-    below = next(cells) if cell.blocks else None
-    return Boundaries(ctx, s, t, cell, below)
+def cell_homology(column: Column, s: int, boundaries) -> E2Report:
+    """The second-term record of (s, t), t the internal degree of column:
+    per weight, the dimensions and the representatives.
 
-
-def cell_homology(
-    ctx: PrimeContext, s: int, t: int, column: Column | None = None, boundaries=None
-) -> E2Report:
-    """The second-term record of (s, t): per weight, the dimensions and the
-    representatives.
-
-    The coded bases come from `column`, the caller's Column of t, else a
-    fresh one.  It reads (s + 1, t) and (s - 1, t) in the search of (s, t),
-    and only when (s, t) has blocks.  The boundary data comes from
-    boundaries(s, t), such as Session.boundaries, else boundary_data."""
+    The coded bases come from column, which reads (s + 1, t) and (s - 1, t)
+    in the search of (s, t), and only when (s, t) has blocks; only then is
+    the boundary data read, from boundaries(s, t) (Session.boundaries)."""
+    ctx, t = column.ctx, column.t
     if s < 0 or t < 0:
         raise InvalidParams(f"bidegree out of range: ({s},{t})")
-    if column is None:
-        column = Column(ctx, t)
     p = ctx.p
     cells = column.read((s, s + 1, s - 1))
     here = next(cells)
     if not here.blocks:
         return E2Report(s, t, p, {})
     above, _ = cells  # (s - 1, t) too, for the boundary data
-    data = boundaries(s, t) if boundaries else boundary_data(ctx, s, t, column)
+    data = boundaries(s, t)
 
     weights = {}
     for u, block in here.blocks.items():
@@ -408,9 +396,10 @@ def cell_homology(
     return E2Report(s, t, p, weights)
 
 
-def _reduce(ctx: PrimeContext, data: Boundaries, elem: Element) -> dict[int, Row]:
+def _reduce(data: Boundaries, elem: Element) -> dict[int, Row]:
     """elem's weight components as block rows reduced modulo the boundaries;
     AssertionError on a term with no block or basis monomial."""
+    ctx = data.ctx
     groups: dict[int, dict[Factors, int]] = {}
     for m in elem.monomials():
         groups.setdefault(m.tridegree(ctx).u, {})[m.factors] = m.coeff
@@ -425,21 +414,21 @@ def _reduce(ctx: PrimeContext, data: Boundaries, elem: Element) -> dict[int, Row
     return rows
 
 
-def reduce_mod_boundaries(ctx: PrimeContext, data: Boundaries, elem: Element) -> Element:
+def reduce_mod_boundaries(data: Boundaries, elem: Element) -> Element:
     """elem, an element of bidegree (data.s, data.t), reduced modulo the d1
     boundaries of each weight block it meets; zero iff elem is a boundary."""
-    out = Element.zero(ctx)
-    for u, vec in _reduce(ctx, data, elem).items():
-        out = out + _block_element(data.cell.blocks[u].keys, vec, ctx.p)
+    out = Element.zero(data.ctx)
+    for u, vec in _reduce(data, elem).items():
+        out = out + _block_element(data.cell.blocks[u].keys, vec, data.ctx.p)
     return out
 
 
-def e2_rank(ctx: PrimeContext, data: Boundaries, elems: list[Element]) -> int:
+def e2_rank(data: Boundaries, elems: list[Element]) -> int:
     """Dimension of the span of the weight components of elems, elements of
     bidegree (data.s, data.t), modulo the d1 boundaries: for cycles of one
     weight each, the rank of their span in the second term."""
     by_weight: dict[int, list[Row]] = {}
     for elem in elems:
-        for u, vec in _reduce(ctx, data, elem).items():
+        for u, vec in _reduce(data, elem).items():
             by_weight.setdefault(u, []).append(vec)
-    return sum(len(echelon(rows, ctx.p)[1]) for rows in by_weight.values())
+    return sum(len(echelon(rows, data.ctx.p)[1]) for rows in by_weight.values())

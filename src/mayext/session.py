@@ -1,15 +1,18 @@
 """Sessions: the per-prime memos and the on-disk record cache.
 
-A Session owns one prime and reuses work at two levels: in-process memos
-of second-term records and boundary data keyed by (s, t) and of bases,
-one may_core.Column per internal degree t, and an optional on-disk cache
-of serialized records keyed by (module, p, s, t, schema_version).  Disk
-records embed their own key, so a corrupt file, a malformed value or a
-digest collision degrades to a recomputation with a warning, never to
-wrong data or a crash; a failed write is logged once per cache, and the
-computed record is still returned.  Warnings go to the "mayext" logger.
-Certificates read records through Session.report; products and witness
-ranks reduce against Session.boundaries.
+A Session owns one prime and is the one way in to its cells: bases
+(Session.basis), records (Session.report) and boundary data
+(Session.boundaries) all read one may_core.Column per internal degree t,
+which no other module builds.  It reuses work at two levels: in-process
+memos of records and boundary data keyed by (s, t) and the columns, and
+an optional on-disk cache of serialized records keyed by (module, p, s,
+t, schema_version).  Disk records embed their own key, so a corrupt
+file, a malformed value or a digest collision degrades to a
+recomputation with a warning, never to wrong data or a crash; a failed
+write is logged once per cache, and the computed record is still
+returned.  Warnings go to the "mayext" logger.  Certificates read
+records through Session.report; products and witness ranks reduce
+against Session.boundaries.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ import os
 import tempfile
 from pathlib import Path
 
-from .may_core import Column, MayextError, PrimeContext
-from .may_diff import (
-    SCHEMA_VERSION, Boundaries, E2Report, boundary_data, cell_homology, summary_to_report
-)
+from .may_core import Column, MayextError, Monomial, PrimeContext
+from .may_diff import SCHEMA_VERSION, Boundaries, E2Report, cell_homology, summary_to_report
 
 logger = logging.getLogger("mayext")
 
@@ -130,7 +131,7 @@ class Session:
                 else:
                     self.memo[(s, t)] = rep
                     return rep
-        rep = cell_homology(self.ctx, s, t, self.column(t), self.boundaries)
+        rep = cell_homology(self.column(t), s, self.boundaries)
         self.memo[(s, t)] = rep
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
@@ -140,8 +141,13 @@ class Session:
         """The boundary data of (s, t), memoised, never from disk."""
         data = self.boundary_memo.get((s, t))
         if data is None:
-            data = self.boundary_memo[(s, t)] = boundary_data(self.ctx, s, t, self.column(t))
+            data = self.boundary_memo[(s, t)] = Boundaries(self.column(t), s)
         return data
+
+    def basis(self, s: int, t: int) -> list[Monomial]:
+        """The basis monomials of (s, t), every weight, sorted by factors."""
+        (cell,) = self.column(t).read((s,))
+        return [Monomial(key) for key in sorted(k for b in cell.blocks.values() for k in b.keys)]
 
     def column(self, t: int) -> Column:
         """The Column of t, built on first use."""

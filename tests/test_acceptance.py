@@ -12,11 +12,10 @@ import time
 from mayext.may_core import (
     Monomial,
     PrimeContext,
-    enumerate_basis,
     multiply,
     tridegree,
 )
-from mayext.may_diff import cell_homology, d1
+from mayext.may_diff import d1
 from mayext.adams_certify import (
     DIM_CERTIFIED,
     E1_EMPTY,
@@ -84,12 +83,12 @@ def test_five_generator_window_reproduces_exactly(capsys):
     for n, m in ((4, 2), (5, 3)):
         E, bases = window_bases(C7, n, m)
         for (s, t), want in bases.items():
-            got = sorted(mono.text() for mono in enumerate_basis(C7, s, t))
+            got = sorted(mono.text() for mono in Session(C7).basis(s, t))
             ok = ok and got == sorted(want)
             checked += 1
         cert = certify_ext_dim(C7_REPORTS, 5, E + C7.q + 1)
         ok = ok and cert.verdict == E2_ZERO
-        survivor = cell_homology(C7, 6, E + 2)
+        survivor = Session(C7).report(6, E + 2)
         reps = [r for w in survivor.serialize()["weights"] for r in w["reps"]]
         ok = ok and survivor.e2_total == 1
         ok = ok and reps == [f"a0^2 b[1,{m - 1}] b[1,{n - 1}]"]
@@ -315,7 +314,7 @@ def test_algebra_property_suites(capsys, reversed_generators):
     for p, cells in oracle_cells.items():
         ctx = PrimeContext(p)
         for s, t in cells:
-            fast = [mono.factors for mono in enumerate_basis(ctx, s, t)]
+            fast = [mono.factors for mono in Session(ctx).basis(s, t)]
             ok = ok and fast == brute_force_basis(ctx, s, t)
             checked += 1
 
@@ -324,9 +323,9 @@ def test_algebra_property_suites(capsys, reversed_generators):
         (C5, 3, 208), (C5, 4, 248), (C7, 2, 588), (C7, 3, 589),
     ]
     for ctx, s, t in reversal_cells:
-        fwd = cell_homology(ctx, s, t)
+        fwd = Session(ctx).report(s, t)
         with reversed_generators() as calls:
-            rev = cell_homology(ctx, s, t)
+            rev = Session(ctx).report(s, t)
         ok = ok and bool(calls)
         fwd_dims = {u: w.e2_dim for u, w in fwd.weights.items()}
         rev_dims = {u: w.e2_dim for u, w in rev.weights.items()}

@@ -29,7 +29,6 @@ from mayext.may_core import (
 )
 from mayext.may_diff import (
     SCHEMA_VERSION,
-    cell_homology,
     e2_rank,
     reduce_mod_boundaries,
     summary_to_report,
@@ -214,7 +213,7 @@ class TestSession:
         assert cached.serialize() == direct.serialize()
 
     def test_summary_round_trip(self):
-        rep = cell_homology(C7, 5, 29413)
+        rep = Session(C7).report(5, 29413)
         back = summary_to_report(C7, rep.serialize())
         assert back.e1_total == rep.e1_total
         assert back.e2_total == rep.e2_total
@@ -223,19 +222,18 @@ class TestSession:
     def test_disk_record_reduction_builds_boundary_data_once(self, tmp_path, monkeypatch):
         Session(C7, cache_dir=tmp_path).report(6, 6168)
         built, cells = [], []
-        real_data, real_cell = may_diff.boundary_data, cell_homology
+        real_cell = may_diff.cell_homology
 
-        def counting_data(ctx, s, t, column):
-            built.append((s, t))
-            return real_data(ctx, s, t, column)
+        class CountingBoundaries(may_diff.Boundaries):
+            def __init__(self, column, s):
+                built.append((s, column.t))
+                super().__init__(column, s)
 
-        def counting_cell(ctx, s, t, column=None, boundaries=None):
-            cells.append((s, t))
-            return real_cell(ctx, s, t, column, boundaries)
+        def counting_cell(column, s, boundaries):
+            cells.append((s, column.t))
+            return real_cell(column, s, boundaries)
 
-        monkeypatch.setattr(may_diff, "boundary_data", counting_data)
-        monkeypatch.setattr(session_module, "boundary_data", counting_data)
-        monkeypatch.setattr(may_diff, "cell_homology", counting_cell)
+        monkeypatch.setattr(session_module, "Boundaries", CountingBoundaries)
         monkeypatch.setattr(session_module, "cell_homology", counting_cell)
         session = Session(C7, cache_dir=tmp_path)
         loaded = session.report(6, 6168)
@@ -248,10 +246,10 @@ class TestSession:
         # the product's boundary data serves the next reductions
         data = session.boundaries(6, 6168)
         for rep in loaded.representatives:
-            assert reduce_mod_boundaries(C7, data, rep) == rep
-        assert e2_rank(C7, data, loaded.representatives + [boundary]) == 1
+            assert reduce_mod_boundaries(data, rep) == rep
+        assert e2_rank(data, loaded.representatives + [boundary]) == 1
         assert loaded.e2_total == 1
-        assert e2_rank(C7, data, [boundary]) == 0
+        assert e2_rank(data, [boundary]) == 0
         # the boundary data is built once, and no record is computed
         assert built == [(6, 6168)]
         assert cells == []
@@ -339,12 +337,15 @@ class TestBasicCommands:
     @pytest.mark.parametrize("group", [[], ["greek"]])
     def test_command_list_reads_as_sentences(self, runner, group):
         # click cuts a short help after the first word that ends in ".",
-        # which left "First differential of ELEMENT, e.g." in the list
-        res = runner.invoke(main, [*group, "--help"])
+        # which left "First differential of ELEMENT, e.g." in the list, and
+        # one too long for the line with "...": each line is a sentence.  A
+        # terminal gets at most 78 columns (CliRunner's 80 would hide a cut)
+        res = runner.invoke(main, [*group, "--help"], terminal_width=78)
         assert res.exit_code == 0
-        commands = res.stdout.split("Commands:\n", 1)[1].splitlines()
+        commands = [line.rstrip() for line in res.stdout.split("Commands:\n", 1)[1].splitlines()]
         assert len(commands) >= 6
-        assert not [line for line in commands if line.rstrip().endswith("e.g.")]
+        assert [line for line in commands if not line.endswith(".") or line.endswith("...")] == []
+        assert not [line for line in commands if line.endswith("e.g.")]
 
     def test_e2_text(self, runner):
         res = runner.invoke(main, ["-p", "7", "e2", "1", "588"])

@@ -22,12 +22,12 @@ from mayext.may_core import (
     PrimeContext,
     a,
     b,
-    enumerate_basis,
     h,
     multiply,
     parse_element,
 )
 from mayext.may_diff import d1
+from mayext.session import Session
 
 
 def reference_d1_generator(g, ctx):
@@ -116,7 +116,7 @@ def test_elements_match_reference(p, data):
 def test_every_basis_monomial_of_a_dense_cell(p, s, t):
     # every monomial of the cell, and a seeded random combination of them
     ctx = PrimeContext(p)
-    basis = enumerate_basis(ctx, s, t)
+    basis = Session(ctx).basis(s, t)
     assert len(basis) >= 10
     assert any(e > 1 for m in basis for _, e in m.factors)
     for m in basis:

@@ -24,8 +24,6 @@ from mayext.may_core import (
     WorkBudgetExceeded,
     a,
     b,
-    enumerate_basis,
-    enumerate_column,
     generators_bounded,
     h,
     multiply,
@@ -34,6 +32,7 @@ from mayext.may_core import (
     product,
     tridegree,
 )
+from mayext.session import Session
 
 C3 = PrimeContext(3)
 C5 = PrimeContext(5)
@@ -371,21 +370,26 @@ def brute_force_basis(ctx, s, t):
     return sorted(found)
 
 
+def fresh_basis(ctx, s, t):
+    """The basis of (s, t) read through a fresh session."""
+    return Session(ctx).basis(s, t)
+
+
 class TestEnumerateBasis:
     def test_degenerate_windows(self):
-        assert enumerate_basis(C5, 0, 0) == [Monomial.one()]
-        assert enumerate_basis(C5, 0, 5) == []
-        assert enumerate_basis(C5, 3, 2) == []
-        assert enumerate_basis(C5, -1, 4) == []
+        assert fresh_basis(C5, 0, 0) == [Monomial.one()]
+        assert fresh_basis(C5, 0, 5) == []
+        assert fresh_basis(C5, 3, 2) == []
+        assert fresh_basis(C5, -1, 4) == []
 
     def test_single_generator_cells(self):
-        assert [m.text() for m in enumerate_basis(C7, 1, 588)] == ["h[1,2]"]
-        assert [m.text() for m in enumerate_basis(C5, 1, 1)] == ["a0"]
-        assert [m.text() for m in enumerate_basis(C5, 2, 40)] == ["b[1,0]"]
+        assert [m.text() for m in fresh_basis(C7, 1, 588)] == ["h[1,2]"]
+        assert [m.text() for m in fresh_basis(C5, 1, 1)] == ["a0"]
+        assert [m.text() for m in fresh_basis(C5, 2, 40)] == ["b[1,0]"]
 
     def test_mixed_cells(self):
-        assert [m.text() for m in enumerate_basis(C5, 2, 9)] == ["a0 h[1,0]"]
-        assert [m.text() for m in enumerate_basis(C5, 2, 10)] == ["a0 a1"]
+        assert [m.text() for m in fresh_basis(C5, 2, 9)] == ["a0 h[1,0]"]
+        assert [m.text() for m in fresh_basis(C5, 2, 10)] == ["a0 a1"]
 
     @pytest.mark.parametrize(
         "contexts, table_bits, memo_entries",
@@ -405,13 +409,13 @@ class TestEnumerateBasis:
         if memo_entries is not None:
             monkeypatch.setattr(may_core, "_REACH_MEMO_ENTRIES", memo_entries)
         for ctx, s, t in cells:
-            fast = [m.factors for m in enumerate_basis(ctx, s, t)]
+            fast = [m.factors for m in fresh_basis(ctx, s, t)]
             assert fast == brute_force_basis(ctx, s, t), (ctx.p, s, t)
             if (ctx, s, t) in WIDE_CELLS:
                 assert fast, (ctx.p, s, t)
 
     def test_every_monomial_has_requested_bidegree(self):
-        for m in enumerate_basis(C5, 4, 100):
+        for m in fresh_basis(C5, 4, 100):
             d = m.tridegree(C5)
             assert (d.s, d.t) == (4, 100)
 
@@ -422,9 +426,9 @@ class TestEnumerateBasis:
         factors = (h(14, 6), h(16, 18), h(19, 14))
         t = _t(C3, *factors)
         assert len(generators_bounded(C3, t)) > sys.getrecursionlimit()
-        fwd = [m.factors for m in enumerate_basis(C3, 3, t)]
+        fwd = [m.factors for m in fresh_basis(C3, 3, t)]
         with reversed_generators() as calls:
-            rev = [m.factors for m in enumerate_basis(C3, 3, t)]
+            rev = [m.factors for m in fresh_basis(C3, 3, t)]
         assert calls
         assert fwd == rev
         assert len(fwd) == 6
@@ -436,36 +440,43 @@ class TestEnumerateBasis:
         # the cell; each call starts from zero
         if table_bits is not None:
             monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
-        want = enumerate_basis(C3, 6, 55)
+        want = fresh_basis(C3, 6, 55)
         assert len(want) == 9
         monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", 10)
         for _ in range(2):
             with pytest.raises(WorkBudgetExceeded) as err:
-                enumerate_basis(C3, 6, 55)
+                fresh_basis(C3, 6, 55)
             assert str(err.value) == (
                 "basis of (6,55) needs more than 10 search steps, the budget for enumeration"
             )
         monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", 10**6)
-        assert enumerate_basis(C3, 6, 55) == want
+        assert fresh_basis(C3, 6, 55) == want
 
     def test_reverse_order_gives_same_set(self, reversed_generators):
         # (5, 6, 156) is narrow; the p=7 cell needs the memoised search
         cells = [(C5, 6, 156), (C7, 3, _t(C7, a(0), h(1, 0), h(1, 11)))]
         for ctx, s, t in cells:
-            fwd = {m.factors for m in enumerate_basis(ctx, s, t)}
+            fwd = {m.factors for m in fresh_basis(ctx, s, t)}
             with reversed_generators() as calls:
-                rev = {m.factors for m in enumerate_basis(ctx, s, t)}
+                rev = {m.factors for m in fresh_basis(ctx, s, t)}
             assert calls
             assert len(fwd) >= 2
             assert fwd == rev, (ctx.p, s, t)
 
 
+def read_column(ctx, t, ss):
+    """The cells (s, t), s in ss, of a fresh session's column, read in one
+    search: {s: Cell}."""
+    ss = list(dict.fromkeys(ss))
+    return dict(zip(ss, Session(ctx).column(t).read(ss)))
+
+
 def column(ctx, t, ss):
-    """enumerate_column(ctx, t, ss) as plain data, {s: {u: (keys, codes)}},
+    """read_column(ctx, t, ss) as plain data, {s: {u: (keys, codes)}},
     which compares by value."""
     return {
         s: {u: (blk.keys, blk.codes) for u, blk in cell.blocks.items()}
-        for s, cell in enumerate_column(ctx, t, ss).items()
+        for s, cell in read_column(ctx, t, ss).items()
     }
 
 
@@ -486,8 +497,8 @@ def check_cell(ctx, s, t, cell):
 
 
 def check_column(ctx, t, ss):
-    """check_cell on each cell of enumerate_column(ctx, t, ss)."""
-    cells = enumerate_column(ctx, t, ss)
+    """check_cell on each cell of read_column(ctx, t, ss)."""
+    cells = read_column(ctx, t, ss)
     assert list(cells) == list(dict.fromkeys(ss)), (ctx.p, t)
     for s, cell in cells.items():
         check_cell(ctx, s, t, cell)

@@ -15,9 +15,9 @@ from mayext.may_core import (
     InvalidParams,
     Monomial,
     PrimeContext,
+    WorkBudgetExceeded,
     a,
     b,
-    enumerate_basis,
     generators_bounded,
     h,
     multiply,
@@ -26,7 +26,6 @@ from mayext.may_core import (
 )
 from mayext.may_diff import (
     SCHEMA_VERSION,
-    cell_homology,
     d1,
     d1_generator,
     e2_rank,
@@ -37,10 +36,15 @@ from mayext.may_diff import (
 )
 from mayext.session import Session
 
-from test_may_core import monomials
+from test_may_core import fresh_basis, monomials, read_column
 
 C5 = PrimeContext(5)
 C7 = PrimeContext(7)
+
+
+def fresh_record(ctx, s, t):
+    """The record of (s, t) from a fresh session."""
+    return Session(ctx).report(s, t)
 
 
 def dense_echelon(rows, p):
@@ -156,11 +160,11 @@ def rank_cell(s, t):
     images."""
     session = Session(C3)
     reps = session.report(s, t).representatives
-    basis = enumerate_basis(C3, s, t)
+    basis = session.basis(s, t)
     columns = {}
     for m in basis:
         columns.setdefault(m.tridegree(C3).u, []).append(m.factors)
-    images = [d1(m, C3) for m in enumerate_basis(C3, s - 1, t)]
+    images = [d1(m, C3) for m in session.basis(s - 1, t)]
     pool = [Element.from_monomials(C3, [m]) for m in basis] + reps + images
     return session.boundaries(s, t), columns, images, pool
 
@@ -186,7 +190,7 @@ def test_e2_rank_is_the_dense_rank_mod_boundaries(cell, data):
         for i, c in combo:
             x = x + pool[i].scaled(c)
         elems.append(x)
-    assert e2_rank(C3, boundaries, elems) == dense_rank_mod(elems, images, columns, 3)
+    assert e2_rank(boundaries, elems) == dense_rank_mod(elems, images, columns, 3)
 
 
 class TestLinearAlgebra:
@@ -291,17 +295,17 @@ def test_derivation_law(p, data):
 
 class TestCellHomology:
     def test_single_class_cell(self):
-        cell = cell_homology(C7, 1, 588)
+        cell = fresh_record(C7, 1, 588)
         assert cell.e1_total == 1
         assert cell.e2_total == 1
 
     def test_bad_bidegree(self):
         with pytest.raises(InvalidParams):
-            cell_homology(C7, -1, 10)
+            fresh_record(C7, -1, 10)
 
     def test_weight_blocks_partition_basis(self):
-        cell = cell_homology(C3, 6, 55)
-        basis = enumerate_basis(C3, 6, 55)
+        cell = fresh_record(C3, 6, 55)
+        basis = fresh_basis(C3, 6, 55)
         assert cell.e1_total == len(basis) > 0
         assert list(cell.weights) == sorted(cell.weights)
         by_u = Counter(m.tridegree(C3).u for m in basis)
@@ -313,10 +317,10 @@ class TestCellHomology:
         data = Session(C5).boundaries(1, 8)
         elem = parse_element("4 h[1,2] + 3 h[1,1] + h[1,0]", C5)
         with pytest.raises(AssertionError) as err:
-            reduce_mod_boundaries(C5, data, elem)
+            reduce_mod_boundaries(data, elem)
         assert str(err.value) == "term 3 h[1,1] missing from basis of (1,8,1)"
         inside = parse_element("2 h[1,0]", C5)
-        assert reduce_mod_boundaries(C5, data, inside) == inside
+        assert reduce_mod_boundaries(data, inside) == inside
 
 
 class TestBoundaryBlocks:
@@ -332,18 +336,18 @@ class TestBoundaryBlocks:
 
         monkeypatch.setattr(may_diff, "_d1_rows", counting_rows)
         basis = {}
-        for m in enumerate_basis(C3, 6, 55):
+        for m in fresh_basis(C3, 6, 55):
             basis.setdefault(m.tridegree(C3).u, Element.from_monomials(C3, [m]))
         assert sorted(basis) == [6, 9, 13, 14, 17]
         session = Session(C3)
         data = session.boundaries(6, 55)
         assert formed == []
-        e2_rank(C3, data, [basis[9], basis[13] + basis[9]])
-        reduce_mod_boundaries(C3, data, basis[17])
-        e2_rank(C3, data, [basis[13]])
+        e2_rank(data, [basis[9], basis[13] + basis[9]])
+        reduce_mod_boundaries(data, basis[17])
+        e2_rank(data, [basis[13]])
         assert formed == ["(6,55,9)", "(6,55,13)", "(6,55,17)"]
         # the record builds the remaining weights, and none twice
-        want = cell_homology(C3, 6, 55).serialize()
+        want = fresh_record(C3, 6, 55).serialize()
         formed.clear()
         assert session.report(6, 55).serialize() == want
         rest = Counter(w for w in formed if w.startswith("(6,55,"))
@@ -392,14 +396,14 @@ class TestBasisMemo:
         session.boundaries(5, 60)
         cells = {("cell", s, 60): 1 for s in (4, 5)}
         assert Counter(built) == {("gens", 60): 1, ("coding",): 1, **cells}
-        assert low.serialize() == cell_homology(C5, 3, 60).serialize()
-        assert high.serialize() == cell_homology(C5, 4, 60).serialize()
+        assert low.serialize() == fresh_record(C5, 3, 60).serialize()
+        assert high.serialize() == fresh_record(C5, 4, 60).serialize()
 
     def test_call_without_a_memo_enumerates_its_three_cells(self, built):
-        # no column outlives the call, so nothing hides a change of
-        # enumeration order from a later call on the same context
-        cell_homology(C5, 5, 100)
-        cell_homology(C5, 5, 100)
+        # no column outlives its session, so nothing hides a change of
+        # enumeration order from a fresh session on the same context
+        Session(C5).report(5, 100)
+        Session(C5).report(5, 100)
         cells = {("cell", s, 100): 2 for s in (4, 5, 6)}
         assert Counter(built) == {("gens", 100): 2, ("coding",): 2, **cells}
 
@@ -413,6 +417,36 @@ class TestBasisMemo:
         session.memo.clear()
         session.report(6, 55)
         assert built == want
+
+    def test_bases_and_records_share_one_column(self, built):
+        # a basis read first leaves its cell in the session's column, and
+        # the record of the same bidegree reads that cell, not a new one
+        session = Session(C3)
+        basis = session.basis(6, 55)
+        cell = session.columns[55].cells[6]
+        rep = session.report(6, 55)
+        assert session.columns[55].cells[6] is cell
+        assert list(session.columns) == [55]
+        assert Counter(built)[("cell", 6, 55)] == 1
+        assert rep.e1_total == len(basis) == 9
+
+    @pytest.mark.parametrize("table_bits", [None, 0], ids=["table", "memoised"])
+    def test_refused_basis_leaves_the_column_usable(self, table_bits, monkeypatch):
+        # a cell refused by the step budget is not kept: once the budget is
+        # back, the same session answers as a fresh one, for that cell and
+        # for the record of a lower cell, which reads it as a neighbour
+        if table_bits is not None:
+            monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
+        budget = may_core.MAX_ENUMERATION_STEPS
+        session = Session(C3)
+        monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", 10)
+        with pytest.raises(WorkBudgetExceeded):
+            session.basis(6, 55)
+        assert 6 not in session.columns[55].cells
+        monkeypatch.setattr(may_core, "MAX_ENUMERATION_STEPS", budget)
+        fresh = Session(C3)
+        assert session.basis(6, 55) == fresh.basis(6, 55)
+        assert session.report(5, 55).serialize() == fresh.report(5, 55).serialize()
 
     def test_e1_empty_record_reads_only_its_cell(self, built):
         # (1, 8) holds h[1,0], but the record of the empty (2, 8) does not
@@ -438,7 +472,7 @@ class TestE2At:
     def test_record_pinned_at_dense_elimination(self):
         # sha256 of the record that dense elimination produced at p=3
         # (16,160), 17 representatives: sparse rows change no output
-        data = cell_homology(PrimeContext(3), 16, 160).serialize()
+        data = fresh_record(PrimeContext(3), 16, 160).serialize()
         assert sum(len(w["reps"]) for w in data["weights"]) == 17
         blob = json.dumps(data, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
@@ -447,18 +481,18 @@ class TestE2At:
 
     def test_three_class_cell_dies(self):
         # three chains, all cycles killed by boundaries or non-cycles
-        rep = cell_homology(C7, 5, 29413)
+        rep = fresh_record(C7, 5, 29413)
         assert rep.e1_total == 3
         assert rep.e2_total == 0
 
     def test_survivor_with_representative(self):
-        rep = cell_homology(C7, 1, 588)
+        rep = fresh_record(C7, 1, 588)
         assert rep.e2_total == 1
         (blk,) = rep.weights.values()
         assert [r.text() for r in blk.representatives] == ["h[1,2]"]
 
     def test_six_factor_cell_has_one_survivor(self):
-        rep = cell_homology(C7, 6, 6168)
+        rep = fresh_record(C7, 6, 6168)
         by_u = {u: w.e2_dim for u, w in rep.weights.items() if w.e1_dim}
         assert by_u == {14: 0, 21: 0, 33: 0, 45: 1}
         assert rep.weights[14].e1_dim == 2
@@ -467,9 +501,9 @@ class TestE2At:
     def test_reverse_enumeration_invariance(self, reversed_generators):
         for s, t in [(4, 60), (4, 100), (2, 588), (5, 29413), (3, 4128)]:
             ctx = C7 if t > 500 else C5
-            fwd = cell_homology(ctx, s, t)
+            fwd = fresh_record(ctx, s, t)
             with reversed_generators() as calls:
-                rev = cell_homology(ctx, s, t)
+                rev = fresh_record(ctx, s, t)
             assert calls
             assert fwd.e2_total == rev.e2_total
             assert {u: w.e2_dim for u, w in fwd.weights.items()} == {
@@ -496,13 +530,13 @@ class TestE2At:
         assert blob.hexdigest() == digest
 
     def test_representatives_are_cycles(self):
-        rep = cell_homology(C5, 3, 60)
+        rep = fresh_record(C5, 3, 60)
         for blk in rep.weights.values():
             for r in blk.representatives:
                 assert d1(r, C5).is_zero
 
     def test_serialize_shape(self):
-        data = cell_homology(C7, 1, 588).serialize()
+        data = fresh_record(C7, 1, 588).serialize()
         assert data["schema"] == SCHEMA_VERSION
         assert data["p"] == 7
         assert data["e1"] == 1 and data["e2"] == 1
@@ -521,7 +555,7 @@ def test_euler_characteristic_per_weight_complex(p, t_max):
         chi1, chi2 = Counter(), Counter()
         # every generator has t >= s, so no cell with s > t is inhabited
         for s in range(t + 1):
-            for u, blk in cell_homology(ctx, s, t).weights.items():
+            for u, blk in fresh_record(ctx, s, t).weights.items():
                 chi1[s + u] += (-1) ** s * blk.e1_dim
                 chi2[s + u] += (-1) ** s * blk.e2_dim
         assert chi1 == chi2, f"p={p}, t={t}"
@@ -558,7 +592,7 @@ def test_weight_blocks_match_the_e1_count(p, s_max, t_max):
     for t in range(t_max + 1):
         for s in range(s_max + 1):
             want = {u: n for (s2, u), n in rows[t].items() if s2 == s}
-            got = {u: blk.e1_dim for u, blk in cell_homology(ctx, s, t).weights.items()}
+            got = {u: blk.e1_dim for u, blk in fresh_record(ctx, s, t).weights.items()}
             assert got == want, f"p={p}, ({s},{t})"
             inhabited += bool(want)
     assert inhabited > 400
@@ -584,18 +618,18 @@ class TestCodedKernel:
         # (s+1, s+1) and powers of a0 next to a1, h[1,0] and b[1,0]: the
         # rows on codes equal the public d1 on factor tuples
         for t in range(s, s + 13):
-            cells = may_core.enumerate_column(C3, t, [s, s + 1])
+            cells = read_column(C3, t, [s, s + 1])
             here, above = cells[s], cells[s + 1]
             for u, block in here.blocks.items():
                 rows = may_diff._d1_rows(C3, here.coding, block, above.blocks.get(u - 1), "")
                 assert rows == block_rows_by_d1(C3, here, above, u), (s, t, u)
-        (block,) = may_core.enumerate_column(C3, s, [s])[s].blocks.values()
+        (block,) = read_column(C3, s, [s])[s].blocks.values()
         assert block.keys == [((a(0), s),)]
         assert block.codes == [s]
 
     def test_full_digit(self):
         # the digit of a0 at t = 7 is 3 bits wide, and a0^7 fills it
-        coding = may_core.enumerate_column(C3, 7, [7])[7].coding
+        coding = read_column(C3, 7, [7])[7].coding
         assert coding.offset[a(0)] == 0 and coding.width[a(0)] == 3
         assert coding.encode(((a(0), 7),)) == 0b111
         assert coding.decode(0b111) == ((a(0), 7),)
@@ -607,7 +641,7 @@ class TestCodedKernel:
         # h[4,0] at p=5 (3,2296): the first two terms repeat an h, and their
         # h[2,2] and h[3,0] occur in no monomial of (4,2296).  A coding built
         # from the generators of the bases alone cannot code them
-        cells = may_core.enumerate_column(C5, 2296, [3, 4])
+        cells = read_column(C5, 2296, [3, 4])
         (block,) = cells[3].blocks.values()
         assert [Monomial(key).text() for key in block.keys] == ["h[1,3] h[2,0] h[4,0]"]
         occurring = {g for blk in cells[4].blocks.values() for key in blk.keys for g, _ in key}
@@ -615,7 +649,7 @@ class TestCodedKernel:
         terms = d1_generator(h(4, 0), C5)._terms
         assert ((h(2, 0), 1), (h(2, 2), 1)) in terms
         assert ((h(1, 3), 1), (h(3, 0), 1)) in terms
-        data = cell_homology(C5, 3, 2296).serialize()
+        data = fresh_record(C5, 3, 2296).serialize()
         assert (data["e1"], data["e2"]) == (1, 0)
         blob = json.dumps(data, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
@@ -629,11 +663,11 @@ class TestCodedKernel:
         # ranks are canonical positions, not positions in the list the
         # search walks, so a reversed list gives the same codes and records
         ctx = PrimeContext(p)
-        fwd = may_core.enumerate_column(ctx, t, [s, s + 1, s - 1])
-        record = cell_homology(ctx, s, t).serialize()
+        fwd = read_column(ctx, t, [s, s + 1, s - 1])
+        record = fresh_record(ctx, s, t).serialize()
         with reversed_generators() as calls:
-            rev = may_core.enumerate_column(ctx, t, [s, s + 1, s - 1])
-            assert cell_homology(ctx, s, t).serialize() == record
+            rev = read_column(ctx, t, [s, s + 1, s - 1])
+            assert fresh_record(ctx, s, t).serialize() == record
         assert calls == [t, t]
         for x in fwd:
             # an empty cell carries no coding
@@ -649,8 +683,9 @@ class TestCodedKernel:
     def test_missing_d1_term_is_named(self):
         # a target block that lacks terms of a d1 image: the row names the
         # first of them in canonical order, with its coefficient
-        column = may_core.Column(C3, 55)
-        cell_homology(C3, 6, 55, column)
+        session = Session(C3)
+        session.report(6, 55)
+        column = session.columns[55]
         here, above = column.cells[6], column.cells[7]
         u, first = next(
             (u, blk.keys[0]) for u, blk in here.blocks.items()
@@ -664,7 +699,8 @@ class TestCodedKernel:
             **above.blocks,
             u - 1: may_core.Block([k for k, _ in kept], [c for _, c in kept]),
         })
+        session.memo.clear()
         with pytest.raises(AssertionError) as err:
-            cell_homology(C3, 6, 55, column)
+            session.report(6, 55)
         named = Monomial(dropped[0], image[dropped[0]]).text()
         assert str(err.value) == f"term {named} missing from basis of (7,55,{u - 1})"

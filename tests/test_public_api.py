@@ -82,6 +82,20 @@ def test_library_modules_import_no_command_line():
     assert mayext.DiskCache.__module__ != "mayext.cli_runner"
 
 
+def test_only_the_session_builds_columns():
+    # bases, records and boundary data read one Column per (session, t), so
+    # no module but session.py may build one beside it
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Column":
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert {line.split(":")[0] for line in sites} == {"session.py"}, sites
+
+
 def _names_read(tree) -> list[str]:
     return [
         node.id if isinstance(node, ast.Name) else node.attr
