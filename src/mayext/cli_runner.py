@@ -223,7 +223,8 @@ def _list_verdict(got: list[str], want: list[str]):
     return "fail", "; ".join(parts) if parts else f"got {got}, want {want}"
 
 
-def _check_e1_basis(session: Session, ctx: PrimeContext, claim: dict):
+def _check_e1_basis(session: Session, claim: dict):
+    ctx = session.ctx
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
     got = sorted(m.text() for m in session.basis(s, t))
@@ -236,7 +237,8 @@ def _check_e1_basis(session: Session, ctx: PrimeContext, claim: dict):
     return status, f"({s},{t}): {detail}"
 
 
-def _check_e2_dim(session: Session, ctx: PrimeContext, claim: dict):
+def _check_e2_dim(session: Session, claim: dict):
+    ctx = session.ctx
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
     got = session.report(s, t).e2_total
@@ -253,7 +255,8 @@ def _check_e2_dim(session: Session, ctx: PrimeContext, claim: dict):
     return "fail", f"({s},{t}) second-term dim {got}, expected {want}"
 
 
-def _check_ext_vanishing(session: Session, ctx: PrimeContext, claim: dict):
+def _check_ext_vanishing(session: Session, claim: dict):
+    ctx = session.ctx
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
     cert = certify_ext_vanishing(session.report, s, t)
@@ -278,7 +281,8 @@ _WINDOW_KEYS = (
 )
 
 
-def _check_dr_window(session: Session, ctx: PrimeContext, claim: dict):
+def _check_dr_window(session: Session, claim: dict):
+    ctx = session.ctx
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
     r_min = eval_expr(claim.get("r_min", 2), ctx)
@@ -297,7 +301,8 @@ def _check_dr_window(session: Session, ctx: PrimeContext, claim: dict):
     return "fail", f"({s},{t}) " + "; ".join(bad)
 
 
-def _check_les_dim(session: Session, ctx: PrimeContext, claim: dict):
+def _check_les_dim(session: Session, claim: dict):
+    ctx = session.ctx
     spectrum = claim["spectrum"]
     s = eval_expr(claim["s"], ctx)
     t = eval_expr(claim["t"], ctx)
@@ -323,7 +328,8 @@ def _check_les_dim(session: Session, ctx: PrimeContext, claim: dict):
     return "fail", f"{where} dim in [{res.lo},{res.hi}], excludes {want}"
 
 
-def _check_beta_list(session: Session, ctx: PrimeContext, claim: dict):
+def _check_beta_list(session: Session, claim: dict):
+    ctx = session.ctx
     t_internal = eval_expr(claim["t_internal"], ctx)
     strict = bool(claim.get("strict", False))
     got = sorted(idx.text() for idx in enumerate_beta(ctx, t_internal, strict=strict))
@@ -331,7 +337,8 @@ def _check_beta_list(session: Session, ctx: PrimeContext, claim: dict):
     return status, f"degree {t_internal}: {detail}"
 
 
-def _check_ext0_list(session: Session, ctx: PrimeContext, claim: dict):
+def _check_ext0_list(session: Session, claim: dict):
+    ctx = session.ctx
     n = eval_expr(claim["n"], ctx)
     t = eval_expr(claim.get("t", 1), ctx)
     gens = enumerate_ext0_KR(ctx, n, t)
@@ -340,7 +347,8 @@ def _check_ext0_list(session: Session, ctx: PrimeContext, claim: dict):
     return status, f"n={n}, t={t}: {detail}"
 
 
-def _check_ext1_bpk_list(session: Session, ctx: PrimeContext, claim: dict):
+def _check_ext1_bpk_list(session: Session, claim: dict):
+    ctx = session.ctx
     n = eval_expr(claim["n"], ctx)
     gens = enumerate_ext1_BPK(ctx, n)
     got = sorted(g.text() for g in gens)
@@ -348,7 +356,8 @@ def _check_ext1_bpk_list(session: Session, ctx: PrimeContext, claim: dict):
     return status, f"n={n}: {detail}"
 
 
-def _check_stem(session: Session, ctx: PrimeContext, claim: dict):
+def _check_stem(session: Session, claim: dict):
+    ctx = session.ctx
     params = {key: eval_expr(val, ctx) for key, val in claim["params"].items()}
     got = stem_of(ctx, claim["family"], params)
     want = eval_expr(claim["expect"], ctx)
@@ -357,7 +366,8 @@ def _check_stem(session: Session, ctx: PrimeContext, claim: dict):
     return "fail", f"{claim['family']} stem {got}, expected {want}"
 
 
-def _check_thom(session: Session, ctx: PrimeContext, claim: dict):
+def _check_thom(session: Session, claim: dict):
+    ctx = session.ctx
     idx = parse_index(claim["index"])
     try:
         got = thom_image(ctx, idx).text()
@@ -369,7 +379,8 @@ def _check_thom(session: Session, ctx: PrimeContext, claim: dict):
     return "fail", f"{claim['index']} -> {got}, expected {want}"
 
 
-def _check_product_nonzero(session: Session, ctx: PrimeContext, claim: dict):
+def _check_product_nonzero(session: Session, claim: dict):
+    ctx = session.ctx
     classes = [
         resolve_named(entry["name"], entry.get("params", {}), ctx)
         for entry in claim["classes"]
@@ -450,7 +461,7 @@ def run_claims(
             if p not in sessions:
                 sessions[p] = Session(PrimeContext(p), cache_dir)
             session = sessions[p]
-            status, detail = checker(session, session.ctx, claim)
+            status, detail = checker(session, claim)
             return ClaimResult(index, claim, status, detail)
         except (MayextError, AttributeError, KeyError, TypeError, ValueError) as exc:
             return ClaimResult(index, claim, "error", f"{type(exc).__name__}: {exc}")

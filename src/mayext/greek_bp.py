@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .adams_certify import NamedClass, UnknownName, resolve_named
+from .adams_certify import NamedClass, UnknownName, _need, resolve_named
 from .may_core import (
     InvalidParams,
     MayextError,
@@ -331,24 +331,15 @@ def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
     filtration: beta[a,s,b,c], or beta_{tp^n/s} given as t, n, s, minus 2;
     gamma[t,b,c], or gamma_{p^n/s} given as n, s (c = 1), minus 3; and
     alpha[t,n] minus 1.  Parameters outside the class's domain raise
-    InvalidParams (ParamsOutOfRange for a named class), a key the family
-    does not take ParseError; an unknown family raises UnknownFamily.
+    InvalidParams (ParamsOutOfRange for a named class or a missing key), a
+    key the family does not take ParseError; an unknown family raises
+    UnknownFamily.
     """
     params = dict(params or {})
-
-    def need(*keys):
-        for key in params:
-            if key not in keys:
-                raise ParseError(f"unknown parameter {key!r}")
-        missing = [k for k in keys if k not in params]
-        if missing:
-            raise InvalidParams(f"{family} needs parameters {missing}")
-        return [params[k] for k in keys]
-
     if family == "beta":
         if "a" in params:
-            return BetaIndex(*need("a", "s", "b", "c")).degree(ctx) - 2
-        t, n, s = need("t", "n", "s")
+            return BetaIndex(*_need(params, "a", "s", "b", "c")).degree(ctx) - 2
+        t, n, s = _need(params, "t", "n", "s")
         for name, value, least in (("t", t, 1), ("n", n, 0), ("s", s, 1)):
             if value < least:
                 raise InvalidParams(
@@ -357,13 +348,13 @@ def stem_of(ctx: PrimeContext, family: str, params: dict) -> int:
         return BetaIndex(t, n, s).degree(ctx) - 2
     if family == "gamma":
         if "t" in params:
-            return GammaIndex(*need("t", "b", "c")).degree(ctx) - 3
-        n, s = need("n", "s")
+            return GammaIndex(*_need(params, "t", "b", "c")).degree(ctx) - 3
+        n, s = _need(params, "n", "s")
         if n < 0:
             raise InvalidParams(f"gamma[n,s] needs n >= 0, got n={n}")
         return GammaIndex(power(ctx.p, n), s).degree(ctx) - 3
     if family == "alpha":
-        return AlphaIndex(*need("t", "n")).degree(ctx) - 1
+        return AlphaIndex(*_need(params, "t", "n")).degree(ctx) - 1
     try:
         cls = resolve_named(family, params, ctx)
     except UnknownName as exc:

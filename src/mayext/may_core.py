@@ -19,10 +19,13 @@ would make the a's odd as well, and that convention is not compatible
 with the degree-(1,0,-1) differential squaring to zero, so it is not
 used anywhere.
 
-Basis enumeration works a column (one internal degree t) at a time: a
-Column enumerates each of its cells when it is first read, and keeps its
-generator list, its reachability levels and its Coding for later cells.
-A session.Session holds one Column per t, the one way to a basis.
+A PrimeContext is a plain value, p and q.  Every per-generator table
+lives in a column: basis enumeration works a column (one internal degree
+t) at a time, and a Column enumerates each of its cells, a dict of
+weight blocks, when it is first read, and keeps its generator list with
+their degrees, its reachability levels and its Coding, with the Coding's
+d1 term tables, for later cells.  A session.Session holds one Column per
+t, the one way to a basis.
 Its search finds factor tuples, and the Coding, the one home of the code
 layout, codes each finished block: it ranks the generators below t
 canonically and packs one exponent digit per rank, so an h's one-bit
@@ -112,11 +115,6 @@ class PrimeContext:
 
     p: int
     q: int = field(init=False)
-    # per-generator tables filled on first use: (s, t, u) by degree(),
-    # d1 by may_diff.d1_generator.  They hold only the generators some
-    # computation reached.
-    degree_table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    d1_table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if isinstance(self.p, int) and self.p >= MAX_PRIME:
@@ -124,13 +122,6 @@ class PrimeContext:
         if not isinstance(self.p, int) or self.p < 3 or not _is_prime(self.p):
             raise InvalidParams(f"p must be an odd prime, got {self.p!r}")
         object.__setattr__(self, "q", 2 * (self.p - 1))
-
-    def degree(self, g: "Generator") -> tuple[int, int, int]:
-        """The (s, t, u) of g, a plain tuple, tabulated per generator."""
-        d = self.degree_table.get(g)
-        if d is None:
-            d = self.degree_table[g] = _degree(g, self.p)
-        return d
 
 
 class TriDegree(NamedTuple):
@@ -245,7 +236,7 @@ class Monomial:
     def tridegree(self, ctx: PrimeContext) -> TriDegree:
         s = t = u = 0
         for g, e in self.factors:
-            ds, dt, du = ctx.degree(g)
+            ds, dt, du = _degree(g, ctx.p)
             s += ds * e
             t += dt * e
             u += du * e
@@ -416,21 +407,22 @@ def product(factors: Iterable[MulOperand], ctx: PrimeContext) -> Element:
     return out
 
 
-def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
-    """All generators of internal degree <= t_max, in canonical order.
+def generators_bounded(
+    ctx: PrimeContext, t_max: int
+) -> list[tuple[Generator, tuple[int, int, int]]]:
+    """All generators of internal degree <= t_max, in canonical order,
+    each with its (s, t, u).
 
     The degrees are _degree's formulas on running powers of p.  Internal
     degree grows with i and with j, so a kind ends at the first i whose
     j = 0 generator is past t_max, and each i at its first j past it.
     Every (kind, i, j) built here is valid, so the list skips Generator's
-    argument checks.  The degrees stay in ctx's table for the caller."""
-    p, table, new = ctx.p, ctx.degree_table, tuple.__new__
-    gens: list[Generator] = []
+    argument checks."""
+    p, new = ctx.p, tuple.__new__
+    out: list[tuple[Generator, tuple[int, int, int]]] = []
     i, p_i = 0, 1
     while 2 * p_i - 1 <= t_max:
-        g = new(Generator, (KIND_A, i, 0))
-        table[g] = (1, 2 * p_i - 1, 2 * i + 1)
-        gens.append(g)
+        out.append((new(Generator, (KIND_A, i, 0)), (1, 2 * p_i - 1, 2 * i + 1)))
         i, p_i = i + 1, p_i * p
     # h[i,j] has internal degree 2 (p^i - 1) p^j, b[i,j] p times that
     for kind, s, scale in ((KIND_H, 1, 1), (KIND_B, 2, p)):
@@ -438,12 +430,10 @@ def generators_bounded(ctx: PrimeContext, t_max: int) -> list[Generator]:
         while (dt := 2 * scale * (p_i - 1)) <= t_max:
             j, u = 0, scale * (2 * i - 1)
             while dt <= t_max:
-                g = new(Generator, (kind, i, j))
-                table[g] = (s, dt, u)
-                gens.append(g)
+                out.append((new(Generator, (kind, i, j)), (s, dt, u)))
                 j, dt = j + 1, dt * p
             i, p_i = i + 1, p_i * p
-    return gens
+    return out
 
 
 class Coding:
@@ -459,8 +449,9 @@ class Coding:
 
     The coding of a column (Column.coding) is a function of the context
     and the internal degree alone, so two columns of one t code their
-    cells alike.  d1_terms holds the per-generator d1 term tables that
-    may_diff builds on first use.
+    cells alike.  d1_terms holds the d1 term table of each generator a
+    d1 image on these codes reached, which may_diff builds on first use:
+    the one per-generator d1 cache.
     """
 
     __slots__ = ("gens", "offset", "width", "hmask", "d1_terms")
@@ -502,18 +493,6 @@ class Block:
         self.codes = codes
 
 
-class Cell:
-    """A cell's basis as its column reads it: one Block per weight,
-    weights ascending, and the column's coding, which an empty cell does
-    not need (None)."""
-
-    __slots__ = ("coding", "blocks")
-
-    def __init__(self, coding: Coding | None, blocks: dict[int, Block]):
-        self.coding = coding
-        self.blocks = blocks
-
-
 # Memory bounds of a column: the largest reachability table, in bits (4
 # MiB), and the most entries the wide search memoises at a time (a few
 # MiB; a cell of the corpus needs at most 12k).  Past the second the memo
@@ -534,11 +513,12 @@ class Column:
     degree t, grouped by weight and coded, each cell enumerated once, when
     it is first read.
 
-    An a adds 1 to s and to t mod q, an h or a b adds 0 to t mod q, so a
-    cell with t mod q > s is empty, and is read without a search.  A column
-    builds its generator list and their degrees once, for its first
-    search, and its coding when the first cell with blocks needs codes, so
-    a column whose cells are all empty builds none.
+    A cell is its blocks, {u: Block} with the weights ascending; an empty
+    cell is {}.  An a adds 1 to s and to t mod q, an h or a b adds 0 to t
+    mod q, so a cell with t mod q > s is empty, and is read without a
+    search.  A column builds its generator list and their degrees once,
+    for its first search, and its coding when the first cell with blocks
+    needs codes, so a column whose cells are all empty builds none.
 
     Exponent multisets are found by depth-first search over the bounded
     generator list.  The search is output-sensitive: it enters a branch
@@ -585,7 +565,7 @@ class Column:
         self.ctx, self.t = ctx, t
         self.gens: list[Generator] | None = None
         self.degrees: list[tuple[int, int, int]] = []  # (s_g, t_g, u_g)
-        self.cells: dict[int, Cell] = {}
+        self.cells: dict[int, dict[int, Block]] = {}
         self.levels: list[list[int]] = []
         self._coding: Coding | None = None
 
@@ -605,9 +585,9 @@ class Column:
     def generators(self) -> list[Generator]:
         """The generator list, built on first use with its degrees."""
         if self.gens is None:
-            self.gens = generators_bounded(self.ctx, self.t)
-            # the degrees generators_bounded tabulated
-            self.degrees = list(map(self.ctx.degree_table.__getitem__, self.gens))
+            pairs = generators_bounded(self.ctx, self.t)
+            self.gens = [g for g, _ in pairs]
+            self.degrees = [d for _, d in pairs]
         return self.gens
 
     def reach(self, s: int) -> list[list[int]]:
@@ -632,10 +612,10 @@ class Column:
             levels.append(row)
         return levels
 
-    def read(self, ss: Iterable[int]) -> Iterator[Cell]:
-        """The cell (s, t) of each s in ss, in order, as the caller asks
-        for it: a caller that stops early enumerates no later cell.  The
-        cells one read enumerates share one search."""
+    def read(self, ss: Iterable[int]) -> Iterator[dict[int, Block]]:
+        """The blocks of the cell (s, t) of each s in ss, in order, as the
+        caller asks for them: a caller that stops early enumerates no later
+        cell.  The cells one read enumerates share one search."""
         cells, t, q, levels = self.cells, self.t, self.ctx.q, self.levels
         find = close = None
         try:
@@ -647,9 +627,9 @@ class Column:
                             find, close = _search(self)
                         cell = find(s)
                     elif s == t == 0:
-                        cell = Cell(self.coding, {0: Block([()], [0])})
+                        cell = {0: Block([()], [0])}
                     else:
-                        cell = Cell(None, {})  # no monomial
+                        cell = {}  # no monomial
                     cells[s] = cell
                 yield cell
         finally:
@@ -819,7 +799,7 @@ def _search(column: Column):
                     fill_memo(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du)
                     stack.pop()
 
-    def find(s: int) -> Cell:
+    def find(s: int) -> dict[int, Block]:
         nonlocal cell, steps, found, min_rate, max_rate, a_left
         cell, steps, found = s, 0, {}
         if (t + 1) * (s + 1) * n <= _REACH_TABLE_BITS:
@@ -837,7 +817,7 @@ def _search(column: Column):
             if reach_memo(0, s, t):
                 fill_memo(0, s, t, 0)
         if not found:
-            return Cell(None, {})
+            return {}
         coding = column.coding
         # the factor tuples come out in the order of gens: canonical unless
         # a caller reordered the list
@@ -848,7 +828,7 @@ def _search(column: Column):
                 keys = [tuple(sorted(key)) for key in keys]
             keys.sort()
             blocks[u] = Block(keys, list(map(coding.encode, keys)))
-        return Cell(coding, blocks)
+        return blocks
 
     def close() -> None:
         # the recursive searches reach themselves through their closure

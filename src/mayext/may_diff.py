@@ -7,14 +7,15 @@ d1 has tridegree (1, 0, -1) and is determined by
     d1(b[i,j]) = 0
 
 extended as a derivation with the stem-parity Leibniz sign.  d1 on a
-generator is built with may_core.multiply_factors, the sign rule of
-products, and tabulated once per PrimeContext (d1_generator).  d1 on
-monomials is formed on packed exponent codes (may_core.Coding) in one
-place, _d1_image, from per-generator term tables (_term_table): a
-Leibniz term is one AND (a repeated h), one addition (its target code)
-and one popcount parity (its sign).  Weight blocks are assembled on the
-codes that enumeration gave their monomials (_d1_rows); d1 on an element
-codes its terms, applies _d1_image and decodes the image.
+generator (d1_generator) is built with may_core.multiply_factors, the
+sign rule of products.  d1 on monomials is formed on packed exponent
+codes (may_core.Coding) in one place, _d1_image, from per-generator term
+tables (_term_table), which each coding keeps in its d1_terms, the one
+per-generator d1 cache: a Leibniz term is one AND (a repeated h), one
+addition (its target code) and one popcount parity (its sign).  Weight
+blocks are assembled on the codes that enumeration gave their monomials
+(_d1_rows); d1 on an element codes its terms, applies _d1_image and
+decodes the image.
 
 Because d1 preserves the internal degree and shifts the weight by
 exactly -1, the second-term computation splits into independent blocks,
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .may_core import (
-    Block, Coding, Column, Element, Factors, Generator, InvalidParams, KIND_A, KIND_H,
+    Block, Coding, Column, Element, Factors, Generator, KIND_A, KIND_H,
     Monomial, MulOperand, PrimeContext, _as_element, a, h, multiply_factors, parse_element,
 )
 
@@ -50,23 +51,19 @@ SCHEMA_VERSION = "mayv1"
 
 
 def d1_generator(g: Generator, ctx: PrimeContext) -> Element:
-    """d1 on one generator, computed once per context and tabulated in
-    ctx.d1_table.  The Element returned is shared: callers must not
-    mutate it."""
-    dg = ctx.d1_table.get(g)
-    if dg is None:
-        if g.kind == KIND_H:
-            pairs = [(h(g.i - k, k + g.j), h(k, g.j)) for k in range(1, g.i)]
-        elif g.kind == KIND_A:
-            pairs = [(a(k), h(g.i - k, k)) for k in range(g.i)]
-        else:
-            pairs = []
-        dg = Element.zero(ctx)
-        for x, y in pairs:
-            prod = multiply_factors(((x, 1),), ((y, 1),))
-            if prod is not None:
-                dg._add_term(prod[0], -prod[1])
-        ctx.d1_table[g] = dg
+    """d1 on one generator, built afresh on each call; a coding keeps the
+    term tables made from it (_term_table)."""
+    if g.kind == KIND_H:
+        pairs = [(h(g.i - k, k + g.j), h(k, g.j)) for k in range(1, g.i)]
+    elif g.kind == KIND_A:
+        pairs = [(a(k), h(g.i - k, k)) for k in range(g.i)]
+    else:
+        pairs = []
+    dg = Element.zero(ctx)
+    for x, y in pairs:
+        prod = multiply_factors(((x, 1),), ((y, 1),))
+        if prod is not None:
+            dg._add_term(prod[0], -prod[1])
     return dg
 
 
@@ -330,16 +327,16 @@ def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
 
 class Boundaries:
     """The boundary data of (s, t), t the internal degree of column: one
-    block per weight u of the basis, each built on its first read (block):
-    the column of each basis monomial, and the echelon rows of the d1
-    images of block u + 1 of (s-1, t), keyed by pivot.  The cells are read
-    here, (s - 1, t) only when (s, t) has blocks."""
+    block per weight u of the basis (blocks), each built on its first read
+    (block): the column of each basis monomial, and the echelon rows of
+    the d1 images of block u + 1 of (s-1, t), keyed by pivot.  The cells
+    are read here, (s - 1, t) only when (s, t) has blocks."""
 
     def __init__(self, column: Column, s: int):
-        self.ctx, self.s, self.t = column.ctx, s, column.t
+        self.column, self.ctx, self.s, self.t = column, column.ctx, s, column.t
         cells = column.read((s, s - 1))
-        self.cell = next(cells)
-        self.below = next(cells) if self.cell.blocks else None
+        self.blocks = next(cells)
+        self.below = next(cells) if self.blocks else None
         self.built: dict[int, tuple[dict[Factors, int], dict[int, Row]]] = {}
 
     def block(self, u: int) -> tuple[dict[Factors, int], dict[int, Row]]:
@@ -347,10 +344,10 @@ class Boundaries:
         monomial of weight u."""
         got = self.built.get(u)
         if got is None:
-            block = self.cell.blocks[u]
-            source = self.below.blocks.get(u + 1)
+            block = self.blocks[u]
+            source = self.below.get(u + 1)
             where = f"({self.s},{self.t},{u})"
-            rows = _d1_rows(self.ctx, self.cell.coding, source, block, where)
+            rows = _d1_rows(self.ctx, self.column.coding, source, block, where)
             b_ech, b_piv = echelon(rows, self.ctx.p)
             index = {key: k for k, key in enumerate(block.keys)}
             got = self.built[u] = (index, dict(zip(b_piv, b_ech)))
@@ -362,24 +359,23 @@ def cell_homology(column: Column, s: int, boundaries) -> E2Report:
     per weight, the dimensions and the representatives.
 
     The coded bases come from column, which reads (s + 1, t) and (s - 1, t)
-    in the search of (s, t), and only when (s, t) has blocks; only then is
-    the boundary data read, from boundaries(s, t) (Session.boundaries)."""
+    in the search of (s, t), and only when (s, t) has blocks; only then are
+    the column's coding and the boundary data read, the latter from
+    boundaries(s, t) (Session.boundaries).  s and t are not negative."""
     ctx, t = column.ctx, column.t
-    if s < 0 or t < 0:
-        raise InvalidParams(f"bidegree out of range: ({s},{t})")
     p = ctx.p
     cells = column.read((s, s + 1, s - 1))
     here = next(cells)
-    if not here.blocks:
+    if not here:
         return E2Report(s, t, p, {})
     above, _ = cells  # (s - 1, t) too, for the boundary data
-    data = boundaries(s, t)
+    coding, data = column.coding, boundaries(s, t)
 
     weights = {}
-    for u, block in here.blocks.items():
+    for u, block in here.items():
         boundary = data.block(u)[1]
         where = f"({s+1},{t},{u-1})"
-        out_rows = _d1_rows(ctx, here.coding, block, above.blocks.get(u - 1), where)
+        out_rows = _d1_rows(ctx, coding, block, above.get(u - 1), where)
         cycles = kernel(out_rows, p, len(block.keys))
 
         # boundaries lie among the cycles, so every boundary pivot is a
@@ -406,7 +402,7 @@ def _reduce(data: Boundaries, elem: Element) -> dict[int, Row]:
     rows = {}
     for u, terms in sorted(groups.items()):
         where = f"({data.s},{data.t},{u})"
-        if u not in data.cell.blocks:
+        if u not in data.blocks:
             first = Monomial(min(terms), terms[min(terms)]).text()
             raise AssertionError(f"term {first} has no block at {where}")
         index, boundary = data.block(u)
@@ -419,7 +415,7 @@ def reduce_mod_boundaries(data: Boundaries, elem: Element) -> Element:
     boundaries of each weight block it meets; zero iff elem is a boundary."""
     out = Element.zero(data.ctx)
     for u, vec in _reduce(data, elem).items():
-        out = out + _block_element(data.cell.blocks[u].keys, vec, data.ctx.p)
+        out = out + _block_element(data.blocks[u].keys, vec, data.ctx.p)
     return out
 
 

@@ -24,7 +24,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .may_core import Column, MayextError, Monomial, PrimeContext
+from .may_core import Column, InvalidParams, MayextError, Monomial, PrimeContext
 from .may_diff import SCHEMA_VERSION, Boundaries, E2Report, cell_homology, summary_to_report
 
 logger = logging.getLogger("mayext")
@@ -92,11 +92,18 @@ class DiskCache:
             self.write_failed = True
 
 
+def _check(s: int, t: int) -> None:
+    """Refuse a bidegree with s < 0 or t < 0, before any column is built."""
+    if s < 0 or t < 0:
+        raise InvalidParams(f"bidegree out of range: ({s},{t})")
+
+
 class Session:
     """All computations for one prime: memos of records and boundary data
     keyed by (s, t), one may_core.Column per internal degree t, which holds
     the bases of its cells, and an optional disk cache behind report, the
-    one source of records."""
+    one source of records.  report, boundaries and basis refuse a
+    bidegree with s < 0 or t < 0 (InvalidParams)."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
         self.ctx = ctx
@@ -120,6 +127,7 @@ class Session:
         hit = self.memo.get((s, t))
         if hit is not None:
             return hit
+        _check(s, t)
         if self.disk is not None:
             summary = self.disk.get(self._key(s, t))
             if summary is not None:
@@ -141,13 +149,15 @@ class Session:
         """The boundary data of (s, t), memoised, never from disk."""
         data = self.boundary_memo.get((s, t))
         if data is None:
+            _check(s, t)
             data = self.boundary_memo[(s, t)] = Boundaries(self.column(t), s)
         return data
 
     def basis(self, s: int, t: int) -> list[Monomial]:
         """The basis monomials of (s, t), every weight, sorted by factors."""
-        (cell,) = self.column(t).read((s,))
-        return [Monomial(key) for key in sorted(k for b in cell.blocks.values() for k in b.keys)]
+        _check(s, t)
+        (blocks,) = self.column(t).read((s,))
+        return [Monomial(key) for key in sorted(k for b in blocks.values() for k in b.keys)]
 
     def column(self, t: int) -> Column:
         """The Column of t, built on first use."""

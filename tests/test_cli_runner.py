@@ -204,6 +204,17 @@ class TestSession:
         session = Session(C7)
         assert session.report(1, 588) is session.report(1, 588)
 
+    @pytest.mark.parametrize("s, t", [(2, -10), (-1, 5)])
+    def test_negative_bidegree_builds_no_column(self, s, t):
+        # records, boundary data and bases all refuse it, before a column
+        session = Session(C7)
+        for read in (session.report, session.boundaries, session.basis):
+            with pytest.raises(InvalidParams) as err:
+                read(s, t)
+            assert str(err.value) == f"bidegree out of range: ({s},{t})"
+        assert session.columns == {} and session.memo == {}
+        assert session.boundary_memo == {}
+
     def test_disk_round_trip(self, tmp_path):
         first = Session(C7, cache_dir=tmp_path)
         direct = first.report(1, 588)
@@ -328,6 +339,13 @@ class TestBasicCommands:
         assert res.exit_code == 0
         assert res.stdout == "h[1,2]  u=1\n"
         assert "total 1" in res.stderr
+
+    @pytest.mark.parametrize("command", ["basis", "e2"])
+    def test_negative_bidegree_exit_one(self, runner, command):
+        res = runner.invoke(main, ["-p", "7", command, "--", "2", "-10"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == "Error: bidegree out of range: (2,-10)\n"
 
     def test_d1(self, runner):
         res = runner.invoke(main, ["-p", "7", "d1", "a2"])
@@ -508,6 +526,18 @@ class TestBasicCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.endswith(f"\nError: unknown parameter {key!r}\n")
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [(["beta", "-P", "a=1", "-P", "s=1", "-P", "b=1"], "c"), (["h"], "n")],
+        ids=["index", "named"],
+    )
+    def test_stems_missing_param_exit_one(self, runner, args, key):
+        # an index family and a named class say the same thing
+        res = runner.invoke(main, ["-p", "5", "stems", *args])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"Error: missing parameter {key!r}\n"
 
     @pytest.mark.parametrize(
         "args, message",

@@ -2,8 +2,8 @@
 
 `reference_d1` expands d1 the slow way: d1 on each generator from its
 defining sum, and each Leibniz term as two calls of `multiply` on
-Monomials.  `may_diff.d1` tabulates d1 on generators and forms each
-term directly on factor tuples, so the two must agree term for term,
+Monomials.  `may_diff.d1` builds per-generator term tables and forms
+each term on packed exponent codes, so the two must agree term for term,
 sign included.  d1 o d1 = 0 alone does not pin every sign: a sign error
 that is consistent across a whole complex can still square to zero.
 """

@@ -112,7 +112,7 @@ class TestTridegrees:
 class TestGenerator:
     @pytest.mark.parametrize("ctx, t_max", [(C3, 400), (C5, 2000), (C7, 10**6)])
     def test_order_is_kind_i_j(self, ctx, t_max):
-        gens = generators_bounded(ctx, t_max)
+        gens = generators_below(ctx, t_max)
         by_fields = sorted(gens, key=lambda g: (g.kind, g.i, g.j))
         assert gens == by_fields
         assert sorted(gens[::-1]) == by_fields
@@ -120,8 +120,8 @@ class TestGenerator:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_list_is_every_generator_up_to_t(self, p):
         # against validated generators over a box of indices, at every t
-        # where the list grows and one below it; the degrees it tabulates
-        # are the generators' own
+        # where the list grows and one below it; the degrees it pairs them
+        # with are the generators' own
         ctx = PrimeContext(p)
         box = [Generator(KIND_A, i) for i in range(12)] + [
             Generator(kind, i, j) for kind in (KIND_H, KIND_B)
@@ -130,10 +130,11 @@ class TestGenerator:
         t_max = 2 * p**6
         edges = sorted({g.tridegree(ctx).t for g in box if g.tridegree(ctx).t <= t_max})
         for t in [0] + [e + d for e in edges for d in (-1, 0)]:
-            gens = generators_bounded(ctx, t)
+            pairs = generators_bounded(ctx, t)
+            gens = [g for g, _ in pairs]
             assert gens == sorted(g for g in box if g.tridegree(ctx).t <= t)
             assert all(type(g) is Generator for g in gens)
-            assert all(ctx.degree(g) == tuple(g.tridegree(ctx)) for g in gens)
+            assert all(type(d) is tuple and d == g.tridegree(ctx) for g, d in pairs)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -162,7 +163,7 @@ class TestGenerator:
             g.i = 3
 
     def test_dict_keys(self):
-        gens = generators_bounded(C5, 2000)
+        gens = generators_below(C5, 2000)
         table = {g: k for k, g in enumerate(gens)}
         assert len(table) == len(gens)
         assert table[Generator(KIND_H, 1, 2)] == gens.index(h(1, 2))
@@ -348,11 +349,16 @@ WIDE_CELLS = [
 ]
 
 
+def generators_below(ctx, t):
+    """The generators of internal degree <= t, in canonical order."""
+    return [g for g, _ in generators_bounded(ctx, t)]
+
+
 def brute_force_basis(ctx, s, t):
     """Exhaustive multiset enumeration, independent of the search order."""
     if s == 0:
         return [()] if t == 0 else []
-    gens = generators_bounded(ctx, t)
+    gens = generators_below(ctx, t)
     degree = {g: g.tridegree(ctx) for g in gens}
     found = set()
     for k in range(1, s + 1):
@@ -380,7 +386,11 @@ class TestEnumerateBasis:
         assert fresh_basis(C5, 0, 0) == [Monomial.one()]
         assert fresh_basis(C5, 0, 5) == []
         assert fresh_basis(C5, 3, 2) == []
-        assert fresh_basis(C5, -1, 4) == []
+        # a negative bidegree is refused, as a record of it is
+        for s, t in ((-1, 4), (2, -10)):
+            with pytest.raises(InvalidParams) as err:
+                fresh_basis(C5, s, t)
+            assert str(err.value) == f"bidegree out of range: ({s},{t})"
 
     def test_single_generator_cells(self):
         assert [m.text() for m in fresh_basis(C7, 1, 588)] == ["h[1,2]"]
@@ -425,7 +435,7 @@ class TestEnumerateBasis:
         # skipped generator overflowed the stack here
         factors = (h(14, 6), h(16, 18), h(19, 14))
         t = _t(C3, *factors)
-        assert len(generators_bounded(C3, t)) > sys.getrecursionlimit()
+        assert len(generators_below(C3, t)) > sys.getrecursionlimit()
         fwd = [m.factors for m in fresh_basis(C3, 3, t)]
         with reversed_generators() as calls:
             rev = [m.factors for m in fresh_basis(C3, 3, t)]
@@ -466,42 +476,43 @@ class TestEnumerateBasis:
 
 def read_column(ctx, t, ss):
     """The cells (s, t), s in ss, of a fresh session's column, read in one
-    search: {s: Cell}."""
+    search: (the column, {s: blocks})."""
     ss = list(dict.fromkeys(ss))
-    return dict(zip(ss, Session(ctx).column(t).read(ss)))
+    col = Session(ctx).column(t)
+    return col, dict(zip(ss, col.read(ss)))
 
 
 def column(ctx, t, ss):
-    """read_column(ctx, t, ss) as plain data, {s: {u: (keys, codes)}},
-    which compares by value."""
+    """The cells of read_column(ctx, t, ss) as plain data, {s: {u: (keys,
+    codes)}}, which compares by value."""
     return {
-        s: {u: (blk.keys, blk.codes) for u, blk in cell.blocks.items()}
-        for s, cell in read_column(ctx, t, ss).items()
+        s: {u: (blk.keys, blk.codes) for u, blk in blocks.items()}
+        for s, blocks in read_column(ctx, t, ss)[1].items()
     }
 
 
-def check_cell(ctx, s, t, cell):
-    """The block keys of the cell (s, t) against the brute-force oracle,
-    with each block of the weight it is filed under, in order, and its
-    codes decoding to its keys."""
-    assert list(cell.blocks) == sorted(cell.blocks), (ctx.p, s, t)
+def check_cell(ctx, s, t, col, blocks):
+    """The block keys of the cell (s, t) of col against the brute-force
+    oracle, with each block of the weight it is filed under, in order, and
+    its codes decoding to its keys in the column's coding."""
+    assert list(blocks) == sorted(blocks), (ctx.p, s, t)
     found = []
-    for u, blk in cell.blocks.items():
+    for u, blk in blocks.items():
         keys = blk.keys
         assert keys and keys == sorted(keys), (ctx.p, s, t, u)
         degrees = {Monomial(key).tridegree(ctx) for key in keys}
         assert degrees == {(s, t, u)}, (ctx.p, s, t, u)
-        assert list(map(cell.coding.decode, blk.codes)) == keys, (ctx.p, s, t, u)
+        assert list(map(col.coding.decode, blk.codes)) == keys, (ctx.p, s, t, u)
         found += keys
     assert sorted(found) == brute_force_basis(ctx, s, t), (ctx.p, s, t)
 
 
 def check_column(ctx, t, ss):
-    """check_cell on each cell of read_column(ctx, t, ss)."""
-    cells = read_column(ctx, t, ss)
+    """check_cell on each cell of read_column(ctx, t, ss); the cells."""
+    col, cells = read_column(ctx, t, ss)
     assert list(cells) == list(dict.fromkeys(ss)), (ctx.p, t)
-    for s, cell in cells.items():
-        check_cell(ctx, s, t, cell)
+    for s, blocks in cells.items():
+        check_cell(ctx, s, t, col, blocks)
     return cells
 
 
@@ -527,7 +538,7 @@ class TestEnumerateBases:
             for t in self.TS:
                 check_column(ctx, t, self.SS)
         for ctx, s, t in WIDE_CELLS:
-            assert check_column(ctx, t, [s, s - 1])[s].blocks, (ctx.p, s, t)
+            assert check_column(ctx, t, [s, s - 1])[s], (ctx.p, s, t)
 
     @pytest.mark.parametrize(
         "table_bits, kept_bits",
@@ -547,8 +558,8 @@ class TestEnumerateBases:
             for t in self.TS:
                 column = may_core.Column(ctx, t)
                 for s in range(min(self.SS), s_max + 1):
-                    (cell,) = column.read([s])
-                    check_cell(ctx, s, t, cell)
+                    (blocks,) = column.read([s])
+                    check_cell(ctx, s, t, column, blocks)
                 # the levels reach the highest cell searched: a cell with t
                 # mod q > s is empty without one
                 top = min(s_max, t)

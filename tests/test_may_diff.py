@@ -246,17 +246,39 @@ class TestD1OnGenerators:
         assert d1(a(2), C7) == parse_element("6 a0 h[2,0] + 6 a1 h[1,1]", C7)
 
     def test_table_holds_reached_generators_unchanged(self):
+        # a column's coding keeps the d1 term table of each generator a d1
+        # image on its codes reached: the generators of the cell's
+        # monomials and of the monomials below whose images are boundaries
+        session = Session(C3)
+        first = session.report(6, 55).serialize()
+        column = session.columns[55]
+        here, below = column.cells[6], column.cells[5]
+        sources = list(here.values()) + [
+            below[u + 1] for u in here if u + 1 in below
+        ]
+        reached = {g for blk in sources for key in blk.keys for g, _ in key}
+        tables = column.coding.d1_terms
+        assert set(tables) == reached and a(1) in reached
+        before = {g: list(table) for g, table in tables.items()}
+        # a second computation of the record reuses the same tables, and no
+        # use changes them
+        session.memo.clear()
+        session.boundary_memo.clear()
+        assert session.report(6, 55).serialize() == first
+        assert {g: list(table) for g, table in tables.items()} == before
+        # d1 on an element codes it afresh: repeated images are equal
+        x = parse_element("a2^2 h[3,0] + 3 a1 h[2,0] b[1,0]", C7)
+        image = d1(x, C7)
+        assert d1(x, C7) + d1(d1(x, C7), C7) == image
+        assert d1_generator(a(2), C7) == parse_element("6 a0 h[2,0] + 6 a1 h[1,1]", C7)
+
+    def test_context_is_a_plain_value(self):
+        # no computation leaves state on the context: per-generator tables
+        # live in the session's columns
         ctx = PrimeContext(7)
-        x = parse_element("a2^2 h[3,0] + 3 a1 h[2,0] b[1,0]", ctx)
-        image = d1(x, ctx)
-        table = dict(ctx.d1_table)
-        assert set(table) == {a(1), a(2), h(2, 0), h(3, 0), b(1, 0)}
-        before = {g: Element(7, dict(dg._terms)) for g, dg in table.items()}
-        # reuse serves the same objects, and no use changes them
-        assert d1(x, ctx) + d1(d1(x, ctx), ctx) == image
-        assert all(d1_generator(g, ctx) is dg for g, dg in table.items())
-        assert table == before
-        assert d1_generator(a(2), ctx) == parse_element("6 a0 h[2,0] + 6 a1 h[1,1]", ctx)
+        Session(ctx).report(6, 588)
+        d1(parse_element("a2^2 h[3,0] + 3 a1 h[2,0] b[1,0]", ctx), ctx)
+        assert vars(ctx) == {"p": 7, "q": 12}
 
     def test_degree_shift(self):
         # image sits one filtration up, same t, one weight down
@@ -568,8 +590,7 @@ def e1_counts(ctx, s_max, t_max):
     by one knapsack pass over the generators."""
     rows = [{} for _ in range(t_max + 1)]
     rows[0][(0, 0)] = 1
-    for g in generators_bounded(ctx, t_max):
-        ds, dt, du = g.tridegree(ctx)
+    for g, (ds, dt, du) in generators_bounded(ctx, t_max):
         # descending t takes an exterior h at most once; ascending t
         # lets an a or b add to what it already reached
         order = range(t_max - dt, -1, -1) if g.is_odd else range(t_max - dt + 1)
@@ -598,14 +619,14 @@ def test_weight_blocks_match_the_e1_count(p, s_max, t_max):
     assert inhabited > 400
 
 
-def block_rows_by_d1(ctx, cell, target, u):
-    """The d1 rows of block u of `cell` over block u - 1 of `target`, from
-    the public d1 and the target's factor tuples."""
-    keys = target.blocks[u - 1].keys if u - 1 in target.blocks else []
+def block_rows_by_d1(ctx, blocks, target, u):
+    """The d1 rows of block u of the cell `blocks` over block u - 1 of the
+    cell `target`, from the public d1 and the target's factor tuples."""
+    keys = target[u - 1].keys if u - 1 in target else []
     index = {key: k for k, key in enumerate(keys)}
     return [
         {index[k]: c for k, c in d1(Monomial(key), ctx)._terms.items()}
-        for key in cell.blocks[u].keys
+        for key in blocks[u].keys
     ]
 
 
@@ -618,18 +639,18 @@ class TestCodedKernel:
         # (s+1, s+1) and powers of a0 next to a1, h[1,0] and b[1,0]: the
         # rows on codes equal the public d1 on factor tuples
         for t in range(s, s + 13):
-            cells = read_column(C3, t, [s, s + 1])
+            col, cells = read_column(C3, t, [s, s + 1])
             here, above = cells[s], cells[s + 1]
-            for u, block in here.blocks.items():
-                rows = may_diff._d1_rows(C3, here.coding, block, above.blocks.get(u - 1), "")
+            for u, block in here.items():
+                rows = may_diff._d1_rows(C3, col.coding, block, above.get(u - 1), "")
                 assert rows == block_rows_by_d1(C3, here, above, u), (s, t, u)
-        (block,) = read_column(C3, s, [s])[s].blocks.values()
+        (block,) = read_column(C3, s, [s])[1][s].values()
         assert block.keys == [((a(0), s),)]
         assert block.codes == [s]
 
     def test_full_digit(self):
         # the digit of a0 at t = 7 is 3 bits wide, and a0^7 fills it
-        coding = read_column(C3, 7, [7])[7].coding
+        coding = read_column(C3, 7, [7])[0].coding
         assert coding.offset[a(0)] == 0 and coding.width[a(0)] == 3
         assert coding.encode(((a(0), 7),)) == 0b111
         assert coding.decode(0b111) == ((a(0), 7),)
@@ -641,10 +662,10 @@ class TestCodedKernel:
         # h[4,0] at p=5 (3,2296): the first two terms repeat an h, and their
         # h[2,2] and h[3,0] occur in no monomial of (4,2296).  A coding built
         # from the generators of the bases alone cannot code them
-        cells = read_column(C5, 2296, [3, 4])
-        (block,) = cells[3].blocks.values()
+        _, cells = read_column(C5, 2296, [3, 4])
+        (block,) = cells[3].values()
         assert [Monomial(key).text() for key in block.keys] == ["h[1,3] h[2,0] h[4,0]"]
-        occurring = {g for blk in cells[4].blocks.values() for key in blk.keys for g, _ in key}
+        occurring = {g for blk in cells[4].values() for key in blk.keys for g, _ in key}
         assert h(2, 2) not in occurring and h(3, 0) not in occurring
         terms = d1_generator(h(4, 0), C5)._terms
         assert ((h(2, 0), 1), (h(2, 2), 1)) in terms
@@ -663,22 +684,26 @@ class TestCodedKernel:
         # ranks are canonical positions, not positions in the list the
         # search walks, so a reversed list gives the same codes and records
         ctx = PrimeContext(p)
-        fwd = read_column(ctx, t, [s, s + 1, s - 1])
+        ss = [s, s + 1, s - 1]
+        fwd_col, fwd = read_column(ctx, t, ss)
+        # (2, q) is empty, but t = q mod q, so its column searches for it
+        fwd_empty, _ = read_column(ctx, ctx.q, [2])
         record = fresh_record(ctx, s, t).serialize()
         with reversed_generators() as calls:
-            rev = read_column(ctx, t, [s, s + 1, s - 1])
+            rev_col, rev = read_column(ctx, t, ss)
+            rev_empty, _ = read_column(ctx, ctx.q, [2])
             assert fresh_record(ctx, s, t).serialize() == record
-        assert calls == [t, t]
+        assert calls == [t, ctx.q, t]
+        # an all-empty column builds no coding
+        assert fwd_empty._coding is None and rev_empty._coding is None
+        assert fwd_empty.gens is not None and rev_empty.gens is not None
+        assert any(fwd.values())
+        assert rev_col.coding.gens == fwd_col.coding.gens
+        assert rev_col.coding.offset == fwd_col.coding.offset
         for x in fwd:
-            # an empty cell carries no coding
-            assert (rev[x].coding is None) == (fwd[x].coding is None) == (not fwd[x].blocks)
-            if fwd[x].blocks:
-                assert rev[x].coding.gens == fwd[x].coding.gens
-                assert rev[x].coding.offset == fwd[x].coding.offset
-            assert {u: (blk.keys, blk.codes) for u, blk in rev[x].blocks.items()} == {
-                u: (blk.keys, blk.codes) for u, blk in fwd[x].blocks.items()
+            assert {u: (blk.keys, blk.codes) for u, blk in rev[x].items()} == {
+                u: (blk.keys, blk.codes) for u, blk in fwd[x].items()
             }
-        assert any(fwd[x].blocks for x in fwd)
 
     def test_missing_d1_term_is_named(self):
         # a target block that lacks terms of a d1 image: the row names the
@@ -688,17 +713,17 @@ class TestCodedKernel:
         column = session.columns[55]
         here, above = column.cells[6], column.cells[7]
         u, first = next(
-            (u, blk.keys[0]) for u, blk in here.blocks.items()
+            (u, blk.keys[0]) for u, blk in here.items()
             if len(d1(Monomial(blk.keys[0]), C3)._terms) >= 2
         )
         image = d1(Monomial(first), C3)._terms
         dropped = sorted(image)[-2:]
-        target = above.blocks[u - 1]
+        target = above[u - 1]
         kept = [(k, c) for k, c in zip(target.keys, target.codes) if k not in dropped]
-        column.cells[7] = may_core.Cell(above.coding, {
-            **above.blocks,
+        column.cells[7] = {
+            **above,
             u - 1: may_core.Block([k for k, _ in kept], [c for _, c in kept]),
-        })
+        }
         session.memo.clear()
         with pytest.raises(AssertionError) as err:
             session.report(6, 55)
