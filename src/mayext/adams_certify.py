@@ -71,8 +71,6 @@ class MissingRepresentative(MayextError):
 
 @dataclass
 class Certificate:
-    s: int
-    t: int
     verdict: str
     report: E2Report
 
@@ -88,24 +86,16 @@ class Certificate:
     def dim(self) -> int:
         return 0 if self.certified_zero else self.report.e2_total
 
-    @property
-    def e1_total(self) -> int:
-        return self.report.e1_total
-
-    @property
-    def e2_total(self) -> int:
-        return self.report.e2_total
-
     def serialize(self) -> dict:
         out = {
-            "s": self.s,
-            "t": self.t,
+            "s": self.report.s,
+            "t": self.report.t,
             "verdict": self.verdict,
             "dim": self.dim,
-            "e1": self.e1_total,
-            "e2": self.e2_total,
+            "e1": self.report.e1_total,
+            "e2": self.report.e2_total,
         }
-        if self.e2_total:
+        if self.report.e2_total:
             out["basis"] = [rep.text() for rep in self.report.representatives]
         return out
 
@@ -119,7 +109,7 @@ def _zero_verdict(report: E2Report) -> str | None:
 def certify_ext_vanishing(reports: ReportSource, s: int, t: int) -> Certificate:
     """Certificate for the cohomology group at (s, t), zero side only."""
     report = reports(s, t)
-    return Certificate(s, t, _zero_verdict(report) or UPPER_BOUND, report)
+    return Certificate(_zero_verdict(report) or UPPER_BOUND, report)
 
 
 def certify_ext_dim(reports: ReportSource, s: int, t: int) -> Certificate:
@@ -133,7 +123,7 @@ def certify_ext_dim(reports: ReportSource, s: int, t: int) -> Certificate:
         below = reports(s - 1, t).e2_total if s >= 1 else 0
         exact = below == 0 and reports(s + 1, t).e2_total == 0
         verdict = DIM_CERTIFIED if exact else UPPER_BOUND
-    return Certificate(s, t, verdict, report)
+    return Certificate(verdict, report)
 
 
 @dataclass
@@ -287,22 +277,21 @@ def resolve_named(name: str, params: dict, ctx: PrimeContext) -> NamedClass:
 
 @dataclass
 class WindowRow:
+    """The certificates of d_r's target and, unless vacuous, its source."""
+
     r: int
-    target_bidegree: tuple[int, int]
     target: Certificate
-    source_bidegree: tuple[int, int] | None
     source: Certificate | None
 
     def serialize(self) -> dict:
-        return {
-            "r": self.r,
-            "target": {"bidegree": list(self.target_bidegree), **self.target.serialize()},
-            "source": (
-                {"bidegree": list(self.source_bidegree), **self.source.serialize()}
-                if self.source is not None
+        out: dict = {"r": self.r}
+        for side, cert in (("target", self.target), ("source", self.source)):
+            out[side] = (
+                {"bidegree": [cert.report.s, cert.report.t], **cert.serialize()}
+                if cert is not None
                 else {"vacuous": True}
-            ),
-        }
+            )
+        return out
 
 
 @dataclass
@@ -376,12 +365,9 @@ def adams_dr_window(
     report = WindowReport(s, t, r_min, r_max)
     for r in range(r_min, r_max + 1):
         target = certify_ext_vanishing(reports, s + r, t + r - 1)
-        if r <= s and t - r + 1 >= 0:
-            src_bidegree = (s - r, t - r + 1)
-            source = certify_ext_vanishing(reports, *src_bidegree)
-        else:
-            src_bidegree, source = None, None
-        report.rows.append(WindowRow(r, (s + r, t + r - 1), target, src_bidegree, source))
+        vacuous = r > s or t - r + 1 < 0
+        source = None if vacuous else certify_ext_vanishing(reports, s - r, t - r + 1)
+        report.rows.append(WindowRow(r, target, source))
     return report
 
 

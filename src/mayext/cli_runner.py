@@ -266,7 +266,7 @@ def _check_ext_vanishing(session: Session, claim: dict):
             return "pass", f"({s},{t}) {cert.verdict}"
         return (
             "uncertified",
-            f"({s},{t}) second term has dim {cert.e2_total}, cannot certify zero",
+            f"({s},{t}) second term has dim {cert.report.e2_total}, cannot certify zero",
         )
     if cert.verdict == expect:
         return "pass", f"({s},{t}) {cert.verdict}"
@@ -512,15 +512,15 @@ def chart_data(session: Session, s_max: int, t_max: int) -> dict:
     for s in range(s_max + 1):
         for t in range(s, t_max + 1):
             cert = certify_ext_dim(session.report, s, t)
-            if cert.e2_total == 0:
+            if cert.report.e2_total == 0:
                 continue
             cells.append(
                 {
                     "s": s,
                     "t": t,
                     "stem": t - s,
-                    "e1": cert.e1_total,
-                    "e2": cert.e2_total,
+                    "e1": cert.report.e1_total,
+                    "e2": cert.report.e2_total,
                     "verdict": cert.verdict,
                     "reps": [rep.text() for rep in cert.report.representatives],
                 }
@@ -731,7 +731,7 @@ def e2(session, s, t, as_json):
     for u, blk in report.weights.items():
         line = (
             f"  u={u}: e1={blk.e1_dim} cycles={blk.cycle_dim} "
-            f"boundaries={blk.boundary_dim} e2={blk.e2_dim}"
+            f"boundaries={blk.boundary_dim} e2={len(blk.representatives)}"
         )
         if blk.representatives:
             line += "  [" + "; ".join(r.text() for r in blk.representatives) + "]"
@@ -771,12 +771,12 @@ def window(session, s, t, r_min, r_max, as_json):
         click.echo(json.dumps(report.serialize(), indent=2))
         return
     for row in report.rows:
-        tgt = f"target ({row.target_bidegree[0]},{row.target_bidegree[1]}) {row.target.verdict}"
-        if row.source is None:
-            src = "source vacuous"
-        else:
-            src = f"source ({row.source_bidegree[0]},{row.source_bidegree[1]}) {row.source.verdict}"
-        click.echo(f"r={row.r}: {tgt}; {src}")
+        sides = [
+            f"{side} vacuous" if cert is None
+            else f"{side} ({cert.report.s},{cert.report.t}) {cert.verdict}"
+            for side, cert in (("target", row.target), ("source", row.source))
+        ]
+        click.echo(f"r={row.r}: {'; '.join(sides)}")
     click.echo(
         f"permanent cycle up to r={report.permanent_cycle_up_to}; "
         f"not a boundary: {report.not_boundary}"

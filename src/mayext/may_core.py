@@ -216,18 +216,19 @@ class Monomial:
     coeff: int = 1
 
     @staticmethod
-    def build(pairs: Iterable[tuple[Generator, int]], coeff: int = 1) -> "Monomial":
+    def build(pairs: list[tuple[Generator, int]], coeff: int = 1) -> "Monomial":
+        """coeff times the product of the written factors, with its graded
+        sign from multiply_factors; an exterior square is refused."""
         merged: dict[Generator, int] = {}
         for g, e in pairs:
             if e < 0:
                 raise InvalidParams(f"negative exponent on {g.text()}")
-            if e:
-                merged[g] = merged.get(g, 0) + e
+            merged[g] = merged.get(g, 0) + e
         for g, e in merged.items():
             if g.is_odd and e > 1:
                 raise InvalidParams(f"{g.text()} is exterior; exponent {e} is not allowed")
-        factors = tuple(sorted(merged.items(), key=lambda fe: fe[0]))
-        return Monomial(factors, coeff)
+        factors, sign = multiply_factors(*(((g, e),) for g, e in pairs if e))
+        return Monomial(factors, coeff * sign)
 
     @staticmethod
     def one(coeff: int = 1) -> "Monomial":
@@ -887,7 +888,7 @@ def parse_monomial(text: str, ctx: PrimeContext) -> Monomial:
         raise ParseError(str(exc)) from exc
     if mono.coeff == 0:
         raise ParseError("coefficient is zero mod p")
-    return mono
+    return Monomial(mono.factors, mono.coeff % ctx.p)
 
 
 def parse_element(text: str, ctx: PrimeContext) -> Element:

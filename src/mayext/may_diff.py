@@ -30,12 +30,13 @@ reduced row echelon form, unique for a row space, so no output depends
 on the order of rows or of elimination.  A block's representatives are
 the cycle echelon rows whose pivot is not a boundary pivot.
 
-A record (E2Report) is plain data, what serialize writes.  A cell's
-boundary data (Boundaries(column, s)) is memoised apart by
-Session.boundaries; cell_homology, reduce_mod_boundaries and e2_rank
-read it.  It builds each weight's block on the block's first read, so a
-reduction builds the weights its elements meet and cell_homology, which
-reads every weight, the rest.
+A record (E2Report) is plain data that stores each number once:
+serialize derives the totals and each weight's e2.  A cell's boundary
+data (Boundaries(column, s)) is memoised apart by Session.boundaries;
+cell_homology, reduce_mod_boundaries and e2_rank read it.  It builds
+each weight's block on the block's first read, so a reduction builds the
+weights its elements meet and cell_homology, which reads every weight,
+the rest.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def d1_generator(g: Generator, ctx: PrimeContext) -> Element:
     return dg
 
 
-def _term_table(coding: Coding, g: Generator, ctx: PrimeContext) -> list:
-    """The terms of d1(g) in the coding: (code delta, clash mask, sign
-    mask, coefficient) for each, which _d1_image reads.
+def _term_table(coding: Coding, g: Generator, terms: dict[Factors, int]) -> list:
+    """The terms of d1(g), terms, in the coding: (code delta, clash mask,
+    sign mask, coefficient) for each, which _d1_image reads.
 
     For g^e in a monomial m, the Leibniz term of a term T of d1(g) is
     e * left * T * right, with left the factors of m before g and right
@@ -88,7 +89,7 @@ def _term_table(coding: Coding, g: Generator, ctx: PrimeContext) -> list:
 
     low, high = offset[g], offset[g] + coding.width[g]
     out = []
-    for term, c in d1_generator(g, ctx)._terms.items():
+    for term, c in terms.items():
         hs = [offset[x] for x, _ in term if x[0] == KIND_H]
         signs = h_digits(0, low)
         for y in hs:
@@ -109,7 +110,7 @@ def _d1_image(
     for g, e in key:
         table = tables.get(g)
         if table is None:
-            table = tables[g] = _term_table(coding, g, ctx)
+            table = tables[g] = _term_table(coding, g, d1_generator(g, ctx)._terms)
         for delta, clash, signs, c in table:
             if not code & clash:
                 target = code + delta
@@ -123,8 +124,8 @@ def d1(x: MulOperand, ctx: PrimeContext) -> Element:
     """Apply the differential to a generator, monomial, or element.
 
     The terms of x are coded over the generators they hold and those of
-    their d1 terms, with digits wide enough for one more of each, and
-    _d1_image forms the image on the codes."""
+    their d1 terms, which seed the coding's term tables, with digits wide
+    enough for one more of each; _d1_image forms the image on the codes."""
     terms = _as_element(x, ctx)._terms
     # the largest exponent of each generator in x, and in the d1 terms of
     # the generators of x
@@ -133,14 +134,16 @@ def d1(x: MulOperand, ctx: PrimeContext) -> Element:
     for key in terms:
         for g, e in key:
             top[g] = max(top.get(g, 0), e)
-    for g in top:
-        for term in d1_generator(g, ctx)._terms:
+    images = {g: d1_generator(g, ctx)._terms for g in top}
+    for image in images.values():
+        for term in image:
             for y, e in term:
                 extra[y] = max(extra.get(y, 0), e)
     coding = Coding({
         g: 1 if g[0] == KIND_H else (top.get(g, 0) + extra.get(g, 0)).bit_length()
         for g in top.keys() | extra.keys()
     })
+    coding.d1_terms.update((g, _term_table(coding, g, image)) for g, image in images.items())
     out: dict[int, int] = {}
     for key, coeff in terms.items():
         _d1_image(ctx, coding, key, coding.encode(key), coeff, out)
@@ -219,13 +222,12 @@ def kernel(rows: list[Row], p: int, dim: int) -> list[Row]:
 
 @dataclass
 class WeightBlock:
-    """One weight u of a bidegree: the fields E2Report.serialize writes."""
+    """One weight of a bidegree, keyed by its u in E2Report.weights; its
+    second-term dimension is len(representatives)."""
 
-    u: int
     e1_dim: int
     cycle_dim: int
     boundary_dim: int
-    e2_dim: int
     representatives: list[Element]
 
 
@@ -244,7 +246,7 @@ class E2Report:
 
     @property
     def e2_total(self) -> int:
-        return sum(w.e2_dim for w in self.weights.values())
+        return sum(len(w.representatives) for w in self.weights.values())
 
     @property
     def representatives(self) -> list[Element]:
@@ -264,7 +266,7 @@ class E2Report:
                     "e1": w.e1_dim,
                     "cycles": w.cycle_dim,
                     "boundaries": w.boundary_dim,
-                    "e2": w.e2_dim,
+                    "e2": len(w.representatives),
                     "reps": [r.text() for r in w.representatives],
                 }
                 for u, w in sorted(self.weights.items())
@@ -272,15 +274,25 @@ class E2Report:
         }
 
 
-def summary_to_report(ctx: PrimeContext, data: dict) -> E2Report:
-    """Rebuild a report from its serialized form, reparsing representatives."""
+def summary_to_report(ctx: PrimeContext, s: int, t: int, data: dict) -> E2Report:
+    """The record of (s, t) rebuilt from data, its serialized form.
+    ValueError unless data is exactly what that record serializes and each
+    weight has an integer u and counts with e1 >= cycles >= boundaries >= 0
+    and cycles - boundaries = e2.  A value rewritten so that it stays
+    consistent passes: only a checksum, not in the format, would catch it."""
     weights = {}
     for e in data["weights"]:
-        reps = [parse_element(txt, ctx) for txt in e["reps"]]
-        weights[e["u"]] = WeightBlock(
-            e["u"], e["e1"], e["cycles"], e["boundaries"], e["e2"], reps
-        )
-    return E2Report(data["s"], data["t"], data["p"], weights)
+        reps = [parse_element(x, ctx) for x in e["reps"]]
+        weights[e["u"]] = WeightBlock(e["e1"], e["cycles"], e["boundaries"], reps)
+    report = E2Report(s, t, ctx.p, weights)
+    if report.serialize() != data or not all(
+        {type(n) for n in (u, w.e1_dim, w.cycle_dim, w.boundary_dim)} == {int}
+        and w.e1_dim >= w.cycle_dim >= w.boundary_dim >= 0
+        and w.cycle_dim - w.boundary_dim == len(w.representatives)
+        for u, w in weights.items()
+    ):
+        raise ValueError("the value disagrees with the record it rebuilds")
+    return report
 
 
 def _vector(terms: dict, index: dict, where: str, decode=None) -> Row:
@@ -386,9 +398,7 @@ def cell_homology(column: Column, s: int, boundaries) -> E2Report:
             where = f"({s},{t},{u})"
             raise AssertionError(f"boundary space escapes the cycle space at {where}")
         reps = [_block_element(block.keys, z, p) for c, z in cyc.items() if c not in boundary]
-        weights[u] = WeightBlock(
-            u, len(block.keys), len(cycles), len(boundary), len(reps), reps
-        )
+        weights[u] = WeightBlock(len(block.keys), len(cycles), len(boundary), reps)
     return E2Report(s, t, p, weights)
 
 

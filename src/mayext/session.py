@@ -7,12 +7,13 @@ which no other module builds.  It reuses work at two levels: in-process
 memos of records and boundary data keyed by (s, t) and the columns, and
 an optional on-disk cache of serialized records keyed by (module, p, s,
 t, schema_version).  Disk records embed their own key, so a corrupt
-file, a malformed value or a digest collision degrades to a
-recomputation with a warning, never to wrong data or a crash; a failed
-write is logged once per cache, and the computed record is still
-returned.  Warnings go to the "mayext" logger.  Certificates read
-records through Session.report; products and witness ranks reduce
-against Session.boundaries.
+file, a malformed value (one that summary_to_report refuses: not what
+its record serializes, or with counts that disagree) or a digest
+collision degrades to a recomputation with a warning, never to wrong
+data or a crash; a failed write is logged once per cache, and the
+computed record is still returned.  Warnings go to the "mayext" logger.
+Certificates read records through Session.report; products and witness
+ranks reduce against Session.boundaries.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class Session:
             summary = self.disk.get(self._key(s, t))
             if summary is not None:
                 try:
-                    rep = summary_to_report(self.ctx, summary)
+                    rep = summary_to_report(self.ctx, s, t, summary)
                 except (AttributeError, KeyError, TypeError, ValueError, MayextError):
                     name = self.disk.path_for(self._key(s, t)).name
                     logger.warning("malformed cache value in %s, recomputing", name)

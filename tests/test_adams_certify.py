@@ -148,13 +148,13 @@ class TestCertificates:
         cert = certify_ext_vanishing(reports, 4, 29400 + 2 * 12 - 1)
         assert cert.verdict == E1_EMPTY
         assert cert.certified_zero and cert.certified_exact
-        assert cert.dim == 0 and cert.e1_total == 0
+        assert cert.dim == 0 and cert.report.e1_total == 0
 
     def test_killed_cell(self, reports):
         cert = certify_ext_vanishing(reports, 5, 29400 + 12 + 1)
         assert cert.verdict == E2_ZERO
         assert cert.certified_zero
-        assert cert.e1_total == 3 and cert.e2_total == 0
+        assert cert.report.e1_total == 3 and cert.report.e2_total == 0
 
     def test_upper_bound_cell(self, reports):
         cert = certify_ext_vanishing(reports, 1, 588)
@@ -240,11 +240,11 @@ class TestWindow:
     def test_live_target_is_reported(self, reports):
         report = adams_dr_window(reports, (1, 588), 2, 2)
         (row,) = report.rows
-        assert row.target_bidegree == (3, 589)
+        assert (row.target.report.s, row.target.report.t) == (3, 589)
         assert row.target.verdict == UPPER_BOUND
         assert row.target.dim == 1
         # s < r_min: every source is vacuous
-        assert row.source is None and row.source_bidegree is None
+        assert row.source is None
         assert report.not_boundary == "full"
         assert report.targets_all_zero is False
         assert report.permanent_cycle_up_to == 1
@@ -264,7 +264,7 @@ class TestWindow:
         report = adams_dr_window(reports, (6, 6168), 2, 6)
         assert report.sources_all_zero is True
         assert report.not_boundary == "full"
-        sources = [row.source_bidegree for row in report.rows]
+        sources = [(row.source.report.s, row.source.report.t) for row in report.rows]
         assert sources == [(4, 6167), (3, 6166), (2, 6165), (1, 6164), (0, 6163)]
         for row in report.rows:
             assert row.source.verdict == E1_EMPTY

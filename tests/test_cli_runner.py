@@ -43,6 +43,7 @@ from mayext.cli_runner import (
 )
 from mayext.session import DiskCache, Session
 
+C3 = PrimeContext(3)
 C5 = PrimeContext(5)
 C7 = PrimeContext(7)
 
@@ -224,11 +225,16 @@ class TestSession:
         assert cached.serialize() == direct.serialize()
 
     def test_summary_round_trip(self):
-        rep = Session(C7).report(5, 29413)
-        back = summary_to_report(C7, rep.serialize())
-        assert back.e1_total == rep.e1_total
-        assert back.e2_total == rep.e2_total
-        assert back.serialize() == rep.serialize()
+        # the reader accepts every record as its JSON text stores it: one at
+        # p=7, and every record of p=3 with s <= 12 and t <= 120
+        cells = [(C7, 5, 29413)] + [(C3, s, t) for t in range(121) for s in range(13)]
+        sessions = {}
+        for ctx, s, t in cells:
+            rep = sessions.setdefault(ctx.p, Session(ctx)).report(s, t)
+            back = summary_to_report(ctx, s, t, json.loads(json.dumps(rep.serialize())))
+            assert back.e1_total == rep.e1_total
+            assert back.e2_total == rep.e2_total
+            assert back.serialize() == rep.serialize()
 
     def test_disk_record_reduction_builds_boundary_data_once(self, tmp_path, monkeypatch):
         Session(C7, cache_dir=tmp_path).report(6, 6168)
@@ -351,6 +357,13 @@ class TestBasicCommands:
         res = runner.invoke(main, ["-p", "7", "d1", "a2"])
         assert res.exit_code == 0
         assert res.stdout.strip() == "6 a0 h[2,0] + 6 a1 h[1,1]"
+
+    def test_d1_of_written_product(self, runner):
+        # the factors as written are their product, sign included:
+        # d1(h[2,0] h[1,2]) = d1(h[2,0]) h[1,2] = h[1,0] h[1,1] h[1,2]
+        res = runner.invoke(main, ["-p", "3", "d1", "h[2,0] h[1,2]"])
+        assert res.exit_code == 0
+        assert res.stdout == "h[1,0] h[1,1] h[1,2]\n"
 
     @pytest.mark.parametrize("group", [[], ["greek"]])
     def test_command_list_reads_as_sentences(self, runner, group):
@@ -909,17 +922,30 @@ class TestCacheThroughCli:
         assert second.stdout == first.stdout
         assert "malformed" in second.stderr
 
-    @pytest.mark.parametrize("bad_rep", ["h[1,", 5])
-    def test_malformed_representative_recovers(self, runner, tmp_path, bad_rep):
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda value: value["weights"][0].update(reps=["h[1,"]),
+            lambda value: value["weights"][0].update(reps=[5]),
+            # numbers that disagree with the representatives, with each
+            # other or with the requested bidegree
+            lambda value: value["weights"][0].update(e1=0),
+            lambda value: value["weights"][0].update(e2=0),
+            lambda value: value["weights"][0].update(cycles=value["weights"][0]["cycles"] + 1),
+            lambda value: value.update(s=value["s"] + 1),
+        ],
+        ids=["h[1,", "5", "e1-zero", "e2-zero", "cycles-plus-one", "s-plus-one"],
+    )
+    def test_malformed_representative_recovers(self, runner, tmp_path, tamper):
         first = self.invoke_e2(runner, tmp_path)
         (path,) = tmp_path.glob("*.json")
         record = json.loads(path.read_text())
-        record["value"]["weights"][0]["reps"] = [bad_rep]
+        tamper(record["value"])
         path.write_text(json.dumps(record))
         second = self.invoke_e2(runner, tmp_path)
         assert second.exit_code == 0
         assert second.stdout == first.stdout
-        assert "malformed" in second.stderr
+        assert second.stderr == f"warning: malformed cache value in {path.name}, recomputing\n"
         # the recomputed report overwrote the bad record
         third = self.invoke_e2(runner, tmp_path)
         assert third.stdout == first.stdout

@@ -271,6 +271,12 @@ class TestParse:
     def test_zero_literal(self):
         assert parse_element("0", C7).is_zero
 
+    def test_written_factors_are_their_product(self):
+        # h[2,0] h[1,2] is the product in that order: sorting its two odd
+        # factors is one transposition, so the sign is -1
+        assert parse_element("h[2,0] h[1,2]", C3) == multiply(h(2, 0), h(1, 2), C3)
+        assert parse_monomial("h[2,0] h[1,2]", C3).text() == "2 h[1,2] h[2,0]"
+
     def test_coefficient_normalizes_mod_p(self):
         assert parse_monomial("12 a0", C7).coeff == 5
         assert parse_monomial("-1 a0", C7).coeff == 6

@@ -272,6 +272,22 @@ class TestD1OnGenerators:
         assert d1(x, C7) + d1(d1(x, C7), C7) == image
         assert d1_generator(a(2), C7) == parse_element("6 a0 h[2,0] + 6 a1 h[1,1]", C7)
 
+    def test_each_generator_image_is_built_once(self, monkeypatch):
+        # d1 on an element seeds its coding's term tables from the images
+        # that size its digits: one d1_generator call per generator
+        calls = Counter()
+
+        def counted(g, ctx):
+            calls[g] += 1
+            return d1_generator(g, ctx)
+
+        monkeypatch.setattr(may_diff, "d1_generator", counted)
+        x = parse_element("a2^2 h[3,0] + 3 a1 h[2,0] b[1,0]", C7)
+        image = d1(x, C7)
+        assert calls == dict.fromkeys([a(2), h(3, 0), a(1), h(2, 0), b(1, 0)], 1)
+        monkeypatch.undo()
+        assert image == d1(x, C7)
+
     def test_context_is_a_plain_value(self):
         # no computation leaves state on the context: per-generator tables
         # live in the session's columns
@@ -515,7 +531,7 @@ class TestE2At:
 
     def test_six_factor_cell_has_one_survivor(self):
         rep = fresh_record(C7, 6, 6168)
-        by_u = {u: w.e2_dim for u, w in rep.weights.items() if w.e1_dim}
+        by_u = {u: len(w.representatives) for u, w in rep.weights.items() if w.e1_dim}
         assert by_u == {14: 0, 21: 0, 33: 0, 45: 1}
         assert rep.weights[14].e1_dim == 2
         assert rep.weights[14].boundary_dim == 2
@@ -528,8 +544,8 @@ class TestE2At:
                 rev = fresh_record(ctx, s, t)
             assert calls
             assert fwd.e2_total == rev.e2_total
-            assert {u: w.e2_dim for u, w in fwd.weights.items()} == {
-                u: w.e2_dim for u, w in rev.weights.items()
+            assert {u: len(w.representatives) for u, w in fwd.weights.items()} == {
+                u: len(w.representatives) for u, w in rev.weights.items()
             }
 
     @pytest.mark.parametrize(
@@ -579,7 +595,7 @@ def test_euler_characteristic_per_weight_complex(p, t_max):
         for s in range(t + 1):
             for u, blk in fresh_record(ctx, s, t).weights.items():
                 chi1[s + u] += (-1) ** s * blk.e1_dim
-                chi2[s + u] += (-1) ** s * blk.e2_dim
+                chi2[s + u] += (-1) ** s * len(blk.representatives)
         assert chi1 == chi2, f"p={p}, t={t}"
 
 
