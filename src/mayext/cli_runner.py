@@ -183,11 +183,12 @@ def _bounded(value: int, what: str) -> int:
 
 
 def eval_expr(value, ctx: PrimeContext) -> int:
-    """An int passes through; a string is arithmetic in p and q."""
+    """An int passes through under the value budget (_bounded); a string is
+    arithmetic in p and q."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ParseError(f"expected an integer or expression, got {value!r}")
     if isinstance(value, int):
-        return value
+        return _bounded(value, "number")
     return _ExprParser(value, {"p": ctx.p, "q": ctx.q}).parse()
 
 
@@ -488,7 +489,7 @@ def load_claims(path=None) -> list:
 # ---------------------------------------------------------------------------
 # charts
 
-# Most cells one chart may read.
+# Most cells one chart may read, and most rows it may hold.
 MAX_CELLS = 20000
 
 
@@ -500,9 +501,12 @@ def chart_data(session: Session, s_max: int, t_max: int) -> dict:
     """Every nonzero second-term cell with 0 <= s <= s_max, s <= t <= t_max.
 
     Raises WindowTooLarge, before reading any cell, when the window holds
-    more than MAX_CELLS cells."""
+    more than MAX_CELLS cells or more than MAX_CELLS rows: the loop and the
+    SVG go over every s up to s_max, empty rows too."""
     if s_max < 0 or t_max < 0:
         raise InvalidParams(f"bad chart window s_max={s_max}, t_max={t_max}")
+    if s_max + 1 > MAX_CELLS:
+        raise WindowTooLarge(f"chart window has more than {MAX_CELLS} rows, the budget")
     # the rows s = 0 .. rows - 1 hold t_max + 1 - s cells each
     rows = min(s_max, t_max) + 1
     count = rows * (t_max + 1) - rows * (rows - 1) // 2
@@ -766,6 +770,7 @@ def window(session, s, t, r_min, r_max, as_json):
     """Differential targets and sources for a class at (S, T)."""
     ctx = session.ctx
     bidegree = (eval_expr(s, ctx), eval_expr(t, ctx))
+    r_min, r_max = eval_expr(r_min, ctx), eval_expr(r_max, ctx)
     report = adams_dr_window(session.report, bidegree, r_min, r_max)
     if as_json:
         click.echo(json.dumps(report.serialize(), indent=2))

@@ -22,10 +22,10 @@ used anywhere.
 A PrimeContext is a plain value, p and q.  Every per-generator table
 lives in a column: basis enumeration works a column (one internal degree
 t) at a time, and a Column enumerates each of its cells, a dict of
-weight blocks, when it is first read, and keeps its generator list with
-their degrees, its reachability levels and its Coding, with the Coding's
-d1 term tables, for later cells.  A session.Session holds one Column per
-t, the one way to a basis.
+weight blocks, when it is first read, and keeps its cells, its generator
+list with their degrees and its Coding, with the Coding's d1 term
+tables, for later cells.  The state of a read's search ends with the
+read.  A session.Session holds one Column per t, the one way to a basis.
 Its search finds factor tuples, and the Coding, the one home of the code
 layout, codes each finished block: it ranks the generators below t
 canonically and packs one exponent digit per rank, so an h's one-bit
@@ -500,10 +500,6 @@ class Block:
 # is cleared: a cell too hard for it then costs time, not memory.
 _REACH_TABLE_BITS = 1 << 25
 _REACH_MEMO_ENTRIES = 1 << 15
-# The largest reachability table a column keeps from one read to the next
-# (512 KiB); a larger one ends with its read, so that a session holding
-# many wide columns does not hold their tables.
-_REACH_KEPT_BITS = 1 << 22
 # Search steps the enumeration of one cell may take: the corpus needs 46k,
 # p = 3 (40,400) 0.9M, p = 5 (5,5^14) 2.6M, and a step took 0.2-3 us on a Xeon.
 MAX_ENUMERATION_STEPS = 3 * 10**6
@@ -519,7 +515,9 @@ class Column:
     mod q, so a cell with t mod q > s is empty, and is read without a
     search.  A column builds its generator list and their degrees once,
     for its first search, and its coding when the first cell with blocks
-    needs codes, so a column whose cells are all empty builds none.
+    needs codes, so a column whose cells are all empty builds none.  It
+    keeps its cells, its generator list and its coding; the state of a
+    read's search (below) ends with the read.
 
     Exponent multisets are found by depth-first search over the bounded
     generator list.  The search is output-sensitive: it enters a branch
@@ -534,11 +532,11 @@ class Column:
     * Narrow t, where (t + 1)(s + 1) len(gens) <= _REACH_TABLE_BITS:
       levels[r][k] is a Python-int bitset of the internal degrees up to t
       that gens[k:] reach with filtration exactly r.  Level r is built
-      from levels r - 1 and r - 2, so a higher cell extends the levels a
-      lower one built, in its read and, up to _REACH_KEPT_BITS, in later
-      reads of the column.  The search reads them inline, and closes the
-      last filtration unit by a lookup of the unit generator of the degree
-      left, counting the steps the search would have taken there.
+      from levels r - 1 and r - 2, so a higher cell of one read extends
+      the levels a lower one built; they end with the read.  The search
+      reads them inline, and closes the last filtration unit by a lookup
+      of the unit generator of the degree left, counting the steps the
+      search would have taken there.
     * Wide t (up to p^12 q, about 1.4e10 at p = 7, where a table t bits
       wide cannot be built): a search memoised on (k, s_rem, t_rem),
       pruned by the least and the largest internal degree per filtration
@@ -560,14 +558,13 @@ class Column:
     canonically, whatever the order of the list the search walks.
     """
 
-    __slots__ = ("ctx", "t", "gens", "degrees", "cells", "levels", "_coding")
+    __slots__ = ("ctx", "t", "gens", "degrees", "cells", "_coding")
 
     def __init__(self, ctx: PrimeContext, t: int):
         self.ctx, self.t = ctx, t
         self.gens: list[Generator] | None = None
         self.degrees: list[tuple[int, int, int]] = []  # (s_g, t_g, u_g)
         self.cells: dict[int, dict[int, Block]] = {}
-        self.levels: list[list[int]] = []
         self._coding: Coding | None = None
 
     @property
@@ -591,33 +588,11 @@ class Column:
             self.degrees = [d for _, d in pairs]
         return self.gens
 
-    def reach(self, s: int) -> list[list[int]]:
-        """The reachability levels up to filtration s, extending those
-        built."""
-        levels, gens, degrees = self.levels, self.gens, self.degrees
-        n = len(gens)
-        if not levels:
-            levels.append([1] * (n + 1))
-        mask = (1 << (self.t + 1)) - 1
-        for r in range(len(levels), s + 1):
-            row = [0] * (n + 1)
-            acc = 0
-            for k in range(n - 1, -1, -1):
-                ds, dt, _ = degrees[k]
-                if ds <= r:
-                    # knapsack step: an exterior h is taken at most once, an
-                    # a or b any number of times (level r - ds of gens[k:])
-                    src = levels[r - ds][k + (gens[k][0] == KIND_H)]
-                    acc = (acc | src << dt) & mask
-                row[k] = acc
-            levels.append(row)
-        return levels
-
     def read(self, ss: Iterable[int]) -> Iterator[dict[int, Block]]:
         """The blocks of the cell (s, t) of each s in ss, in order, as the
         caller asks for them: a caller that stops early enumerates no later
         cell.  The cells one read enumerates share one search."""
-        cells, t, q, levels = self.cells, self.t, self.ctx.q, self.levels
+        cells, t, q = self.cells, self.t, self.ctx.q
         find = close = None
         try:
             for s in ss:
@@ -636,17 +611,18 @@ class Column:
         finally:
             if close is not None:
                 close()
-            if levels and len(levels) * len(levels[0]) * (t + 1) > _REACH_KEPT_BITS:
-                levels.clear()
 
 
 def _search(column: Column):
     """(find, close): find(s) enumerates the cell (s, t) of column, for
-    0 < s <= t, and the cells it finds share the wide search's memo and
-    closings; close() frees them."""
+    0 < s <= t, and the cells it finds share the reachability levels and
+    the wide search's memo and closings, which the search owns; close()
+    frees them."""
     gens = column.generators()
-    t, degrees, by_s = column.t, column.degrees, column.levels
+    t, degrees = column.t, column.degrees
     n = len(gens)
+    # by_s[r][k]: the reachability level r of gens[k:] (see Column)
+    by_s: list[list[int]] = []
     # exterior h's are taken at most once, the others at most t times
     e_top = [1 if g[0] == KIND_H else t for g in gens]
     # unit[t_g] / double[t_g]: index of the generator of filtration 1 / 2
@@ -671,6 +647,24 @@ def _search(column: Column):
                 f"basis of ({cell},{t}) needs more than {MAX_ENUMERATION_STEPS} "
                 "search steps, the budget for enumeration"
             )
+
+    def reach(s: int) -> None:
+        """Extend the reachability levels up to filtration s."""
+        if not by_s:
+            by_s.append([1] * (n + 1))
+        mask = (1 << (t + 1)) - 1
+        for r in range(len(by_s), s + 1):
+            row = [0] * (n + 1)
+            acc = 0
+            for k in range(n - 1, -1, -1):
+                ds, dt, _ = degrees[k]
+                if ds <= r:
+                    # knapsack step: an exterior h is taken at most once, an
+                    # a or b any number of times (level r - ds of gens[k:])
+                    src = by_s[r - ds][k + (gens[k][0] == KIND_H)]
+                    acc = (acc | src << dt) & mask
+                row[k] = acc
+            by_s.append(row)
 
     def closings(s_rem: int, t_rem: int) -> list[tuple[int, Factors, int]]:
         """(first index, factors, weight) of each way to make up the last
@@ -804,7 +798,8 @@ def _search(column: Column):
         nonlocal cell, steps, found, min_rate, max_rate, a_left
         cell, steps, found = s, 0, {}
         if (t + 1) * (s + 1) * n <= _REACH_TABLE_BITS:
-            if column.reach(s)[s][0] >> t & 1:
+            reach(s)
+            if by_s[s][0] >> t & 1:
                 fill_table(0, s, t, 0)
         else:
             if min_rate is None:

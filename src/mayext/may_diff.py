@@ -32,11 +32,10 @@ the cycle echelon rows whose pivot is not a boundary pivot.
 
 A record (E2Report) is plain data that stores each number once:
 serialize derives the totals and each weight's e2.  A cell's boundary
-data (Boundaries(column, s)) is memoised apart by Session.boundaries;
-cell_homology, reduce_mod_boundaries and e2_rank read it.  It builds
-each weight's block on the block's first read, so a reduction builds the
-weights its elements meet and cell_homology, which reads every weight,
-the rest.
+data (Boundaries(column, s)) builds each weight's block on the block's
+first read.  cell_homology builds its cell's own, reads every weight and
+drops it with the record done; Session.boundaries memoises it apart for
+e2_rank, whose reductions build the weights their elements meet.
 """
 
 from __future__ import annotations
@@ -333,10 +332,6 @@ def _d1_rows(
     return rows
 
 
-def _block_element(keys: list[Factors], vec: Row, p: int) -> Element:
-    return Element(p, {keys[col]: c for col, c in sorted(vec.items())})
-
-
 class Boundaries:
     """The boundary data of (s, t), t the internal degree of column: one
     block per weight u of the basis (blocks), each built on its first read
@@ -366,14 +361,15 @@ class Boundaries:
         return got
 
 
-def cell_homology(column: Column, s: int, boundaries) -> E2Report:
+def cell_homology(column: Column, s: int) -> E2Report:
     """The second-term record of (s, t), t the internal degree of column:
     per weight, the dimensions and the representatives.
 
     The coded bases come from column, which reads (s + 1, t) and (s - 1, t)
     in the search of (s, t), and only when (s, t) has blocks; only then are
-    the column's coding and the boundary data read, the latter from
-    boundaries(s, t) (Session.boundaries).  s and t are not negative."""
+    the column's coding and the cell's boundary data read, the latter
+    built here (Boundaries(column, s)) and dropped with the record done.
+    s and t are not negative."""
     ctx, t = column.ctx, column.t
     p = ctx.p
     cells = column.read((s, s + 1, s - 1))
@@ -381,7 +377,7 @@ def cell_homology(column: Column, s: int, boundaries) -> E2Report:
     if not here:
         return E2Report(s, t, p, {})
     above, _ = cells  # (s - 1, t) too, for the boundary data
-    coding, data = column.coding, boundaries(s, t)
+    coding, data = column.coding, Boundaries(column, s)
 
     weights = {}
     for u, block in here.items():
@@ -397,44 +393,32 @@ def cell_homology(column: Column, s: int, boundaries) -> E2Report:
         if any(reduce_vector(row, cyc, p) for row in boundary.values()):
             where = f"({s},{t},{u})"
             raise AssertionError(f"boundary space escapes the cycle space at {where}")
-        reps = [_block_element(block.keys, z, p) for c, z in cyc.items() if c not in boundary]
+        reps = [
+            Element(p, {block.keys[col]: v for col, v in sorted(z.items())})
+            for c, z in cyc.items() if c not in boundary
+        ]
         weights[u] = WeightBlock(len(block.keys), len(cycles), len(boundary), reps)
     return E2Report(s, t, p, weights)
-
-
-def _reduce(data: Boundaries, elem: Element) -> dict[int, Row]:
-    """elem's weight components as block rows reduced modulo the boundaries;
-    AssertionError on a term with no block or basis monomial."""
-    ctx = data.ctx
-    groups: dict[int, dict[Factors, int]] = {}
-    for m in elem.monomials():
-        groups.setdefault(m.tridegree(ctx).u, {})[m.factors] = m.coeff
-    rows = {}
-    for u, terms in sorted(groups.items()):
-        where = f"({data.s},{data.t},{u})"
-        if u not in data.blocks:
-            first = Monomial(min(terms), terms[min(terms)]).text()
-            raise AssertionError(f"term {first} has no block at {where}")
-        index, boundary = data.block(u)
-        rows[u] = reduce_vector(_vector(terms, index, where), boundary, ctx.p)
-    return rows
-
-
-def reduce_mod_boundaries(data: Boundaries, elem: Element) -> Element:
-    """elem, an element of bidegree (data.s, data.t), reduced modulo the d1
-    boundaries of each weight block it meets; zero iff elem is a boundary."""
-    out = Element.zero(data.ctx)
-    for u, vec in _reduce(data, elem).items():
-        out = out + _block_element(data.blocks[u].keys, vec, data.ctx.p)
-    return out
 
 
 def e2_rank(data: Boundaries, elems: list[Element]) -> int:
     """Dimension of the span of the weight components of elems, elements of
     bidegree (data.s, data.t), modulo the d1 boundaries: for cycles of one
-    weight each, the rank of their span in the second term."""
+    weight each, the rank of their span in the second term.  A component
+    is reduced against the boundary block of its weight; AssertionError on
+    a term with no block or basis monomial."""
+    ctx = data.ctx
     by_weight: dict[int, list[Row]] = {}
     for elem in elems:
-        for u, vec in _reduce(data, elem).items():
+        groups: dict[int, dict[Factors, int]] = {}
+        for m in elem.monomials():
+            groups.setdefault(m.tridegree(ctx).u, {})[m.factors] = m.coeff
+        for u, terms in sorted(groups.items()):
+            where = f"({data.s},{data.t},{u})"
+            if u not in data.blocks:
+                first = Monomial(min(terms), terms[min(terms)]).text()
+                raise AssertionError(f"term {first} has no block at {where}")
+            index, boundary = data.block(u)
+            vec = reduce_vector(_vector(terms, index, where), boundary, ctx.p)
             by_weight.setdefault(u, []).append(vec)
-    return sum(len(echelon(rows, data.ctx.p)[1]) for rows in by_weight.values())
+    return sum(len(echelon(rows, ctx.p)[1]) for rows in by_weight.values())

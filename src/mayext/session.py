@@ -3,15 +3,17 @@
 A Session owns one prime and is the one way in to its cells: bases
 (Session.basis), records (Session.report) and boundary data
 (Session.boundaries) all read one may_core.Column per internal degree t,
-which no other module builds.  It reuses work at two levels: in-process
-memos of records and boundary data keyed by (s, t) and the columns, and
-an optional on-disk cache of serialized records keyed by (module, p, s,
-t, schema_version).  Disk records embed their own key, so a corrupt
-file, a malformed value (one that summary_to_report refuses: not what
-its record serializes, or with counts that disagree) or a digest
-collision degrades to a recomputation with a warning, never to wrong
-data or a crash; a failed write is logged once per cache, and the
-computed record is still returned.  Warnings go to the "mayext" logger.
+which no other module builds.  It keeps answers, not scratch work: a
+record builds its cell's boundary data and drops it, and a column keeps
+its cells but no search state.  It reuses work at two levels: in-process
+memos of records and of the boundary data reductions ask for, keyed by
+(s, t), and the columns, and an optional on-disk cache of serialized
+records keyed by (module, p, s, t, schema_version).  Disk records embed
+their own key, so a corrupt file, a malformed value (one that
+summary_to_report refuses: not what its record serializes, or with
+counts that disagree) or a digest collision degrades to a recomputation
+with a warning, never to wrong data or a crash; a failed write is logged
+once per cache, and the computed record is still returned.  Warnings go to the "mayext" logger.
 Certificates read records through Session.report; products and witness
 ranks reduce against Session.boundaries.
 """
@@ -100,10 +102,10 @@ def _check(s: int, t: int) -> None:
 
 
 class Session:
-    """All computations for one prime: memos of records and boundary data
-    keyed by (s, t), one may_core.Column per internal degree t, which holds
-    the bases of its cells, and an optional disk cache behind report, the
-    one source of records.  report, boundaries and basis refuse a
+    """All computations for one prime: memos of records and of the boundary
+    data that reductions ask for, keyed by (s, t), one may_core.Column per
+    internal degree t, which holds the bases of its cells, and an optional
+    disk cache behind report, the one source of records.  report, boundaries and basis refuse a
     bidegree with s < 0 or t < 0 (InvalidParams)."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
@@ -140,14 +142,15 @@ class Session:
                 else:
                     self.memo[(s, t)] = rep
                     return rep
-        rep = cell_homology(self.column(t), s, self.boundaries)
+        rep = cell_homology(self.column(t), s)
         self.memo[(s, t)] = rep
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
         return rep
 
     def boundaries(self, s: int, t: int) -> Boundaries:
-        """The boundary data of (s, t), memoised, never from disk."""
+        """The boundary data of (s, t) for reductions (e2_rank), memoised,
+        never from disk; a record builds its own (cell_homology)."""
         data = self.boundary_memo.get((s, t))
         if data is None:
             _check(s, t)

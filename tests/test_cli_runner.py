@@ -30,7 +30,6 @@ from mayext.may_core import (
 from mayext.may_diff import (
     SCHEMA_VERSION,
     e2_rank,
-    reduce_mod_boundaries,
     summary_to_report,
 )
 from mayext.cli_runner import (
@@ -42,6 +41,8 @@ from mayext.cli_runner import (
     run_claims,
 )
 from mayext.session import DiskCache, Session
+
+from test_may_core import keeps_no_levels
 
 C3 = PrimeContext(3)
 C5 = PrimeContext(5)
@@ -133,6 +134,14 @@ class TestEvalExpr:
             with pytest.raises(WorkBudgetExceeded) as err:
                 eval_expr(text, C5)
             assert str(err.value) == f"{what} has more than 1024 bits, the budget for a value"
+        # an int, as a claims file gives it, is under the same budget
+        assert eval_expr(1 - 2**1024, C5) == 1 - 2**1024
+        for value, bits in ((2**1024, 1025), (-(2**1400), 1401)):
+            with pytest.raises(WorkBudgetExceeded) as err:
+                eval_expr(value, C5)
+            assert str(err.value) == (
+                f"a number of {bits} bits has more than 1024 bits, the budget for a value"
+            )
 
     def test_nesting_bound(self):
         # MAX_NESTING factors one inside another answer, one more is refused
@@ -236,6 +245,18 @@ class TestSession:
             assert back.e2_total == rep.e2_total
             assert back.serialize() == rep.serialize()
 
+    def test_a_session_keeps_answers_not_scratch_work(self):
+        # records build boundary data of their own and drop it, and a read
+        # drops its reachability levels: the session keeps the records and
+        # the columns' cells, and no memoised boundary data
+        session = Session(C3)
+        for t in range(121):
+            for s in range(13):
+                session.report(s, t)
+        assert len(session.memo) == 121 * 13
+        assert session.boundary_memo == {}
+        assert all(keeps_no_levels(col) for col in session.columns.values())
+
     def test_disk_record_reduction_builds_boundary_data_once(self, tmp_path, monkeypatch):
         Session(C7, cache_dir=tmp_path).report(6, 6168)
         built, cells = [], []
@@ -246,9 +267,9 @@ class TestSession:
                 built.append((s, column.t))
                 super().__init__(column, s)
 
-        def counting_cell(column, s, boundaries):
+        def counting_cell(column, s):
             cells.append((s, column.t))
-            return real_cell(column, s, boundaries)
+            return real_cell(column, s)
 
         monkeypatch.setattr(session_module, "Boundaries", CountingBoundaries)
         monkeypatch.setattr(session_module, "cell_homology", counting_cell)
@@ -263,7 +284,7 @@ class TestSession:
         # the product's boundary data serves the next reductions
         data = session.boundaries(6, 6168)
         for rep in loaded.representatives:
-            assert reduce_mod_boundaries(data, rep) == rep
+            assert e2_rank(data, [rep]) == 1
         assert e2_rank(data, loaded.representatives + [boundary]) == 1
         assert loaded.e2_total == 1
         assert e2_rank(data, [boundary]) == 0
@@ -686,14 +707,15 @@ class TestChart:
         assert res.exit_code == 1
 
     def test_cell_budget(self, monkeypatch):
-        # the budget counts the cells s <= t of the window, before any is read
+        # the budget counts the cells s <= t of the window and its rows,
+        # before any is read
         def unread(s, t):
             raise AssertionError(f"read ({s},{t})")
 
         session = Session(C5)
         monkeypatch.setattr(session, "report", unread)
-        # 20001, 20100 and 20015 cells
-        for s_max, t_max in [(0, 20000), (199, 199), (9, 2005)]:
+        # 20001, 20100 and 20015 cells, and 20001 rows of 21 cells
+        for s_max, t_max in [(0, 20000), (199, 199), (9, 2005), (20000, 5)]:
             with pytest.raises(WindowTooLarge) as err:
                 chart_data(session, s_max, t_max)
             assert isinstance(err.value, WorkBudgetExceeded)
@@ -779,6 +801,19 @@ class TestRunClaims:
         res = runner.invoke(main, ["verify", write_claims(tmp_path, [claim])])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
+        assert "1 claims: 1 error" in res.stdout
+
+    def test_claim_numbers_are_budgeted(self, runner, tmp_path):
+        # an s = 0 cell needs no search, so t = 2^1400 once passed at once
+        claim = {"kind": "e2_dim", "p": 3, "s": 0, "t": 2**1400, "expect": 0}
+        (result,) = run_claims([claim])
+        assert result.status == "error"
+        assert result.detail == (
+            "WorkBudgetExceeded: a number of 1401 bits has more than 1024 bits, "
+            "the budget for a value"
+        )
+        res = runner.invoke(main, ["verify", write_claims(tmp_path, [claim])])
+        assert res.exit_code == 1
         assert "1 claims: 1 error" in res.stdout
 
     def test_list_expect_must_be_a_list_of_strings(self, runner, tmp_path):
@@ -1105,6 +1140,11 @@ class TestErrorSurface:
             (
                 ["-p", "3", "chart", "--s-max", "0", "--t-max", "2^1000", "--format", "tsv"],
                 "chart window has more than 20000 cells, the budget",
+            ),
+            # this one once printed all 332 digits of r
+            (
+                ["-p", "3", "window", "0", "0", "--r-min", str(2**1100), "--r-max", str(2**1100)],
+                "a number of 1101 bits has more than 1024 bits, the budget for a value",
             ),
         ],
     )

@@ -513,6 +513,14 @@ def check_cell(ctx, s, t, col, blocks):
     assert sorted(found) == brute_force_basis(ctx, s, t), (ctx.p, s, t)
 
 
+def keeps_no_levels(col):
+    """Whether col holds no reachability levels, a list of bitset rows per
+    filtration: a column keeps its cells, its generator list with their
+    degrees and its coding, and a read's search state ends with it."""
+    values = [getattr(col, name, None) for name in type(col).__slots__]
+    return not any(isinstance(v, list) and v and isinstance(v[0], list) for v in values)
+
+
 def check_column(ctx, t, ss):
     """check_cell on each cell of read_column(ctx, t, ss); the cells."""
     col, cells = read_column(ctx, t, ss)
@@ -546,19 +554,13 @@ class TestEnumerateBases:
         for ctx, s, t in WIDE_CELLS:
             assert check_column(ctx, t, [s, s - 1])[s], (ctx.p, s, t)
 
-    @pytest.mark.parametrize(
-        "table_bits, kept_bits",
-        [(None, None), (0, None), (None, 0)],
-        ids=["table", "memoised", "table-not-kept"],
-    )
-    def test_ascending_reads_extend_the_levels(self, table_bits, kept_bits, monkeypatch):
-        # one column, one cell per read in ascending s: each narrow cell
-        # extends the reachability levels the lower ones left, unless they
-        # are too large to keep, and each read starts a search of its own
+    @pytest.mark.parametrize("table_bits", [None, 0], ids=["table", "memoised"])
+    def test_ascending_reads_extend_the_levels(self, table_bits, monkeypatch):
+        # one column, one cell per read in ascending s: each read starts a
+        # search of its own, which builds the levels its cell needs, and
+        # the column keeps none of them once the read ends
         if table_bits is not None:
             monkeypatch.setattr(may_core, "_REACH_TABLE_BITS", table_bits)
-        if kept_bits is not None:
-            monkeypatch.setattr(may_core, "_REACH_KEPT_BITS", kept_bits)
         s_max = max(self.SS)
         for ctx in (C3, C5):
             for t in self.TS:
@@ -566,11 +568,7 @@ class TestEnumerateBases:
                 for s in range(min(self.SS), s_max + 1):
                     (blocks,) = column.read([s])
                     check_cell(ctx, s, t, column, blocks)
-                # the levels reach the highest cell searched: a cell with t
-                # mod q > s is empty without one
-                top = min(s_max, t)
-                searched = t and t % ctx.q <= top and table_bits is None and kept_bits is None
-                assert len(column.levels) == (top + 1 if searched else 0), (ctx.p, t)
+                    assert keeps_no_levels(column), (ctx.p, s, t)
 
     def test_column_under_generator_reversal(self, reversed_generators, monkeypatch):
         # the p = 7 column is too wide for a table; the p = 5 one is narrow,

@@ -31,7 +31,6 @@ from mayext.may_diff import (
     e2_rank,
     echelon,
     kernel,
-    reduce_mod_boundaries,
     reduce_vector,
 )
 from mayext.session import Session
@@ -355,10 +354,10 @@ class TestCellHomology:
         data = Session(C5).boundaries(1, 8)
         elem = parse_element("4 h[1,2] + 3 h[1,1] + h[1,0]", C5)
         with pytest.raises(AssertionError) as err:
-            reduce_mod_boundaries(data, elem)
+            e2_rank(data, [elem])
         assert str(err.value) == "term 3 h[1,1] missing from basis of (1,8,1)"
         inside = parse_element("2 h[1,0]", C5)
-        assert reduce_mod_boundaries(data, inside) == inside
+        assert e2_rank(data, [inside]) == 1
 
 
 class TestBoundaryBlocks:
@@ -381,16 +380,18 @@ class TestBoundaryBlocks:
         data = session.boundaries(6, 55)
         assert formed == []
         e2_rank(data, [basis[9], basis[13] + basis[9]])
-        reduce_mod_boundaries(data, basis[17])
+        e2_rank(data, [basis[17]])
         e2_rank(data, [basis[13]])
         assert formed == ["(6,55,9)", "(6,55,13)", "(6,55,17)"]
-        # the record builds the remaining weights, and none twice
+        # the record builds boundary data of its own, each weight once,
+        # and leaves the memoised data as it was
         want = fresh_record(C3, 6, 55).serialize()
         formed.clear()
         assert session.report(6, 55).serialize() == want
-        rest = Counter(w for w in formed if w.startswith("(6,55,"))
-        assert rest == {"(6,55,6)": 1, "(6,55,14)": 1}
+        own = Counter(w for w in formed if w.startswith("(6,55,"))
+        assert own == {f"(6,55,{u})": 1 for u in basis}
         assert session.boundaries(6, 55) is data
+        assert sorted(data.built) == [9, 13, 17]
 
 
 class TestBasisMemo:
