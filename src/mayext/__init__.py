@@ -31,7 +31,6 @@ from .greek_bp import (
     AlphaIndex,
     BetaIndex,
     BPGen,
-    ColumnTooLarge,
     GammaIndex,
     NoDictionaryEntry,
     UnknownFamily,
@@ -84,7 +83,6 @@ __all__ = [
     "BPGen",
     "BetaIndex",
     "Certificate",
-    "ColumnTooLarge",
     "DimInterval",
     "DiskCache",
     "E2Report",

@@ -5,7 +5,9 @@ arithmetic; nothing here touches the trigraded complex except through
 the named-class table, which the dictionary lookups and stem_of read.
 
 A power of p by an index field or a parameter is formed by may_core.power,
-which refuses one past the power budget before computing it.
+which refuses one past the power budget before computing it.  That is the
+only budget here: enumerate_ext0_KR solves its column once per p-adic
+valuation, so its work and output grow with n, not with p^n.
 
 Beta admissibility for beta[a,s,b,c] (the class beta_{ap^s/b,c+1} of
 internal degree a p^s (p+1) q - b q) requires b >= 1, c >= 0, a >= 1
@@ -32,7 +34,6 @@ from .may_core import (
     MayextError,
     ParseError,
     PrimeContext,
-    WorkBudgetExceeded,
     power,
     read_literal,
 )
@@ -44,16 +45,6 @@ class NoDictionaryEntry(MayextError):
 
 class UnknownFamily(MayextError):
     """stem_of knows no family of that name."""
-
-
-class ColumnTooLarge(WorkBudgetExceeded):
-    """enumerate_ext0_KR would try more v1 exponents than its budget."""
-
-
-# enumerate_ext0_KR tries (p^n - 1)/(p + 1) v1 exponents one by one; the
-# largest column under this cap (p = 7, n = 8: 720,600 exponents) takes
-# about a second through the CLI on a 2-core Xeon host
-MAX_EXT0_CANDIDATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -217,39 +208,34 @@ class BPGen:
 def enumerate_ext0_KR(ctx: PrimeContext, n: int, t: int) -> list[BPGen]:
     """Generators of the Ext^0 column in internal degree t p^n (p+1) q.
 
-    Solves v1exp * q + a p^s (p+1) q = t p^n (p+1) q subject to the
-    v1-exponent window for the height-n truncation: p^s | v1exp,
-    v1exp <= p^n - 1, and v1exp >= p^n - 1 - q1 (t = 1) respectively
-    v1exp >= p^n - q1 (t >= 2), plus the pure power v2^(t p^n).
-    Raises ColumnTooLarge when (p^n - 1)/(p + 1), the number of v1
-    exponents to try, exceeds MAX_EXT0_CANDIDATES.
+    Solves v1exp * q + a p^s (p+1) q = t p^n (p+1) q, a prime to p,
+    subject to the v1-exponent window for the height-n truncation:
+    p^s | v1exp, v1exp <= p^n - 1, and v1exp >= p^n - B(s) - 1 (t = 1)
+    respectively v1exp >= p^n - B(s) (t >= 2), B as in the module
+    docstring.  The pure power v2^(t p^n) comes first, the others follow
+    in ascending v1 exponent.
+
+    Every v1exp is d (p+1) with 1 <= d <= (p^n - 1)/(p+1) < p^n, so s, the
+    valuation of t p^n - d, is that of d: s < n, p^s | v1exp, and a =
+    (t p^n - d)/p^s > p^2/(p+1) > 1.  So the column is solved once per
+    s < n, and each s costs O(1): its window holds fewer than p^(s-1) + 2
+    values of d, of which at most two are multiples of p^s.
     """
     p = ctx.p
     if n < 1 or t < 1 or t % p == 0:
         raise InvalidParams(f"need n >= 1 and t >= 1 prime to p, got n={n}, t={t}")
     pn = power(p, n)
-    candidates = (pn - 1) // (p + 1)
-    if candidates > MAX_EXT0_CANDIDATES:
-        raise ColumnTooLarge(
-            f"ext0 at n={n}, t={t} has {candidates} v1 exponents to try, "
-            f"budget is {MAX_EXT0_CANDIDATES}"
-        )
-    out = [BPGen("v2", e=t * pn)]
-    for d in range(1, candidates + 1):
-        val = t * pn - d
-        s = 0
-        while val % p == 0:
-            val //= p
-            s += 1
-        a = val
-        b = d * (p + 1)
-        if b % p**s:
-            raise AssertionError("v1 exponent lost p-divisibility")
-        # the lower end p^n - q1, one less at t = 1
-        lb = pn - (p**s if a == 1 else _bound(p, s)) - (t == 1)
-        if max(lb, 1) <= b <= pn - 1:
-            out.append(BPGen("v1c1", v1exp=b, a=a, s=s))
-    return out
+    d_top = (pn - 1) // (p + 1)
+    found = []
+    for s in range(n):
+        ps = p**s
+        # d = m p^s from the least m whose v1 exponent reaches the window
+        m_low = -((_bound(p, s) + (t == 1) - pn) // (ps * (p + 1)))
+        for m in range(m_low, d_top // ps + 1):
+            if m % p:
+                a = t * pn // ps - m
+                found.append(BPGen("v1c1", v1exp=m * ps * (p + 1), a=a, s=s))
+    return [BPGen("v2", e=t * pn), *sorted(found, key=lambda g: g.v1exp)]
 
 
 def enumerate_ext1_BPK(ctx: PrimeContext, n: int) -> list[BPGen]:

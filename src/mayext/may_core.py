@@ -634,6 +634,8 @@ def _search(column: Column):
     closed: dict[tuple[int, int], list[tuple[int, Factors, int]]] = {}
     memo: dict[tuple[int, int, int], bool] = {}
     stack: list[tuple[Generator, int]] = []
+    # one (g, 1) per generator, shared by every key that takes g once
+    ones = [(g, 1) for g in gens]
     found: dict[int, list[Factors]] = {}
     min_rate = max_rate = a_left = None  # the wide search's bounds, on its first cell
     cell = steps = 0
@@ -680,11 +682,11 @@ def _search(column: Column):
             elif s_rem == 1:
                 k = unit.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
+                    ways.append((k, (ones[k],), degrees[k][2]))
             else:
                 k = double.get(t_rem)
                 if k is not None:
-                    ways.append((k, ((gens[k], 1),), degrees[k][2]))
+                    ways.append((k, (ones[k],), degrees[k][2]))
                 spend(len(unit))
                 for dt, k in unit.items():
                     k2 = unit.get(t_rem - dt)
@@ -696,7 +698,7 @@ def _search(column: Column):
                     else:
                         lo, hi = min(k, k2), max(k, k2)
                         u = degrees[lo][2] + degrees[hi][2]
-                        ways.append((lo, ((gens[lo], 1), (gens[hi], 1)), u))
+                        ways.append((lo, (ones[lo], ones[hi]), u))
             closed[key] = ways
         return ways
 
@@ -716,7 +718,7 @@ def _search(column: Column):
             e, s2, t2 = 1, s_rem - ds, t_rem - dt
             while s2 >= 0 and t2 >= 0 and e <= e_top[j]:
                 if by_s[s2][j + 1] >> t2 & 1:
-                    stack.append((gens[j], e))
+                    stack.append(ones[j] if e == 1 else (gens[j], e))
                     if s2 > 1:
                         fill_table(j + 1, s2, t2, u + e * du)
                     else:
@@ -728,7 +730,7 @@ def _search(column: Column):
                         key, w = tuple(stack), u + e * du
                         if s2:
                             j2 = unit[t2]
-                            key += ((gens[j2], 1),)
+                            key += (ones[j2],)
                             w += degrees[j2][2]
                         spend(j2 - j + 1 if s2 else 1)
                         found.setdefault(w, []).append(key)
@@ -790,7 +792,7 @@ def _search(column: Column):
             g, (ds, dt, du) = gens[j], degrees[j]
             for e in range(1, min(e_top[j], s_rem // ds, t_rem // dt) + 1):
                 if reach_memo(j + 1, s_rem - e * ds, t_rem - e * dt):
-                    stack.append((g, e))
+                    stack.append(ones[j] if e == 1 else (g, e))
                     fill_memo(j + 1, s_rem - e * ds, t_rem - e * dt, u + e * du)
                     stack.pop()
 

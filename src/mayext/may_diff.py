@@ -222,12 +222,17 @@ def kernel(rows: list[Row], p: int, dim: int) -> list[Row]:
 @dataclass
 class WeightBlock:
     """One weight of a bidegree, keyed by its u in E2Report.weights; its
-    second-term dimension is len(representatives)."""
+    second-term dimension is len(representatives), one per cycle pivot
+    that is not a boundary pivot, so its boundary dimension is
+    cycle_dim - len(representatives)."""
 
     e1_dim: int
     cycle_dim: int
-    boundary_dim: int
     representatives: list[Element]
+
+    @property
+    def boundary_dim(self) -> int:
+        return self.cycle_dim - len(self.representatives)
 
 
 @dataclass
@@ -276,18 +281,17 @@ class E2Report:
 def summary_to_report(ctx: PrimeContext, s: int, t: int, data: dict) -> E2Report:
     """The record of (s, t) rebuilt from data, its serialized form.
     ValueError unless data is exactly what that record serializes and each
-    weight has an integer u and counts with e1 >= cycles >= boundaries >= 0
-    and cycles - boundaries = e2.  A value rewritten so that it stays
-    consistent passes: only a checksum, not in the format, would catch it."""
+    weight has an integer u and counts with e1 >= cycles >= boundaries >= 0.
+    A value rewritten so that it stays consistent passes: only a checksum,
+    not in the format, would catch it."""
     weights = {}
     for e in data["weights"]:
         reps = [parse_element(x, ctx) for x in e["reps"]]
-        weights[e["u"]] = WeightBlock(e["e1"], e["cycles"], e["boundaries"], reps)
+        weights[e["u"]] = WeightBlock(e["e1"], e["cycles"], reps)
     report = E2Report(s, t, ctx.p, weights)
     if report.serialize() != data or not all(
-        {type(n) for n in (u, w.e1_dim, w.cycle_dim, w.boundary_dim)} == {int}
+        {type(n) for n in (u, w.e1_dim, w.cycle_dim)} == {int}
         and w.e1_dim >= w.cycle_dim >= w.boundary_dim >= 0
-        and w.cycle_dim - w.boundary_dim == len(w.representatives)
         for u, w in weights.items()
     ):
         raise ValueError("the value disagrees with the record it rebuilds")
@@ -397,7 +401,7 @@ def cell_homology(column: Column, s: int) -> E2Report:
             Element(p, {block.keys[col]: v for col, v in sorted(z.items())})
             for c, z in cyc.items() if c not in boundary
         ]
-        weights[u] = WeightBlock(len(block.keys), len(cycles), len(boundary), reps)
+        weights[u] = WeightBlock(len(block.keys), len(cycles), reps)
     return E2Report(s, t, p, weights)
 
 

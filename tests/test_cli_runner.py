@@ -630,20 +630,15 @@ class TestGreekCommands:
         res = runner.invoke(main, ["greek", "ext0", "2", "-t", "2"])
         assert res.stdout.splitlines() == ["v2^50", "v1^24 c1~[46,0]"]
 
-    def test_ext0_over_budget_exits_one(self):
-        # this once ran until killed: about 1.6e20 v1 exponents at p = 5
-        res = subprocess.run(
-            [sys.executable, "-c", "from mayext.cli_runner import main; main()",
-             "-p", "5", "greek", "ext0", "30"],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": str(Path(mayext.__file__).parents[1])},
-        )
-        assert res.returncode == 1
-        assert res.stdout == ""
-        assert res.stderr == (
-            "Error: ext0 at n=30, t=1 has 155220429102579752604 v1 exponents "
-            "to try, budget is 1000000\n"
-        )
+    def test_ext0_answers_past_a_million_v1_exponents(self, runner):
+        # about 1.6e20 v1 exponents at p = 5, once refused by a budget on
+        # trying them one by one; the column is solved per valuation
+        res = runner.invoke(main, ["-p", "5", "greek", "ext0", "30"])
+        assert res.exit_code == 0
+        lines = res.stdout.splitlines()
+        assert len(lines) == 16
+        assert lines[-1] == "v1^931322574615478515624 c1~[776102145512898763021,0]"
+        assert res.stderr == "degree 44703483581542968750000\n"
 
     def test_ext1(self, runner):
         res = runner.invoke(main, ["greek", "ext1", "4"])

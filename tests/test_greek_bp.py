@@ -4,13 +4,11 @@ import itertools
 
 import pytest
 
-from mayext import greek_bp
 from mayext.may_core import InvalidParams, ParseError, PrimeContext, WorkBudgetExceeded
 from mayext.greek_bp import (
     AlphaIndex,
     BetaIndex,
     BPGen,
-    ColumnTooLarge,
     GammaIndex,
     NoDictionaryEntry,
     UnknownFamily,
@@ -213,18 +211,54 @@ class TestExt0Column:
         with pytest.raises(InvalidParams):
             enumerate_ext0_KR(C5, 1, 5)
 
-    def test_budget_counts_the_v1_exponents(self, monkeypatch):
-        # (5^4 - 1)/6 = 104 exponents at n = 4
-        monkeypatch.setattr(greek_bp, "MAX_EXT0_CANDIDATES", 104)
-        assert len(enumerate_ext0_KR(C5, 4, 2)) == 3
-        monkeypatch.setattr(greek_bp, "MAX_EXT0_CANDIDATES", 103)
-        with pytest.raises(ColumnTooLarge) as err:
-            enumerate_ext0_KR(C5, 4, 2)
-        assert str(err.value) == (
-            "ext0 at n=4, t=2 has 104 v1 exponents to try, budget is 103"
-        )
-        assert isinstance(err.value, WorkBudgetExceeded)
-        assert isinstance(err.value, InvalidParams)
+    def test_matches_the_candidate_loop(self):
+        for p in (3, 5, 7, 11, 13):
+            ctx = PrimeContext(p)
+            n = 1
+            while (p**n - 1) // (p + 1) <= 2 * 10**4:
+                for t in range(1, 3 * p + 2):
+                    if t % p:
+                        got = enumerate_ext0_KR(ctx, n, t)
+                        assert got == ext0_by_candidates(ctx, n, t), (p, n, t)
+                n += 1
+
+    @pytest.mark.parametrize("p, n", [(7, 511), (3, 1023)])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_answers_up_to_the_power_budget(self, p, n, t):
+        ctx = PrimeContext(p)
+        gens = enumerate_ext0_KR(ctx, n, t)
+        assert gens[0] == BPGen("v2", e=t * p**n)
+        ladder = gens[1:]
+        assert ladder
+        for g in gens:
+            assert g.degree(ctx) == t * p**n * (p + 1) * ctx.q
+        for g in ladder:
+            assert g.kind == "v1c1" and g.s < n and g.a >= 2
+        assert len({g.s for g in ladder}) == len(ladder)
+        exps = [g.v1exp for g in ladder]
+        assert exps == sorted(set(exps))
+
+
+def ext0_by_candidates(ctx: PrimeContext, n: int, t: int) -> list[BPGen]:
+    """enumerate_ext0_KR by trying each v1 exponent d (p + 1), 1 <= d <=
+    (p^n - 1)/(p + 1), in turn: the reference for the per-valuation solve."""
+    p = ctx.p
+    pn = p**n
+    out = [BPGen("v2", e=t * pn)]
+    for d in range(1, (pn - 1) // (p + 1) + 1):
+        val = t * pn - d
+        s = 0
+        while val % p == 0:
+            val //= p
+            s += 1
+        a = val
+        b = d * (p + 1)
+        assert b % p**s == 0
+        # the lower end p^n - q1, one less at t = 1
+        lb = pn - (p**s if a == 1 else _bound(p, s)) - (t == 1)
+        if max(lb, 1) <= b <= pn - 1:
+            out.append(BPGen("v1c1", v1exp=b, a=a, s=s))
+    return out
 
 
 class TestExt1Column:
