@@ -373,8 +373,8 @@ def adams_dr_window(
 
 def product_nonzero_at_e2(session: Session, classes: list) -> dict:
     """Multiply the representatives of NamedClasses and decide whether the
-    product is nonzero mod the boundaries of its bidegree: its e2_rank
-    against session.boundaries(s, t), which a zero product does not read.
+    product is nonzero mod the boundaries of its bidegree (s, t): its
+    e2_rank in session.column(t), which a zero product does not read.
 
     A nonzero answer means the product survives to the second term; it is
     a statement about the second term, not yet about the abutment.
@@ -394,5 +394,6 @@ def product_nonzero_at_e2(session: Session, classes: list) -> dict:
     conjectural = any(cls.conjectural for cls in classes)
     if not d1(prod, ctx).is_zero:
         raise AssertionError("product of cocycles failed to be a cocycle")
-    nonzero = not prod.is_zero and e2_rank(session.boundaries(*expected), [prod]) > 0
+    s, t = expected
+    nonzero = not prod.is_zero and e2_rank(session.column(t), s, [prod]) > 0
     return {"nonzero": nonzero, "bidegree": expected, "conjectural": conjectural}

@@ -498,7 +498,9 @@ class WindowTooLarge(WorkBudgetExceeded):
 
 
 def chart_data(session: Session, s_max: int, t_max: int) -> dict:
-    """Every nonzero second-term cell with 0 <= s <= s_max, s <= t <= t_max.
+    """Every nonzero second-term cell with 0 <= s <= s_max, s <= t <= t_max,
+    in (s, t) order.  The cells are read a column at a time, and each
+    column leaves the session once its cells are done.
 
     Raises WindowTooLarge, before reading any cell, when the window holds
     more than MAX_CELLS cells or more than MAX_CELLS rows: the loop and the
@@ -512,9 +514,10 @@ def chart_data(session: Session, s_max: int, t_max: int) -> dict:
     count = rows * (t_max + 1) - rows * (rows - 1) // 2
     if count > MAX_CELLS:
         raise WindowTooLarge(f"chart window has more than {MAX_CELLS} cells, the budget")
+    # a certificate reads only its own column
     cells = []
-    for s in range(s_max + 1):
-        for t in range(s, t_max + 1):
+    for t in range(t_max + 1):
+        for s in range(min(s_max, t) + 1):
             cert = certify_ext_dim(session.report, s, t)
             if cert.report.e2_total == 0:
                 continue
@@ -529,6 +532,8 @@ def chart_data(session: Session, s_max: int, t_max: int) -> dict:
                     "reps": [rep.text() for rep in cert.report.representatives],
                 }
             )
+        session.columns.pop(t, None)
+    cells.sort(key=lambda cell: (cell["s"], cell["t"]))
     return {
         "schema": SCHEMA_VERSION,
         "p": session.ctx.p,

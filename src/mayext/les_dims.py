@@ -3,7 +3,7 @@
 Every group dimension here is an interval [lo, hi].  Upper bounds come
 from second-term totals on the sphere; lower bounds only from witnesses
 at the second term: the rank of a_0- or h_0-multiples of a cell's
-representatives modulo the target cell's boundary data, not its
+representatives modulo the target cell's d1 boundaries, not its
 record.  Long exact sequences then transport intervals through
 kernel/cokernel arithmetic
 
@@ -84,8 +84,9 @@ class DimInterval:
 class SphereTable:
     """Sphere cells, each certified from session.report on its first read.
 
-    The same read ranks the cell's a_0 and h_0 witnesses against
-    session.boundaries.  The window s_range x t_range reads no cell; it is
+    The same read ranks the cell's a_0 and h_0 witnesses with e2_rank in
+    the session's column of each target, which forms the target's boundary
+    rows and no record.  The window s_range x t_range reads no cell; it is
     the rule for which witnesses count: a witness into a cell raises the
     cell's lower bound only when the witness's source cell lies inside
     the window.  A read outside the window is an invariant violation.
@@ -124,7 +125,7 @@ class SphereTable:
             reps = cert.report.representatives
             for op, gen, d in self.witnesses:
                 products = [multiply(rep, gen, self.ctx) for rep in reps]
-                ranks[op] = e2_rank(self.session.boundaries(s + 1, t + d), products)
+                ranks[op] = e2_rank(self.session.column(t + d), s + 1, products)
         cell = self.cells[(s, t)] = (cert, ranks)
         return cell
 

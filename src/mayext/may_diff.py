@@ -31,11 +31,10 @@ on the order of rows or of elimination.  A block's representatives are
 the cycle echelon rows whose pivot is not a boundary pivot.
 
 A record (E2Report) is plain data that stores each number once:
-serialize derives the totals and each weight's e2.  A cell's boundary
-data (Boundaries(column, s)) builds each weight's block on the block's
-first read.  cell_homology builds its cell's own, reads every weight and
-drops it with the record done; Session.boundaries memoises it apart for
-e2_rank, whose reductions build the weights their elements meet.
+serialize derives the totals and each weight's e2.  Boundary rows are
+formed where they are read, by _boundaries, and kept by nothing:
+cell_homology forms each weight's once for its record, and e2_rank forms
+those of the weights its elements meet, once per call.
 """
 
 from __future__ import annotations
@@ -173,23 +172,28 @@ def reduce_vector(vec: Row, by_pivot: dict[int, Row], p: int) -> Row:
 
 def echelon(rows: list[Row], p: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over F_p; returns (rows, pivot columns) in
-    ascending pivot order.  Each row, reduced by the rows kept so far,
-    pivots on its smallest column and clears that column from them, so
-    the kept rows stay reduced."""
+    ascending pivot order.  Each row is reduced at its leading column only,
+    against the rows kept so far, until it leads on a new column, where it
+    is kept scaled to lead with 1, or vanishes.  One pass in descending
+    pivot order then clears each pivot column from the rows above it: the
+    rows it subtracts are reduced already, so they bring in no pivot
+    column."""
     by_pivot: dict[int, Row] = {}
     for row in rows:
-        r = reduce_vector(row, by_pivot, p)
-        if not r:
-            continue
-        col = min(r)
-        inv = pow(r[col], p - 2, p)
-        r = {c: v * inv % p for c, v in r.items()}
-        for other in by_pivot.values():
-            c = other.get(col)
-            if c:
-                _add_multiple(other, p - c, r, p)
-        by_pivot[col] = r
+        r = {col: v % p for col, v in row.items() if v % p}
+        while r:
+            col = min(r)
+            kept = by_pivot.get(col)
+            if kept is None:
+                inv = pow(r[col], p - 2, p)
+                by_pivot[col] = {c: v * inv % p for c, v in r.items()}
+                break
+            _add_multiple(r, p - r[col], kept, p)
     pivots = sorted(by_pivot)
+    for col in reversed(pivots):
+        r = by_pivot[col]
+        for c in [c for c in r if c != col and c in by_pivot]:
+            _add_multiple(r, p - r[c], by_pivot[c], p)
     return [by_pivot[col] for col in pivots], pivots
 
 
@@ -336,33 +340,14 @@ def _d1_rows(
     return rows
 
 
-class Boundaries:
-    """The boundary data of (s, t), t the internal degree of column: one
-    block per weight u of the basis (blocks), each built on its first read
-    (block): the column of each basis monomial, and the echelon rows of
-    the d1 images of block u + 1 of (s-1, t), keyed by pivot.  The cells
-    are read here, (s - 1, t) only when (s, t) has blocks."""
-
-    def __init__(self, column: Column, s: int):
-        self.column, self.ctx, self.s, self.t = column, column.ctx, s, column.t
-        cells = column.read((s, s - 1))
-        self.blocks = next(cells)
-        self.below = next(cells) if self.blocks else None
-        self.built: dict[int, tuple[dict[Factors, int], dict[int, Row]]] = {}
-
-    def block(self, u: int) -> tuple[dict[Factors, int], dict[int, Row]]:
-        """Block u, built on first read; KeyError when (s, t) has no
-        monomial of weight u."""
-        got = self.built.get(u)
-        if got is None:
-            block = self.blocks[u]
-            source = self.below.get(u + 1)
-            where = f"({self.s},{self.t},{u})"
-            rows = _d1_rows(self.ctx, self.column.coding, source, block, where)
-            b_ech, b_piv = echelon(rows, self.ctx.p)
-            index = {key: k for k, key in enumerate(block.keys)}
-            got = self.built[u] = (index, dict(zip(b_piv, b_ech)))
-        return got
+def _boundaries(
+    ctx: PrimeContext, coding: Coding, source: Block | None, block: Block, where: str
+) -> dict[int, Row]:
+    """The d1 boundaries in block, a weight block u of (s, t): the echelon
+    rows of the d1 images of source, block u + 1 of (s - 1, t), keyed by
+    pivot."""
+    rows, pivots = echelon(_d1_rows(ctx, coding, source, block, where), ctx.p)
+    return dict(zip(pivots, rows))
 
 
 def cell_homology(column: Column, s: int) -> E2Report:
@@ -370,22 +355,22 @@ def cell_homology(column: Column, s: int) -> E2Report:
     per weight, the dimensions and the representatives.
 
     The coded bases come from column, which reads (s + 1, t) and (s - 1, t)
-    in the search of (s, t), and only when (s, t) has blocks; only then are
-    the column's coding and the cell's boundary data read, the latter
-    built here (Boundaries(column, s)) and dropped with the record done.
-    s and t are not negative."""
+    in the search of (s, t), and only when (s, t) has blocks; only then is
+    the column's coding read.  Each weight's boundary rows are formed once,
+    from that read's (s - 1, t), and dropped with the record done.  s and t
+    are not negative."""
     ctx, t = column.ctx, column.t
     p = ctx.p
     cells = column.read((s, s + 1, s - 1))
     here = next(cells)
     if not here:
         return E2Report(s, t, p, {})
-    above, _ = cells  # (s - 1, t) too, for the boundary data
-    coding, data = column.coding, Boundaries(column, s)
+    above, below = cells
+    coding = column.coding
 
     weights = {}
     for u, block in here.items():
-        boundary = data.block(u)[1]
+        boundary = _boundaries(ctx, coding, below.get(u + 1), block, f"({s},{t},{u})")
         where = f"({s+1},{t},{u-1})"
         out_rows = _d1_rows(ctx, coding, block, above.get(u - 1), where)
         cycles = kernel(out_rows, p, len(block.keys))
@@ -405,24 +390,37 @@ def cell_homology(column: Column, s: int) -> E2Report:
     return E2Report(s, t, p, weights)
 
 
-def e2_rank(data: Boundaries, elems: list[Element]) -> int:
+def e2_rank(column: Column, s: int, elems: list[Element]) -> int:
     """Dimension of the span of the weight components of elems, elements of
-    bidegree (data.s, data.t), modulo the d1 boundaries: for cycles of one
-    weight each, the rank of their span in the second term.  A component
-    is reduced against the boundary block of its weight; AssertionError on
-    a term with no block or basis monomial."""
-    ctx = data.ctx
+    bidegree (s, t), t the internal degree of column, modulo the d1
+    boundaries: for cycles of one weight each, the rank of their span in
+    the second term.  A component is reduced against the boundary rows of
+    its weight, formed once per call for each weight the elements meet;
+    (s - 1, t) is read only when (s, t) has blocks.  AssertionError on a
+    term with no block or basis monomial."""
+    ctx, t = column.ctx, column.t
+    cells = column.read((s, s - 1))
+    here = next(cells)
+    below = next(cells) if here else {}
+    cells.close()
+    built: dict[int, tuple[dict[Factors, int], dict[int, Row]]] = {}
     by_weight: dict[int, list[Row]] = {}
     for elem in elems:
         groups: dict[int, dict[Factors, int]] = {}
         for m in elem.monomials():
             groups.setdefault(m.tridegree(ctx).u, {})[m.factors] = m.coeff
         for u, terms in sorted(groups.items()):
-            where = f"({data.s},{data.t},{u})"
-            if u not in data.blocks:
+            where = f"({s},{t},{u})"
+            if u not in here:
                 first = Monomial(min(terms), terms[min(terms)]).text()
                 raise AssertionError(f"term {first} has no block at {where}")
-            index, boundary = data.block(u)
+            got = built.get(u)
+            if got is None:
+                block = here[u]
+                index = {key: k for k, key in enumerate(block.keys)}
+                boundary = _boundaries(ctx, column.coding, below.get(u + 1), block, where)
+                got = built[u] = (index, boundary)
+            index, boundary = got
             vec = reduce_vector(_vector(terms, index, where), boundary, ctx.p)
             by_weight.setdefault(u, []).append(vec)
     return sum(len(echelon(rows, ctx.p)[1]) for rows in by_weight.values())

@@ -1,21 +1,20 @@
 """Sessions: the per-prime memos and the on-disk record cache.
 
 A Session owns one prime and is the one way in to its cells: bases
-(Session.basis), records (Session.report) and boundary data
-(Session.boundaries) all read one may_core.Column per internal degree t,
-which no other module builds.  It keeps answers, not scratch work: a
-record builds its cell's boundary data and drops it, and a column keeps
-its cells but no search state.  It reuses work at two levels: in-process
-memos of records and of the boundary data reductions ask for, keyed by
-(s, t), and the columns, and an optional on-disk cache of serialized
-records keyed by (module, p, s, t, schema_version).  Disk records embed
-their own key, so a corrupt file, a malformed value (one that
+(Session.basis), records (Session.report) and reductions (may_diff.e2_rank
+on Session.column) all read one may_core.Column per internal degree t,
+which no other module builds.  It keeps answers, not scratch work:
+records and the columns' cells, but no boundary rows and no search
+state.  It reuses work at two levels: in-process, the memo of records
+keyed by (s, t) and the columns, and an optional on-disk cache of
+serialized records keyed by (module, p, s, t, schema_version).  Disk
+records embed their own key, so a corrupt file, a malformed value (one that
 summary_to_report refuses: not what its record serializes, or with
 counts that disagree) or a digest collision degrades to a recomputation
 with a warning, never to wrong data or a crash; a failed write is logged
 once per cache, and the computed record is still returned.  Warnings go to the "mayext" logger.
 Certificates read records through Session.report; products and witness
-ranks reduce against Session.boundaries.
+ranks reduce in the session's columns (e2_rank).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 from .may_core import Column, InvalidParams, MayextError, Monomial, PrimeContext
-from .may_diff import SCHEMA_VERSION, Boundaries, E2Report, cell_homology, summary_to_report
+from .may_diff import SCHEMA_VERSION, E2Report, cell_homology, summary_to_report
 
 logger = logging.getLogger("mayext")
 
@@ -102,16 +101,15 @@ def _check(s: int, t: int) -> None:
 
 
 class Session:
-    """All computations for one prime: memos of records and of the boundary
-    data that reductions ask for, keyed by (s, t), one may_core.Column per
-    internal degree t, which holds the bases of its cells, and an optional
-    disk cache behind report, the one source of records.  report, boundaries and basis refuse a
-    bidegree with s < 0 or t < 0 (InvalidParams)."""
+    """All computations for one prime: a memo of records keyed by (s, t),
+    one may_core.Column per internal degree t, which holds the bases of its
+    cells, and an optional disk cache behind report, the one source of
+    records.  report and basis refuse a bidegree with s < 0 or t < 0
+    (InvalidParams)."""
 
     def __init__(self, ctx: PrimeContext, cache_dir=None):
         self.ctx = ctx
         self.memo: dict[tuple[int, int], E2Report] = {}
-        self.boundary_memo: dict[tuple[int, int], Boundaries] = {}
         self.columns: dict[int, Column] = {}
         self.disk = DiskCache(cache_dir) if cache_dir else None
 
@@ -147,15 +145,6 @@ class Session:
         if self.disk is not None:
             self.disk.put(self._key(s, t), rep.serialize())
         return rep
-
-    def boundaries(self, s: int, t: int) -> Boundaries:
-        """The boundary data of (s, t) for reductions (e2_rank), memoised,
-        never from disk; a record builds its own (cell_homology)."""
-        data = self.boundary_memo.get((s, t))
-        if data is None:
-            _check(s, t)
-            data = self.boundary_memo[(s, t)] = Boundaries(self.column(t), s)
-        return data
 
     def basis(self, s: int, t: int) -> list[Monomial]:
         """The basis monomials of (s, t), every weight, sorted by factors."""

@@ -216,14 +216,13 @@ class TestSession:
 
     @pytest.mark.parametrize("s, t", [(2, -10), (-1, 5)])
     def test_negative_bidegree_builds_no_column(self, s, t):
-        # records, boundary data and bases all refuse it, before a column
+        # records and bases both refuse it, before a column
         session = Session(C7)
-        for read in (session.report, session.boundaries, session.basis):
+        for read in (session.report, session.basis):
             with pytest.raises(InvalidParams) as err:
                 read(s, t)
             assert str(err.value) == f"bidegree out of range: ({s},{t})"
         assert session.columns == {} and session.memo == {}
-        assert session.boundary_memo == {}
 
     def test_disk_round_trip(self, tmp_path):
         first = Session(C7, cache_dir=tmp_path)
@@ -246,32 +245,31 @@ class TestSession:
             assert back.serialize() == rep.serialize()
 
     def test_a_session_keeps_answers_not_scratch_work(self):
-        # records build boundary data of their own and drop it, and a read
+        # records form boundary rows of their own and drop them, and a read
         # drops its reachability levels: the session keeps the records and
-        # the columns' cells, and no memoised boundary data
+        # the columns' cells, and nothing else
         session = Session(C3)
         for t in range(121):
             for s in range(13):
                 session.report(s, t)
         assert len(session.memo) == 121 * 13
-        assert session.boundary_memo == {}
+        assert set(vars(session)) == {"ctx", "memo", "columns", "disk"}
         assert all(keeps_no_levels(col) for col in session.columns.values())
 
     def test_disk_record_reduction_builds_boundary_data_once(self, tmp_path, monkeypatch):
         Session(C7, cache_dir=tmp_path).report(6, 6168)
-        built, cells = [], []
-        real_cell = may_diff.cell_homology
+        formed, cells = [], []
+        real_cell, real_boundaries = may_diff.cell_homology, may_diff._boundaries
 
-        class CountingBoundaries(may_diff.Boundaries):
-            def __init__(self, column, s):
-                built.append((s, column.t))
-                super().__init__(column, s)
+        def counting_boundaries(ctx, coding, source, block, where):
+            formed.append(where)
+            return real_boundaries(ctx, coding, source, block, where)
 
         def counting_cell(column, s):
             cells.append((s, column.t))
             return real_cell(column, s)
 
-        monkeypatch.setattr(session_module, "Boundaries", CountingBoundaries)
+        monkeypatch.setattr(may_diff, "_boundaries", counting_boundaries)
         monkeypatch.setattr(session_module, "cell_homology", counting_cell)
         session = Session(C7, cache_dir=tmp_path)
         loaded = session.report(6, 6168)
@@ -281,15 +279,22 @@ class TestSession:
         assert (out["bidegree"], out["nonzero"]) == ((6, 6168), False)
         boundary = product([cls.rep for cls in PRODUCT_CLASSES], C7)
         assert not boundary.is_zero
-        # the product's boundary data serves the next reductions
-        data = session.boundaries(6, 6168)
-        for rep in loaded.representatives:
-            assert e2_rank(data, [rep]) == 1
-        assert e2_rank(data, loaded.representatives + [boundary]) == 1
-        assert loaded.e2_total == 1
-        assert e2_rank(data, [boundary]) == 0
-        # the boundary data is built once, and no record is computed
-        assert built == [(6, 6168)]
+        # the product's weight is one block of the cell, whose boundary rows
+        # the product's reduction formed once
+        (u,) = {m.tridegree(C7).u for m in boundary.monomials()}
+        where = f"(6,6168,{u})"
+        assert formed == [where]
+        # each later reduction forms the rows of the weights it meets, once
+        # each; the representative lies in another weight
+        column = session.columns[6168]
+        (rep,) = loaded.representatives
+        (v,) = {m.tridegree(C7).u for m in rep.monomials()}
+        assert v != u
+        assert e2_rank(column, 6, [rep]) == 1
+        assert e2_rank(column, 6, [rep, boundary]) == 1
+        assert e2_rank(column, 6, [boundary]) == 0
+        assert formed == [where, f"(6,6168,{v})", f"(6,6168,{v})", where, where]
+        # no record is computed
         assert cells == []
         # the record is still what was written, and stays the memo's
         assert loaded.serialize() == text
@@ -700,6 +705,26 @@ class TestChart:
     def test_bad_window(self, runner):
         res = runner.invoke(main, ["chart", "--s-max", "-1", "--t-max", "10"])
         assert res.exit_code == 1
+
+    def test_chart_walks_a_column_at_a_time(self, monkeypatch):
+        # a certificate reads only its own column, so the chart holds one
+        # column at a time and leaves none in the session; the cells still
+        # come in (s, t) order
+        session, held = Session(C3), []
+        real_column = session.column
+
+        def counting_column(t):
+            col = real_column(t)
+            held.append(len(session.columns))
+            return col
+
+        monkeypatch.setattr(session, "column", counting_column)
+        data = chart_data(session, 6, 40)
+        assert session.columns == {} and max(held) == 1
+        fresh = Session(C3)
+        want = [(s, t) for s in range(7) for t in range(s, 41) if fresh.report(s, t).e2_total]
+        assert [(c["s"], c["t"]) for c in data["cells"]] == want
+        assert len(want) > 10
 
     def test_cell_budget(self, monkeypatch):
         # the budget counts the cells s <= t of the window and its rows,

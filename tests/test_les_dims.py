@@ -2,7 +2,7 @@
 
 import pytest
 
-from mayext import les_dims
+from mayext import les_dims, may_diff
 from mayext.may_core import InvalidParams, PrimeContext
 from mayext.session import Session
 from mayext.les_dims import (
@@ -108,17 +108,31 @@ class TestSphereTable:
         got = dims(PrimeContext(3), "M", 2, 40)
         assert (got.lo, got.hi) == (0, 1)
 
-    def test_witness_targets_get_boundary_data_alone(self):
+    def test_witness_targets_get_boundary_data_alone(self, monkeypatch):
         # a witness raises lo at S(1, 200); its a0 and h0 targets are
-        # reduced into, so they get boundary data and no record.  The
-        # certified cells' records build boundary data of their own, which
-        # the memo does not keep
+        # reduced into, so they get boundary rows and no record.  The
+        # certified cells' records form boundary rows of their own
+        reduced, formed = [], []
+        real_rank, real_boundaries = les_dims.e2_rank, may_diff._boundaries
+
+        def counting_rank(column, s, elems):
+            reduced.append((s, column.t))
+            return real_rank(column, s, elems)
+
+        def counting_boundaries(ctx, coding, source, block, where):
+            formed.append(where)
+            return real_boundaries(ctx, coding, source, block, where)
+
+        monkeypatch.setattr(les_dims, "e2_rank", counting_rank)
+        monkeypatch.setattr(may_diff, "_boundaries", counting_boundaries)
         session = Session(C5)
         assert ext_dims(session, "S", 1, 200) == DimInterval(1, 1, "UpperBound+witness")
         certified = {(0, 200), (1, 200), (2, 200)}
         assert set(session.memo) == certified
         assert session.memo[(0, 200)].e1_total == 0
-        assert set(session.boundary_memo) == {(2, 201), (2, 208)}
+        assert sorted(reduced) == [(2, 201), (2, 208)]
+        targets = {w.rsplit(",", 1)[0] + ")" for w in formed}
+        assert targets == {"(1,200)", "(2,200)", "(2,201)", "(2,208)"}
 
 
 class TestMooreColumns:

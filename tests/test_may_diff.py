@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mayext import may_core, may_diff
 from mayext.may_core import (
     Element,
+    KIND_B,
     InvalidParams,
     Monomial,
     PrimeContext,
@@ -107,6 +108,39 @@ def test_echelon_is_the_dense_rref(p, data):
     assert ech == [sparse(r) for r in want]
 
 
+def incremental_echelon(rows, p):
+    """The sparse elimination may_diff used before its single back pass:
+    each row, reduced by the rows kept so far, pivots on its smallest
+    column and clears that column from them, so the kept rows stay
+    reduced.  Kept as the reference for the one that replaced it."""
+    by_pivot = {}
+    for row in rows:
+        r = reduce_vector(row, by_pivot, p)
+        if not r:
+            continue
+        col = min(r)
+        inv = pow(r[col], p - 2, p)
+        r = {c: v * inv % p for c, v in r.items()}
+        for other in by_pivot.values():
+            c = other.get(col)
+            if c:
+                may_diff._add_multiple(other, p - c, r, p)
+        by_pivot[col] = r
+    pivots = sorted(by_pivot)
+    return [by_pivot[col] for col in pivots], pivots
+
+
+@given(st.sampled_from([3, 5, 7, 11]), st.data())
+@settings(max_examples=500, deadline=None)
+def test_echelon_is_the_incremental_echelon(p, data):
+    # sparse rows, up to 12 x 12, entries unreduced mod p
+    width = data.draw(st.integers(min_value=1, max_value=12))
+    entry = st.integers(min_value=1, max_value=2 * p - 1)
+    row = st.dictionaries(st.integers(min_value=0, max_value=width - 1), entry, max_size=4)
+    rows = data.draw(st.lists(row, max_size=12))
+    assert echelon(rows, p) == incremental_echelon(rows, p)
+
+
 @given(st.sampled_from([3, 5, 7]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_kernel_annihilates_and_is_reduced(p, data):
@@ -153,7 +187,7 @@ E2_RANK_CELLS = [(5, 55), (6, 29), (6, 52), (6, 55), (6, 57)]
 
 @functools.cache
 def rank_cell(s, t):
-    """The boundary data of a p=3 cell; its columns, per weight the basis
+    """The session's column of a p=3 cell; its columns, per weight the basis
     factors in canonical order; the d1 images of the cell below; and the
     elements to draw from: basis monomials, representatives and those
     images."""
@@ -165,7 +199,7 @@ def rank_cell(s, t):
         columns.setdefault(m.tridegree(C3).u, []).append(m.factors)
     images = [d1(m, C3) for m in session.basis(s - 1, t)]
     pool = [Element.from_monomials(C3, [m]) for m in basis] + reps + images
-    return session.boundaries(s, t), columns, images, pool
+    return session.column(t), columns, images, pool
 
 
 def dense_rank_mod(elems, boundaries, columns, p):
@@ -181,7 +215,7 @@ def dense_rank_mod(elems, boundaries, columns, p):
 @given(st.sampled_from(E2_RANK_CELLS), st.data())
 @settings(max_examples=200, deadline=None)
 def test_e2_rank_is_the_dense_rank_mod_boundaries(cell, data):
-    boundaries, columns, images, pool = rank_cell(*cell)
+    column, columns, images, pool = rank_cell(*cell)
     terms = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 2))
     elems = []
     for combo in data.draw(st.lists(st.lists(terms, min_size=1, max_size=3), max_size=5)):
@@ -189,7 +223,7 @@ def test_e2_rank_is_the_dense_rank_mod_boundaries(cell, data):
         for i, c in combo:
             x = x + pool[i].scaled(c)
         elems.append(x)
-    assert e2_rank(boundaries, elems) == dense_rank_mod(elems, images, columns, 3)
+    assert e2_rank(column, cell[0], elems) == dense_rank_mod(elems, images, columns, 3)
 
 
 class TestLinearAlgebra:
@@ -262,7 +296,6 @@ class TestD1OnGenerators:
         # a second computation of the record reuses the same tables, and no
         # use changes them
         session.memo.clear()
-        session.boundary_memo.clear()
         assert session.report(6, 55).serialize() == first
         assert {g: list(table) for g, table in tables.items()} == before
         # d1 on an element codes it afresh: repeated images are equal
@@ -330,6 +363,51 @@ def test_derivation_law(p, data):
     assert lhs == rhs
 
 
+# cells whose bases sample monomials with a's, h's and b's
+FREE_OVER_B_CELLS = {3: [(6, 55), (8, 100)], 5: [(8, 302), (7, 338)], 7: [(7, 808), (6, 878)]}
+
+
+def free_over_b_failures(p):
+    """What contradicts d1 being linear over the b's at p: for every
+    generator g below t = 2 p^4 q, d1(g) is zero when g is a b and holds no
+    b otherwise, and d1(b m) = b d1(m) for each such b and each basis
+    monomial m of FREE_OVER_B_CELLS.  A b has even stem, so the Leibniz
+    sign past it is +."""
+    ctx = PrimeContext(p)
+    gens = [g for g, _ in generators_bounded(ctx, 2 * p**4 * ctx.q - 1)]
+    out = []
+    for g in gens:
+        image = may_diff.d1_generator(g, ctx)
+        if g.kind == KIND_B and not image.is_zero:
+            out.append(f"d1({g.text()}) = {image.text()}")
+        if any(x.kind == KIND_B for term in image._terms for x, _ in term):
+            out.append(f"d1({g.text()}) holds a b")
+    session = Session(ctx)
+    basis = [m for s, t in FREE_OVER_B_CELLS[p] for m in session.basis(s, t)]
+    assert len(basis) >= 30
+    for x in (g for g in gens if g.kind == KIND_B):
+        for m in basis:
+            if d1(multiply(x, m, ctx), ctx) != multiply(x, d1(m, ctx), ctx):
+                out.append(f"d1({x.text()} {m.text()}) != {x.text()} d1({m.text()})")
+    return out
+
+
+class TestFreeOverB:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_d1_is_linear_over_the_b(self, p):
+        assert free_over_b_failures(p) == []
+
+    def test_a_b_term_in_a_generator_image_is_caught(self, monkeypatch):
+        real = may_diff.d1_generator
+
+        def with_b(g, ctx):
+            image = real(g, ctx)
+            return image + parse_element("b[1,0]", ctx) if g == h(2, 0) else image
+
+        monkeypatch.setattr(may_diff, "d1_generator", with_b)
+        assert "d1(h[2,0]) holds a b" in free_over_b_failures(3)
+
+
 class TestCellHomology:
     def test_single_class_cell(self):
         cell = fresh_record(C7, 1, 588)
@@ -351,13 +429,13 @@ class TestCellHomology:
     def test_term_outside_the_basis_is_named(self):
         # h[1,1] and h[1,2] share the weight of (1,8) but not its t; the
         # first in canonical order is named, with its coefficient
-        data = Session(C5).boundaries(1, 8)
+        column = Session(C5).column(8)
         elem = parse_element("4 h[1,2] + 3 h[1,1] + h[1,0]", C5)
         with pytest.raises(AssertionError) as err:
-            e2_rank(data, [elem])
+            e2_rank(column, 1, [elem])
         assert str(err.value) == "term 3 h[1,1] missing from basis of (1,8,1)"
         inside = parse_element("2 h[1,0]", C5)
-        assert e2_rank(data, [inside]) == 1
+        assert e2_rank(column, 1, [inside]) == 1
 
 
 class TestBoundaryBlocks:
@@ -376,22 +454,22 @@ class TestBoundaryBlocks:
         for m in fresh_basis(C3, 6, 55):
             basis.setdefault(m.tridegree(C3).u, Element.from_monomials(C3, [m]))
         assert sorted(basis) == [6, 9, 13, 14, 17]
+        # a reduction forms the weights its elements meet, each once, and
+        # keeps none of them for the next
         session = Session(C3)
-        data = session.boundaries(6, 55)
+        column = session.column(55)
+        e2_rank(column, 6, [])
         assert formed == []
-        e2_rank(data, [basis[9], basis[13] + basis[9]])
-        e2_rank(data, [basis[17]])
-        e2_rank(data, [basis[13]])
-        assert formed == ["(6,55,9)", "(6,55,13)", "(6,55,17)"]
-        # the record builds boundary data of its own, each weight once,
-        # and leaves the memoised data as it was
+        e2_rank(column, 6, [basis[9], basis[13] + basis[9]])
+        e2_rank(column, 6, [basis[17]])
+        e2_rank(column, 6, [basis[13]])
+        assert formed == ["(6,55,9)", "(6,55,13)", "(6,55,17)", "(6,55,13)"]
+        # the record forms boundary rows of its own, each weight once
         want = fresh_record(C3, 6, 55).serialize()
         formed.clear()
         assert session.report(6, 55).serialize() == want
         own = Counter(w for w in formed if w.startswith("(6,55,"))
         assert own == {f"(6,55,{u})": 1 for u in basis}
-        assert session.boundaries(6, 55) is data
-        assert sorted(data.built) == [9, 13, 17]
 
 
 class TestBasisMemo:
@@ -432,7 +510,7 @@ class TestBasisMemo:
         # 60) is empty without a search (test_cell_past_its_a_count_needs_no_search)
         session = Session(C5)
         low, high = session.report(3, 60), session.report(4, 60)
-        session.boundaries(5, 60)
+        e2_rank(session.column(60), 5, [])
         cells = {("cell", s, 60): 1 for s in (4, 5)}
         assert Counter(built) == {("gens", 60): 1, ("coding",): 1, **cells}
         assert low.serialize() == fresh_record(C5, 3, 60).serialize()
@@ -494,7 +572,6 @@ class TestBasisMemo:
         assert session.report(2, 8).serialize()["weights"] == []
         assert built == [("gens", 8), ("cell", 2, 8)]
         assert list(session.columns[8].cells) == [2]
-        assert session.boundary_memo == {}
         assert session.report(1, 8).e1_total == 1
 
     def test_cell_past_its_a_count_needs_no_search(self, built):
